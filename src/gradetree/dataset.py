@@ -15,7 +15,7 @@ import json
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping
 
 __all__ = [
     "SchemaError",
@@ -169,20 +169,6 @@ class ClassDistribution:
     counts: Mapping[str, int]
     total: int
 
-    @classmethod
-    def from_labels(cls, labels: Iterable[str], domain: Sequence[str]) -> "ClassDistribution":
-        counts = {c: 0 for c in domain}
-        total = 0
-        for lab in labels:
-            counts[lab] += 1
-            total += 1
-        return cls(counts, total)
-
-    def probabilities(self) -> dict[str, float]:
-        if self.total == 0:
-            return {c: 0.0 for c in self.counts}
-        return {c: n / self.total for c, n in self.counts.items()}
-
     def majority(self) -> str:
         """Most frequent class; ties broken by class-domain order."""
         best = None
@@ -245,9 +231,10 @@ class Dataset:
 
 def class_distribution(dataset: Dataset) -> ClassDistribution:
     """Count records per class label; zero-count labels are included."""
-    return ClassDistribution.from_labels(
-        (r.label for r in dataset.records), dataset.schema.class_domain
-    )
+    counts = {c: 0 for c in dataset.schema.class_domain}
+    for rec in dataset.records:
+        counts[rec.label] += 1
+    return ClassDistribution(counts, len(dataset))
 
 
 def partition(dataset: Dataset, attribute: str) -> dict[str, Dataset]:

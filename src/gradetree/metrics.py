@@ -4,6 +4,16 @@ All logarithms are base 2 and 0*log2(0) is taken as 0, so a pure
 distribution scores 0 under every index. The impurity of an empty
 distribution is defined as 0, which keeps weighted sums over partitions
 with empty parts well-formed.
+
+Attribute scores come from counts, as in ID3 (Quinlan 1986): ``encode``
+turns a dataset's columns into domain-index codes, ``contingency`` tallies
+a value x class table over some rows, and ``table_scores`` derives gain,
+split information and gain ratio from it. Every entropy, split information
+included, goes through one primitive, ``count_entropy``, which sums in the
+order given: class-domain order within an entropy, attribute-domain order
+across parts. That order is fixed because builds break ties between
+attributes on exact float equality: the same terms summed in another
+order can differ in the last bit, and so choose another split.
 """
 
 from __future__ import annotations
@@ -11,9 +21,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import Iterable, Sequence
 
-from .dataset import ClassDistribution, Dataset, class_distribution, partition
+from .dataset import ClassDistribution, Dataset
 
 __all__ = [
     "ImpurityKind",
@@ -40,14 +50,7 @@ class ImpurityKind(Enum):
 
 def entropy(dist: ClassDistribution) -> float:
     """-sum p_j log2 p_j over the nonzero class probabilities."""
-    if dist.total == 0:
-        return 0.0
-    h = 0.0
-    for count in dist.counts.values():
-        if count:
-            p = count / dist.total
-            h -= p * math.log2(p)
-    return h
+    return count_entropy(dist.counts.values(), dist.total)
 
 
 def gini(dist: ClassDistribution) -> float:
@@ -74,52 +77,82 @@ def impurity(dist: ClassDistribution, kind: ImpurityKind) -> float:
     raise ValueError(f"unknown impurity kind: {kind!r}")
 
 
-def _check_scorable(dataset: Dataset, attribute: str) -> None:
-    if len(dataset) == 0:
-        raise ValueError("cannot score attributes on an empty dataset")
-    if attribute not in dataset.schema.attribute_names:
-        raise KeyError(f"unknown attribute {attribute!r}")
+
+
+def count_entropy(counts: Iterable[int], total: int) -> float:
+    """-sum p log2 p with p = count / total over the nonzero counts, in order."""
+    if total == 0:
+        return 0.0
+    h = 0.0
+    for count in counts:
+        if count:
+            p = count / total
+            h -= p * math.log2(p)
+    return h
+
+
+def encode(dataset: Dataset, names: Sequence[str]) -> tuple[list[list[int]], list[int]]:
+    """The columns ``names`` and the labels, each value as its domain index."""
+    schema = dataset.schema
+    records = dataset.records
+    try:
+        columns = []
+        for name in names:
+            code = {v: i for i, v in enumerate(schema.domain(name))}
+            columns.append([code[rec.values[name]] for rec in records])
+    except KeyError:
+        # Record.values is a plain dict, so a value can change after the
+        # dataset validated it; validating again names the changed cell
+        Dataset(schema, records)
+        raise
+    class_code = {c: i for i, c in enumerate(schema.class_domain)}
+    return columns, [class_code[rec.label] for rec in records]
+
+
+def contingency(
+    column: Sequence[int], labels: Sequence[int], rows: Iterable[int], n_values: int, n_classes: int
+) -> list[list[int]]:
+    """Value x class counts over the given rows, in domain and class order."""
+    table = [[0] * n_classes for _ in range(n_values)]
+    for r in rows:
+        table[column[r]][labels[r]] += 1
+    return table
+
+
+def table_scores(table: Sequence[Sequence[int]]) -> tuple[float, float, float]:
+    """Gain, split information and gain ratio of a non-empty value x class table.
+
+    The gain is clamped to 0 from below; a gain more negative than rounding
+    slack cannot occur for a true entropy difference. The ratio is 0 on a
+    zero split, which keeps an attribute with a single represented value
+    out of argmax contention.
+    """
+    sizes = [sum(row) for row in table]
+    total = sum(sizes)
+    weighted = 0.0
+    for row, size in zip(table, sizes):
+        if size:
+            weighted += size / total * count_entropy(row, size)
+    gain = count_entropy([sum(col) for col in zip(*table)], total) - weighted
+    if -_SLACK < gain < 0:
+        gain = 0.0
+    split = count_entropy(sizes, total)
+    return gain, split, gain / split if split else 0.0
 
 
 def information_gain(dataset: Dataset, attribute: str) -> float:
-    """Expected entropy reduction from partitioning by the attribute.
-
-    Clamped to 0 from below; a gain more negative than rounding slack
-    cannot occur for a true entropy difference.
-    """
-    _check_scorable(dataset, attribute)
-    total = len(dataset)
-    parent = entropy(class_distribution(dataset))
-    weighted = 0.0
-    for part in partition(dataset, attribute).values():
-        if len(part):
-            weighted += len(part) / total * entropy(class_distribution(part))
-    gain = parent - weighted
-    return 0.0 if -_SLACK < gain < 0 else gain
+    """Expected entropy reduction from partitioning by the attribute."""
+    return score_all(dataset, [attribute])[0].gain
 
 
 def split_information(dataset: Dataset, attribute: str) -> float:
     """Entropy of the partition-size distribution; empty parts contribute 0."""
-    _check_scorable(dataset, attribute)
-    total = len(dataset)
-    info = 0.0
-    for part in partition(dataset, attribute).values():
-        if len(part):
-            frac = len(part) / total
-            info -= frac * math.log2(frac)
-    return info
+    return score_all(dataset, [attribute])[0].split_information
 
 
 def gain_ratio(dataset: Dataset, attribute: str) -> float:
-    """Information gain normalized by split information; 0 on a zero split.
-
-    An attribute with a single represented value has no split information;
-    returning 0 keeps such useless splits out of argmax contention.
-    """
-    info = split_information(dataset, attribute)
-    if info == 0.0:
-        return 0.0
-    return information_gain(dataset, attribute) / info
+    """Information gain normalized by split information; 0 on a zero split."""
+    return score_all(dataset, [attribute])[0].gain_ratio
 
 
 @dataclass(frozen=True)
@@ -132,18 +165,21 @@ class AttributeScore:
 
 def score_all(dataset: Dataset, available: Sequence[str] | None = None) -> list[AttributeScore]:
     """Score attributes (schema order): gain, split information, gain ratio."""
+    schema = dataset.schema
     if available is None:
-        available = dataset.schema.attribute_names
+        available = schema.attribute_names
     if not available:
         raise ValueError("no attributes to score")
-    unknown = set(available) - set(dataset.schema.attribute_names)
+    unknown = set(available) - set(schema.attribute_names)
     if unknown:
         raise KeyError(f"unknown attribute(s) {sorted(unknown)}")
+    if len(dataset) == 0:
+        raise ValueError("cannot score attributes on an empty dataset")
+    names = [name for name in schema.attribute_names if name in available]
+    columns, labels = encode(dataset, names)
+    rows = range(len(labels))
     scores = []
-    for name in dataset.schema.attribute_names:
-        if name not in available:
-            continue
-        g = information_gain(dataset, name)
-        s = split_information(dataset, name)
-        scores.append(AttributeScore(name, g, s, g / s if s > 0 else 0.0))
+    for name, column in zip(names, columns):
+        table = contingency(column, labels, rows, len(schema.domain(name)), len(schema.class_domain))
+        scores.append(AttributeScore(name, *table_scores(table)))
     return scores

@@ -4,6 +4,9 @@ Each leaf yields one rule whose conditions are the attribute=value tests
 on the path from the root, in path order. Support and confidence are
 recomputed against the supplied training data rather than read off the
 leaf, which keeps the two bookkeeping paths checkable against each other.
+The training rows are routed down the tree: each internal node buckets
+the rows that reach it by their value of its attribute, and each leaf
+counts the rows that arrive along its path.
 """
 
 from __future__ import annotations
@@ -13,9 +16,10 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .dataset import Dataset
-from .tree import DecisionTree, Leaf, prune
+from .metrics import encode
+from .tree import DecisionTree, Leaf
 
-__all__ = ["Rule", "extract_rules", "render_rules", "rules_to_json", "prune"]
+__all__ = ["Rule", "extract_rules", "render_rules", "rules_to_json"]
 
 
 @dataclass(frozen=True)
@@ -37,23 +41,27 @@ def extract_rules(tree: DecisionTree, training: Dataset) -> list[Rule]:
     if training.schema.digest() != tree.schema.digest():
         raise ValueError("training data schema does not match the tree's schema")
 
+    names = tree.schema.attribute_names
+    column_of = dict(zip(names, encode(training, names)[0]))
+    records = training.records
     rules: list[Rule] = []
 
-    def walk(node, path: tuple[tuple[str, str], ...]):
+    def walk(node, path: tuple[tuple[str, str], ...], rows):
         if isinstance(node, Leaf):
-            matching = [
-                r for r in training.records
-                if all(r.values[a] == v for a, v in path)
-            ]
-            support = len(matching)
-            hits = sum(1 for r in matching if r.label == node.label)
+            support = len(rows)
+            hits = sum(1 for r in rows if records[r].label == node.label)
             confidence = hits / support if support else 0.0
             rules.append(Rule(path, node.label, support, confidence))
             return
-        for value in tree.schema.domain(node.attribute):
-            walk(node.branches[value], path + ((node.attribute, value),))
+        domain = tree.schema.domain(node.attribute)
+        column = column_of[node.attribute]
+        parts = [[] for _ in domain]
+        for r in rows:
+            parts[column[r]].append(r)
+        for value, part in zip(domain, parts):
+            walk(node.branches[value], path + ((node.attribute, value),), part)
 
-    walk(tree.root, ())
+    walk(tree.root, (), range(len(records)))
     return rules
 
 

@@ -6,6 +6,12 @@ domain, and stop at pure subsets, exhausted attributes, or the depth
 limit. Branches for unrepresented values become majority leaves carrying
 the parent's distribution, so prediction is total and can always report
 a confidence.
+
+``id3_build`` encodes the dataset once (``metrics.encode``): a column of
+domain-index codes per attribute and one of label codes. A node is the
+list of row indices that reach it. One pass counts its classes, one pass
+per candidate fills a value x class table for ``metrics.table_scores``,
+and one pass splits the winner's rows into its children's lists.
 """
 
 from __future__ import annotations
@@ -16,15 +22,8 @@ from enum import Enum
 from pathlib import Path
 from typing import Mapping, NamedTuple, Union
 
-from .dataset import (
-    AttributeSchema,
-    ClassDistribution,
-    Dataset,
-    ValidationError,
-    class_distribution,
-    partition,
-)
-from .metrics import gain_ratio, information_gain
+from .dataset import AttributeSchema, ClassDistribution, Dataset, ValidationError
+from .metrics import contingency, encode, table_scores
 
 __all__ = [
     "Criterion",
@@ -108,51 +107,52 @@ class TreeStats(NamedTuple):
     depth: int
 
 
-def _best_attribute(dataset: Dataset, available: list[str], criterion: Criterion) -> str:
-    score = information_gain if criterion is Criterion.GAIN else gain_ratio
-    best = None
-    best_score = float("-inf")
-    for name in dataset.schema.attribute_names:  # schema order fixes ties
-        if name not in available:
-            continue
-        s = score(dataset, name)
-        if s > best_score:
-            best, best_score = name, s
-    return best
-
-
-def _grow(dataset: Dataset, available: list[str], depth: int, config: TreeConfig) -> DecisionNode:
-    dist = class_distribution(dataset)
-    n = len(dataset)
-    if config.min_leaf_support and n < config.min_leaf_support:
-        return Leaf(dist.majority(), n, dist)
-    if max(dist.counts.values()) == n:  # single class
-        return Leaf(dist.majority(), n, dist)
-    if not available or (config.max_depth is not None and depth >= config.max_depth):
-        return Leaf(dist.majority(), n, dist)
-    attribute = _best_attribute(dataset, available, config.criterion)
-    remaining = [a for a in available if a != attribute]
-    branches = {}
-    parts = partition(dataset, attribute)
-    for value in dataset.schema.domain(attribute):
-        part = parts[value]
-        if len(part) == 0:
-            branches[value] = Leaf(dist.majority(), 0, dist)
-        else:
-            branches[value] = _grow(part, remaining, depth + 1, config)
-    return Internal(attribute, branches)
-
-
 def id3_build(dataset: Dataset, config: TreeConfig | None = None) -> DecisionTree:
     """Grow a decision tree from a non-empty dataset."""
     if config is None:
         config = TreeConfig()
     if len(dataset) == 0:
         raise ValueError("cannot build a tree from an empty dataset")
-    if not dataset.schema.attributes:
+    schema = dataset.schema
+    if not schema.attributes:
         raise ValueError("schema declares no predictor attributes")
-    root = _grow(dataset, list(dataset.schema.attribute_names), 0, config)
-    return DecisionTree(root, dataset.schema, config, len(dataset))
+    names = schema.attribute_names
+    columns, labels = encode(dataset, names)
+    column_of = dict(zip(names, columns))
+    domain_of = {a.name: a.domain for a in schema.attributes}
+    classes = schema.class_domain
+    score = 0 if config.criterion is Criterion.GAIN else 2  # index into table_scores
+
+    def grow(rows, available: list[str], depth: int) -> DecisionNode:
+        counts = [0] * len(classes)
+        for r in rows:
+            counts[labels[r]] += 1
+        n = len(rows)
+        dist = ClassDistribution(dict(zip(classes, counts)), n)
+        if (
+            (config.min_leaf_support and n < config.min_leaf_support)
+            or max(counts) == n  # single class
+            or not available
+            or (config.max_depth is not None and depth >= config.max_depth)
+        ):
+            return Leaf(dist.majority(), n, dist)
+        best = max(  # the first maximum in schema order wins ties
+            available,
+            key=lambda a: table_scores(
+                contingency(column_of[a], labels, rows, len(domain_of[a]), len(classes))
+            )[score],
+        )
+        column = column_of[best]
+        parts = [[] for _ in domain_of[best]]
+        for r in rows:
+            parts[column[r]].append(r)
+        remaining = [a for a in available if a != best]
+        return Internal(best, {
+            value: grow(part, remaining, depth + 1) if part else Leaf(dist.majority(), 0, dist)
+            for value, part in zip(domain_of[best], parts)
+        })
+
+    return DecisionTree(grow(range(len(dataset)), list(names), 0), schema, config, len(dataset))
 
 
 def node_support(node: DecisionNode) -> int:

@@ -5,10 +5,18 @@ from pathlib import Path
 
 import pytest
 
-from conftest import make_dataset, random_dataset
-from gradetree.dataset import Attribute, AttributeSchema, Dataset, Record
+from conftest import make_dataset, random_dataset, tiny_schema
+from gradetree.dataset import (
+    Attribute,
+    AttributeSchema,
+    ClassDistribution,
+    Dataset,
+    Record,
+    ValidationError,
+    load_students,
+)
 from gradetree.rules import Rule, extract_rules, render_rules, rules_to_json
-from gradetree.tree import Leaf, id3_build, prune, tree_stats
+from gradetree.tree import DecisionTree, Internal, Leaf, TreeConfig, id3_build, prune, tree_stats
 
 GOLDEN = Path(__file__).parent / "golden" / "fixture_rules.txt"
 
@@ -121,6 +129,26 @@ def test_schema_mismatch_is_rejected(students, fixture_tree):
     other = random_dataset(random.Random(3))
     with pytest.raises(ValueError, match="schema"):
         extract_rules(fixture_tree, other)
+
+
+def test_value_changed_after_validation_names_its_cell(fixture_tree):
+    ds = load_students()
+    ds.records[3].values["ATT"] = "Bogus"  # Record.values is a plain dict
+    with pytest.raises(ValidationError, match=r"row 4, column 'ATT': value 'Bogus'") as info:
+        extract_rules(fixture_tree, ds)
+    assert (info.value.row, info.value.column, info.value.value) == (4, "ATT", "Bogus")
+
+
+def test_a_leaf_shared_by_two_paths_is_counted_per_path():
+    schema = tiny_schema(n_attrs=1)
+    ds = make_dataset(schema, [(("a",), "c0"), (("a",), "c1"), (("b",), "c0")])
+    leaf = Leaf("c0", 0, ClassDistribution({"c0": 0, "c1": 0}, 0))
+    tree = DecisionTree(Internal("A0", {"a": leaf, "b": leaf}), schema, TreeConfig(), 3)
+    rules = extract_rules(tree, ds)
+    assert [(r.conditions, r.support, r.confidence) for r in rules] == [
+        ((("A0", "a"),), 2, 0.5),
+        ((("A0", "b"),), 1, 1.0),
+    ]
 
 
 def test_render_empty_rule_list_is_empty_text():
