@@ -7,18 +7,13 @@ Exit codes: 0 success, 1 usage error, 2 data/validation/IO error,
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import sys
 from pathlib import Path
 
-from .dataset import (
-    SchemaError,
-    ValidationError,
-    fixture_paths,
-    load_csv,
-    load_schema,
-    load_unlabeled_csv,
-)
+from .dataset import fixture_paths, load_csv, load_schema, load_unlabeled_csv
 from .evaluate import accuracy
 from .metrics import score_all
 from .rules import extract_rules, render_rules, rules_to_json
@@ -155,12 +150,14 @@ def cmd_predict(args) -> int:
     tree = load_model(args.model)
     rows = load_unlabeled_csv(args.data, tree.schema)
     names = list(tree.schema.attribute_names)
-    out_lines = [",".join(names + [tree.schema.class_name, "confidence"])]
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(names + [tree.schema.class_name, "confidence"])
     for row in rows:
         label, dist = predict(tree, row)
         confidence = dist.counts[label] / dist.total if dist.total else 0.0
-        out_lines.append(",".join([row[n] for n in names] + [label, f"{confidence:.4f}"]))
-    _emit("\n".join(out_lines) + "\n", args.out)
+        writer.writerow([row[n] for n in names] + [label, f"{confidence:.4f}"])
+    _emit(out.getvalue(), args.out)
     return 0
 
 
@@ -228,13 +225,10 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 1
     try:
         return args.func(args)
-    except (ValidationError, SchemaError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except KeyError as exc:
         print(f"error: {exc.args[0] if exc.args else exc}", file=sys.stderr)
         return 2
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # ValidationError and SchemaError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

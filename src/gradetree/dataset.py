@@ -13,9 +13,12 @@ import hashlib
 import io
 import json
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
-from typing import Mapping
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 __all__ = [
     "SchemaError",
@@ -77,6 +80,10 @@ class Attribute:
             raise SchemaError("attribute name must be non-empty")
         if not self.domain:
             raise SchemaError(f"attribute {self.name!r}: domain must be non-empty")
+        # CSV output ends lines with "\n", under which csv.writer leaves a lone "\r" unquoted
+        for text in (self.name, *self.domain):
+            if not isinstance(text, str) or "\r" in text:
+                raise SchemaError(f"attribute {self.name!r}: {text!r} is not a string without '\\r'")
         if len(set(self.domain)) != len(self.domain):
             raise SchemaError(f"attribute {self.name!r}: duplicate labels in domain {self.domain}")
         object.__setattr__(self, "domain", tuple(self.domain))
@@ -111,13 +118,14 @@ class AttributeSchema:
     def class_domain(self) -> tuple[str, ...]:
         return self.class_attribute.domain
 
+    @cached_property
+    def _domains(self) -> dict[str, tuple[str, ...]]:
+        return {a.name: a.domain for a in (*self.attributes, self.class_attribute)}
+
     def domain(self, name: str) -> tuple[str, ...]:
-        for a in self.attributes:
-            if a.name == name:
-                return a.domain
-        if name == self.class_attribute.name:
-            return self.class_attribute.domain
-        raise KeyError(f"unknown attribute {name!r}")
+        if name not in self._domains:
+            raise KeyError(f"unknown attribute {name!r}")
+        return self._domains[name]
 
     def index(self, name: str) -> int:
         """Position of a predictor in schema order (used for tie-breaking)."""
@@ -156,10 +164,21 @@ class AttributeSchema:
 
 @dataclass(frozen=True)
 class Record:
-    """One labeled example: predictor values plus the class label."""
+    """One labeled example: predictor values plus the class label.
+
+    ``values`` holds a read-only copy of the mapping passed in, so a record
+    cannot change after a ``Dataset`` has validated it.
+    """
 
     values: Mapping[str, str]
     label: str
+
+    def __post_init__(self):
+        object.__setattr__(self, "values", MappingProxyType(dict(self.values)))
+
+    def __reduce__(self):
+        # pickle and deepcopy cannot copy a mappingproxy; rebuild from a dict
+        return Record, (dict(self.values), self.label)
 
 
 @dataclass(frozen=True)
@@ -192,27 +211,18 @@ class Dataset:
 
     def __post_init__(self):
         object.__setattr__(self, "records", tuple(self.records))
-        names = self.schema.attribute_names
+        names = set(self.schema.attribute_names)
         domains = {a.name: set(a.domain) for a in self.schema.attributes}
         class_domain = set(self.schema.class_domain)
         for i, rec in enumerate(self.records, start=1):
-            if set(rec.values.keys()) != set(names):
-                missing = set(names) - set(rec.values.keys())
-                extra = set(rec.values.keys()) - set(names)
+            keys = rec.values.keys()
+            if keys != names:
                 raise ValidationError(
                     f"row {i}: record attributes do not match schema "
-                    f"(missing={sorted(missing)}, unexpected={sorted(extra)})",
+                    f"(missing={sorted(names - keys)}, unexpected={sorted(keys - names)})",
                     row=i,
                 )
-            for name in names:
-                v = rec.values[name]
-                if v not in domains[name]:
-                    raise ValidationError(
-                        f"row {i}, column {name!r}: value {v!r} not in domain {sorted(domains[name])}",
-                        row=i,
-                        column=name,
-                        value=v,
-                    )
+            _check_cells(i, rec.values, domains)
             if rec.label not in class_domain:
                 raise ValidationError(
                     f"row {i}, column {self.schema.class_name!r}: label {rec.label!r} "
@@ -227,6 +237,19 @@ class Dataset:
 
     def __iter__(self):
         return iter(self.records)
+
+
+def _check_cells(row: int, cells: Mapping[str, str], domains: Mapping[str, set]) -> None:
+    """Raise a ValidationError for the first cell outside its domain, in ``domains`` order."""
+    for name, domain in domains.items():
+        value = cells[name]
+        if value not in domain:
+            raise ValidationError(
+                f"row {row}, column {name!r}: value {value!r} not in domain {sorted(domain)}",
+                row=row,
+                column=name,
+                value=value,
+            )
 
 
 def class_distribution(dataset: Dataset) -> ClassDistribution:
@@ -315,20 +338,53 @@ def bin_marks(percent: float, bands: GradeBands = DEFAULT_GRADE_BANDS) -> str:
 # --- CSV and sidecar I/O ----------------------------------------------------
 
 
-def _read_header(header: list[str], schema: AttributeSchema, path) -> list[str]:
-    expected = set(schema.attribute_names) | {schema.class_name}
-    seen = set()
-    for col in header:
-        if col in seen:
-            raise ValidationError(f"{path}: duplicate header column {col!r}", column=col)
-        seen.add(col)
-    missing = expected - seen
-    if missing:
-        raise ValidationError(f"{path}: missing column(s) {sorted(missing)}")
-    unknown = seen - expected
-    if unknown:
-        raise ValidationError(f"{path}: unknown column(s) {sorted(unknown)}")
-    return header
+@contextmanager
+def _reading(path):
+    """Re-raise an error in reading ``path`` as a ValidationError that names it."""
+    try:
+        yield
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}", row=exc.row, column=exc.column, value=exc.value) from None
+    except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
+        raise ValidationError(f"{path}: {exc}") from None
+
+
+def _read_rows(path, columns: Sequence[str], missing_token: str | None):
+    """Yield each row of a UTF-8 CSV, byte-order mark skipped, as a column -> cell dict.
+
+    The header names each of ``columns`` once, in any order. An empty cell
+    reads as ``missing_token``, or is rejected when that is None.
+    """
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise ValidationError("file is empty (no header row)")
+        seen = set()
+        for col in header:
+            if col in seen:
+                raise ValidationError(f"duplicate header column {col!r}", column=col)
+            seen.add(col)
+        missing = set(columns) - seen
+        if missing:
+            raise ValidationError(f"missing column(s) {sorted(missing)}")
+        unknown = seen - set(columns)
+        if unknown:
+            raise ValidationError(f"unknown column(s) {sorted(unknown)}")
+        for row_no, row in enumerate(reader, start=1):
+            if len(row) != len(header):
+                raise ValidationError(
+                    f"row {row_no} has {len(row)} fields, expected {len(header)}", row=row_no
+                )
+            cells = dict(zip(header, row))
+            if "" in row:
+                if missing_token is None:
+                    col = header[row.index("")]
+                    raise ValidationError(
+                        f"row {row_no}, column {col!r}: missing value", row=row_no, column=col
+                    )
+                cells = {col: v or missing_token for col, v in cells.items()}
+            yield cells
 
 
 def load_csv(path, schema: AttributeSchema, missing_token: str | None = None) -> Dataset:
@@ -338,77 +394,25 @@ def load_csv(path, schema: AttributeSchema, missing_token: str | None = None) ->
     case they are read as that label and still face domain validation:
     the load only succeeds if the token is declared in the domain.
     """
-    path = Path(path)
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValidationError(f"{path}: file is empty (no header row)") from None
-        header = _read_header(header, schema, path)
-        records = []
-        for row_no, row in enumerate(reader, start=1):
-            if len(row) != len(header):
-                raise ValidationError(
-                    f"{path}: row {row_no} has {len(row)} fields, expected {len(header)}",
-                    row=row_no,
-                )
-            cells = dict(zip(header, row))
-            for col, v in cells.items():
-                if v == "":
-                    if missing_token is None:
-                        raise ValidationError(
-                            f"{path}: row {row_no}, column {col!r}: missing value",
-                            row=row_no,
-                            column=col,
-                        )
-                    cells[col] = missing_token
+    columns = schema.attribute_names + (schema.class_name,)
+    records = []
+    with _reading(path):
+        for cells in _read_rows(path, columns, missing_token):
             label = cells.pop(schema.class_name)
             records.append(Record(cells, label))
-    try:
         return Dataset(schema, tuple(records))
-    except ValidationError as exc:
-        raise ValidationError(f"{path}: {exc}", row=exc.row, column=exc.column, value=exc.value) from None
 
 
 def load_unlabeled_csv(path, schema: AttributeSchema) -> list[dict[str, str]]:
-    """Load predictor-only rows (no class column) for prediction."""
-    path = Path(path)
-    names = schema.attribute_names
+    """Load predictor-only rows (no class column) for prediction.
+
+    Read and checked as ``load_csv`` reads a labeled CSV, empty cells rejected.
+    """
     domains = {a.name: set(a.domain) for a in schema.attributes}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValidationError(f"{path}: file is empty (no header row)") from None
-        if len(set(header)) != len(header):
-            raise ValidationError(f"{path}: duplicate header column")
-        missing = set(names) - set(header)
-        if missing:
-            raise ValidationError(f"{path}: missing column(s) {sorted(missing)}")
-        unknown = set(header) - set(names)
-        if unknown:
-            raise ValidationError(f"{path}: unknown column(s) {sorted(unknown)}")
-        rows = []
-        for row_no, row in enumerate(reader, start=1):
-            if len(row) != len(header):
-                raise ValidationError(
-                    f"{path}: row {row_no} has {len(row)} fields, expected {len(header)}",
-                    row=row_no,
-                )
-            cells = dict(zip(header, row))
-            for name in names:
-                v = cells[name]
-                if v not in domains[name]:
-                    raise ValidationError(
-                        f"{path}: row {row_no}, column {name!r}: value {v!r} not in "
-                        f"domain {sorted(domains[name])}",
-                        row=row_no,
-                        column=name,
-                        value=v,
-                    )
-            rows.append(cells)
+    with _reading(path):
+        rows = list(_read_rows(path, schema.attribute_names, None))
+        for row_no, cells in enumerate(rows, start=1):
+            _check_cells(row_no, cells, domains)
     return rows
 
 

@@ -92,19 +92,13 @@ def count_entropy(counts: Iterable[int], total: int) -> float:
 
 
 def encode(dataset: Dataset, names: Sequence[str]) -> tuple[list[list[int]], list[int]]:
-    """The columns ``names`` and the labels, each value as its domain index."""
+    """The columns ``names`` and the labels of a validated dataset, as domain indices."""
     schema = dataset.schema
     records = dataset.records
-    try:
-        columns = []
-        for name in names:
-            code = {v: i for i, v in enumerate(schema.domain(name))}
-            columns.append([code[rec.values[name]] for rec in records])
-    except KeyError:
-        # Record.values is a plain dict, so a value can change after the
-        # dataset validated it; validating again names the changed cell
-        Dataset(schema, records)
-        raise
+    columns = []
+    for name in names:
+        code = {v: i for i, v in enumerate(schema.domain(name))}
+        columns.append([code[rec.values[name]] for rec in records])
     class_code = {c: i for i, c in enumerate(schema.class_domain)}
     return columns, [class_code[rec.label] for rec in records]
 

@@ -263,28 +263,45 @@ def _node_to_dict(node: DecisionNode) -> dict:
     }
 
 
+_JSON_TYPE_NAMES = {Mapping: "an object", str: "a string", int: "an integer", type(None): "null"}
+
+
+def _field(doc: Mapping, key: str, kinds: tuple, where: str):
+    """``doc[key]``, which must be present and of one of ``kinds``; no model field is a boolean."""
+    if key not in doc:
+        raise ValueError(f"{where} is missing key {key!r}")
+    value = doc[key]
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        expected = " or ".join(_JSON_TYPE_NAMES[k] for k in kinds)
+        raise ValueError(f"{where} key {key!r} must be {expected}, not {type(value).__name__}")
+    return value
+
+
 def _node_from_dict(doc: Mapping, schema: AttributeSchema) -> DecisionNode:
     kind = doc.get("kind")
     if kind == "leaf":
-        raw = doc["distribution"]
+        raw = _field(doc, "distribution", (Mapping,), "model leaf")
         unknown = set(raw) - set(schema.class_domain)
         if unknown:
             raise ValueError(f"model distribution names unknown classes {sorted(unknown)}")
-        counts = {c: int(raw.get(c, 0)) for c in schema.class_domain}
+        counts = {c: raw.get(c, 0) for c in schema.class_domain}
+        if any(isinstance(n, bool) or not isinstance(n, int) for n in counts.values()):
+            raise ValueError(f"model distribution counts must be integers: {dict(raw)}")
         dist = ClassDistribution(counts, sum(counts.values()))
-        if doc["label"] not in schema.class_domain:
+        if _field(doc, "label", (str,), "model leaf") not in schema.class_domain:
             raise ValueError(f"model leaf label {doc['label']!r} not in class domain")
-        return Leaf(doc["label"], int(doc["support"]), dist)
+        return Leaf(doc["label"], _field(doc, "support", (int,), "model leaf"), dist)
     if kind == "internal":
-        attribute = doc["attribute"]
+        attribute = _field(doc, "attribute", (str,), "model node")
         domain = schema.domain(attribute)  # raises KeyError on unknown attribute
-        branch_doc = doc["branches"]
+        branch_doc = _field(doc, "branches", (Mapping,), "model node")
         if set(branch_doc) != set(domain):
             raise ValueError(
                 f"model branches for {attribute!r} do not cover its domain: "
                 f"{sorted(branch_doc)} vs {sorted(domain)}"
             )
-        branches = {v: _node_from_dict(branch_doc[v], schema) for v in domain}
+        branches = {v: _node_from_dict(_field(branch_doc, v, (Mapping,), "model branches"), schema)
+                    for v in domain}
         return Internal(attribute, branches)
     raise ValueError(f"unknown model node kind {kind!r}")
 
@@ -306,22 +323,26 @@ def model_to_json_dict(tree: DecisionTree) -> dict:
 
 
 def model_from_json_dict(doc: Mapping, schema: AttributeSchema | None = None) -> DecisionTree:
+    """Rebuild a tree from its JSON document; a malformed document raises ValueError."""
+    if not isinstance(doc, Mapping):
+        raise ValueError(f"model document must be an object, not {type(doc).__name__}")
     if doc.get("format") != MODEL_FORMAT:
         raise ValueError(f"not a {MODEL_FORMAT} document")
     if doc.get("format_version") != MODEL_VERSION:
         raise ValueError(f"unsupported model format version {doc.get('format_version')!r}")
-    embedded = AttributeSchema.from_json_dict(doc["schema"])
+    embedded = AttributeSchema.from_json_dict(_field(doc, "schema", (Mapping,), "model"))
     if embedded.digest() != doc.get("schema_digest"):
         raise ValueError("model schema digest does not match the embedded schema")
     if schema is not None and schema.digest() != embedded.digest():
         raise ValueError("model was trained against a differently shaped schema")
+    config_doc = _field(doc, "config", (Mapping,), "model")
     config = TreeConfig(
-        criterion=Criterion(doc["config"]["criterion"]),
-        min_leaf_support=int(doc["config"]["min_leaf_support"]),
-        max_depth=doc["config"]["max_depth"],
+        criterion=Criterion(_field(config_doc, "criterion", (str,), "model config")),
+        min_leaf_support=_field(config_doc, "min_leaf_support", (int,), "model config"),
+        max_depth=_field(config_doc, "max_depth", (int, type(None)), "model config"),
     )
-    root = _node_from_dict(doc["root"], embedded)
-    return DecisionTree(root, embedded, config, int(doc["training_size"]))
+    root = _node_from_dict(_field(doc, "root", (Mapping,), "model"), embedded)
+    return DecisionTree(root, embedded, config, _field(doc, "training_size", (int,), "model"))
 
 
 def save_model(tree: DecisionTree, path) -> None:

@@ -1,15 +1,29 @@
+import copy
+import csv
+import functools
+import io
 import json
+import operator
 import random
 import re
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import naive_gain
 from gradetree.cli import main
-from gradetree.dataset import fixture_paths
-from gradetree.tree import Internal, Leaf, load_model, predict, tree_stats
+from gradetree.dataset import Attribute, AttributeSchema, Dataset, Record, fixture_paths
+from gradetree.tree import (
+    Internal,
+    Leaf,
+    id3_build,
+    load_model,
+    predict,
+    save_model,
+    tree_stats,
+)
 
 
 @pytest.fixture()
@@ -171,6 +185,27 @@ def test_predict_rejects_missing_columns(tmp_path, capsys, model_path):
     assert main(["predict", "--model", str(model_path), "--data", str(inputs)]) == 2
 
 
+def test_predict_rejects_an_empty_cell_as_a_missing_value(tmp_path, capsys, model_path):
+    inputs = tmp_path / "hole.csv"
+    inputs.write_text("PSM,CTG,SEM,ASS,GP,ATT,LW\nFirst,Good,,Yes,Yes,Good,Yes\n")
+    assert main(["predict", "--model", str(model_path), "--data", str(inputs)]) == 2
+    assert "row 1, column 'SEM': missing value" in capsys.readouterr().err
+
+
+def test_predict_output_quotes_commas_and_reads_back(tmp_path, capsys):
+    schema = AttributeSchema((Attribute("A", ("x,y", "z")),), Attribute("Y", ("p,q", "r")))
+    dataset = Dataset(schema, (Record({"A": "x,y"}, "p,q"), Record({"A": "z"}, "r")))
+    model = tmp_path / "commas.json"
+    save_model(id3_build(dataset), model)
+    inputs = tmp_path / "commas.csv"
+    inputs.write_text('A\n"x,y"\nz\n')
+    assert main(["predict", "--model", str(model), "--data", str(inputs)]) == 0
+    out = capsys.readouterr().out
+    assert list(csv.reader(io.StringIO(out))) == [
+        ["A", "Y", "confidence"], ["x,y", "p,q", "1.0000"], ["z", "r", "1.0000"],
+    ]
+
+
 def test_saved_model_predicts_identically_to_in_memory_tree(tmp_path, students, model_path):
     from gradetree.tree import id3_build
 
@@ -313,3 +348,135 @@ def test_module_entrypoint_runs_in_a_subprocess(tmp_path):
     )
     assert result.returncode == 0
     assert result.stdout.splitlines()[1].startswith("PSM")
+
+
+# --- model documents and the input contract ----------------------------------------
+
+MALFORMED_MODELS = {
+    "a list": (lambda doc: [doc], "model document must be an object, not list"),
+    "a list root": (lambda doc: {**doc, "root": []}, "'root' must be an object"),
+    "a string max_depth": (
+        lambda doc: {**doc, "config": {**doc["config"], "max_depth": "4"}},
+        "'max_depth' must be an integer or null",
+    ),
+    "no training_size": (
+        lambda doc: {k: v for k, v in doc.items() if k != "training_size"},
+        "missing key 'training_size'",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", ["export-dot", "rules"])
+@pytest.mark.parametrize("case", sorted(MALFORMED_MODELS))
+def test_malformed_model_document_is_a_data_error(tmp_path, capsys, model_path, command, case):
+    breaks, message = MALFORMED_MODELS[case]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(breaks(json.loads(model_path.read_text()))))
+    assert main([command, "--model", str(bad)]) == 2
+    assert message in capsys.readouterr().err
+
+
+EXIT_CODES = {0, 1, 2, 3}
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def json_paths(doc, prefix=()):
+    yield prefix
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from json_paths(value, prefix + (key,))
+
+
+@st.composite
+def damaged_documents(draw, doc):
+    """``doc`` with one value replaced by arbitrary JSON, or one key deleted."""
+    doc = copy.deepcopy(doc)
+    path = draw(st.sampled_from(list(json_paths(doc))[1:]))
+    parent = functools.reduce(operator.getitem, path[:-1], doc)
+    if isinstance(parent, dict) and draw(st.booleans()):
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = draw(json_values)
+    return json.dumps(doc).encode()
+
+
+@st.composite
+def near_csv_files(draw, columns, values):
+    """CSV bytes whose header and cells are mostly, but not always, valid."""
+    header = draw(st.permutations(columns) | st.lists(st.sampled_from(columns) | st.text(max_size=3)))
+    cell = st.sampled_from(values) | st.text(max_size=3)
+    width = st.lists(cell, min_size=max(len(header) - 1, 0), max_size=len(header) + 1)
+    rows = draw(st.lists(width, max_size=4))
+    out = io.StringIO()
+    csv.writer(out).writerows([header] + rows)
+    return draw(st.sampled_from(["", "\ufeff"])).encode() + out.getvalue().encode()
+
+
+@pytest.fixture(scope="module")
+def contract(tmp_path_factory, students):
+    """A trained bundled model, its document, and predict input for it."""
+    base = tmp_path_factory.mktemp("contract")
+    model = base / "model.json"
+    assert main(["train", "--out", str(model)]) == 0
+    return base, model, json.loads(model.read_text()), strip_labels(students, base / "inputs.csv")
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_any_model_file_gets_an_exit_code(contract, data):
+    base, _, doc, inputs = contract
+    model = base / "drawn.json"
+    model.write_bytes(data.draw(st.binary(max_size=200) | damaged_documents(doc)))
+    for argv in (["export-dot"], ["rules"], ["predict", "--data", str(inputs)]):
+        assert main(argv + ["--model", str(model), "--out", str(base / "out")]) in EXIT_CODES
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_any_csv_file_gets_an_exit_code(contract, students, data):
+    base, model, _, _ = contract
+    schema = students.schema
+    names = list(schema.attribute_names)
+    values = sorted({v for a in schema.attributes for v in a.domain} | set(schema.class_domain))
+    drawn = base / "drawn.csv"
+    drawn.write_bytes(data.draw(st.binary(max_size=200) | near_csv_files(names + ["ESM"], values)))
+    assert main(["train", "--data", str(drawn), "--out", str(base / "drawn.json")]) in EXIT_CODES
+    drawn.write_bytes(data.draw(st.binary(max_size=200) | near_csv_files(names, values)))
+    argv = ["predict", "--model", str(model), "--data", str(drawn), "--out", str(base / "out")]
+    assert main(argv) in EXIT_CODES
+
+
+# CSV's own characters, often; the schema refuses a carriage return
+# (test_attribute_rejects_empty_domain_and_duplicate_labels)
+label_chars = st.sampled_from(',"\n ') | st.characters(exclude_characters="\r", exclude_categories=("Cs",))
+labels = st.lists(
+    st.text(label_chars, min_size=1, max_size=4),
+    min_size=1,
+    max_size=3,
+    unique=True,
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(values=labels, classes=labels, data=st.data())
+def test_predict_output_reads_back_with_csv_reader(contract, values, classes, data):
+    base = contract[0]
+    schema = AttributeSchema((Attribute("A", tuple(values)),), Attribute("Y", tuple(classes)))
+    pairs = st.tuples(st.sampled_from(values), st.sampled_from(classes))
+    records = tuple(Record({"A": v}, c) for v, c in data.draw(st.lists(pairs, min_size=1, max_size=6)))
+    model, inputs, out = base / "labels.json", base / "labels.csv", base / "labels.out.csv"
+    save_model(id3_build(Dataset(schema, records)), model)
+    with open(inputs, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows([["A"]] + [[v] for v in values])
+    assert main(["predict", "--model", str(model), "--data", str(inputs), "--out", str(out)]) == 0
+    with open(out, newline="", encoding="utf-8") as fh:
+        parsed = list(csv.reader(fh))
+    assert parsed[0] == ["A", "Y", "confidence"]
+    assert all(len(row) == 3 for row in parsed)
+    assert [row[0] for row in parsed[1:]] == values
+    assert all(row[1] in classes for row in parsed[1:])

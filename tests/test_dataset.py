@@ -1,5 +1,6 @@
+import copy
+import pickle
 import random
-from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -51,6 +52,10 @@ def test_attribute_rejects_empty_domain_and_duplicate_labels():
         Attribute("A", ())
     with pytest.raises(SchemaError):
         Attribute("A", ("x", "x"))
+    with pytest.raises(SchemaError, match="is not a string without"):
+        Attribute("A", ("x", "y\rz"))
+    with pytest.raises(SchemaError):
+        Attribute("A", ("x", 1))
 
 
 def test_schema_sidecar_round_trip(tmp_path, students):
@@ -75,13 +80,6 @@ def test_fixture_has_50_records_with_published_class_counts(students):
     dist = class_distribution(students)
     assert dist.counts == FIXTURE_COUNTS
     assert dist.total == 50
-
-
-def test_repo_data_copy_matches_packaged_copy():
-    packaged_csv, packaged_schema = fixture_paths()
-    repo = Path(__file__).resolve().parent.parent / "data"
-    assert (repo / "students.csv").read_bytes() == packaged_csv.read_bytes()
-    assert (repo / "students.schema.json").read_bytes() == packaged_schema.read_bytes()
 
 
 def test_data_dir_env_override(tmp_path, monkeypatch):
@@ -139,6 +137,8 @@ def test_duplicate_header_rejected(tmp_path, students):
     path.write_text("PSM,PSM,SEM,ASS,GP,ATT,LW,ESM\n")
     with pytest.raises(ValidationError, match="duplicate header"):
         load_csv(path, students.schema)
+    with pytest.raises(ValidationError, match="duplicate header column 'PSM'"):
+        load_unlabeled_csv(path, students.schema)
 
 
 def test_empty_file_rejected(tmp_path, students):
@@ -153,6 +153,24 @@ def test_ragged_row_rejected(tmp_path, students):
     path.write_text("PSM,CTG,SEM,ASS,GP,ATT,LW,ESM\nFirst,Good,Good\n")
     with pytest.raises(ValidationError, match="row 1"):
         load_csv(path, students.schema)
+
+
+def test_oversized_field_is_a_validation_error(tmp_path, students):
+    path = tmp_path / "huge.csv"
+    path.write_text("PSM," + "x" * 200_000 + "\n")
+    with pytest.raises(ValidationError, match="field larger than field limit"):
+        load_csv(path, students.schema)
+
+
+def test_byte_order_mark_is_skipped_by_both_loaders(tmp_path, students):
+    path = tmp_path / "bom.csv"
+    path.write_text(dataset_to_csv(students), encoding="utf-8-sig")
+    assert load_csv(path, students.schema) == students
+    unlabeled = tmp_path / "bom-unlabeled.csv"
+    unlabeled.write_text(
+        "PSM,CTG,SEM,ASS,GP,ATT,LW\nFirst,Good,Good,Yes,Yes,Good,Yes\n", encoding="utf-8-sig"
+    )
+    assert load_unlabeled_csv(unlabeled, students.schema)[0]["PSM"] == "First"
 
 
 def test_column_order_is_irrelevant(tmp_path, students):
@@ -203,6 +221,18 @@ def test_record_validation_rejects_missing_and_extra_attributes():
         Dataset(schema, (Record({"A0": "a", "A1": "b", "A2": "a"}, "c0"),))
     with pytest.raises(ValidationError):
         Dataset(schema, (Record({"A0": "a", "A1": "b"}, "nope"),))
+
+
+def test_record_values_are_read_only_and_datasets_pickle_and_deepcopy():
+    values = {"A0": "a", "A1": "b"}
+    rec = Record(values, "c0")
+    with pytest.raises(TypeError):
+        rec.values["A0"] = "b"
+    values["A0"] = "b"
+    assert rec.values == {"A0": "a", "A1": "b"}
+    ds = load_students()
+    assert pickle.loads(pickle.dumps(ds)) == ds
+    assert copy.deepcopy(ds) == ds
 
 
 # --- distributions and partitions -------------------------------------------
