@@ -12,6 +12,8 @@ from gradetree.dataset import (
     ClassDistribution,
     Dataset,
     Record,
+    ValidationError,
+    load_students,
 )
 from gradetree.rules import Rule, extract_rules, render_rules, rules_to_json
 from gradetree.tree import DecisionTree, Internal, Leaf, TreeConfig, id3_build, prune, tree_stats
@@ -127,6 +129,16 @@ def test_schema_mismatch_is_rejected(students, fixture_tree):
     other = random_dataset(random.Random(3))
     with pytest.raises(ValueError, match="schema"):
         extract_rules(fixture_tree, other)
+
+
+def test_value_changed_after_validation_names_its_cell(fixture_tree):
+    ds = load_students()
+    with pytest.raises(TypeError):
+        ds.records[3].values["ATT"] = "Bogus"  # Record.values is read-only
+    changed = Record({**ds.records[3].values, "ATT": "Bogus"}, ds.records[3].label)
+    with pytest.raises(ValidationError, match=r"row 4, column 'ATT': value 'Bogus'") as info:
+        extract_rules(fixture_tree, Dataset(ds.schema, ds.records[:3] + (changed,) + ds.records[4:]))
+    assert (info.value.row, info.value.column, info.value.value) == (4, "ATT", "Bogus")
 
 
 def test_a_leaf_shared_by_two_paths_is_counted_per_path():

@@ -11,6 +11,7 @@ from gradetree.dataset import (
     Record,
     ValidationError,
     class_distribution,
+    load_students,
 )
 from gradetree.tree import (
     Criterion,
@@ -109,6 +110,16 @@ def test_build_rejects_empty_dataset_and_predictorless_schema(students):
     ds = Dataset(bare, (Record({}, "c0"), Record({}, "c1")))
     with pytest.raises(ValueError):
         id3_build(ds)
+
+
+def test_value_changed_after_validation_names_its_cell():
+    ds = load_students()
+    with pytest.raises(TypeError):
+        ds.records[3].values["ATT"] = "Bogus"  # Record.values is read-only
+    changed = Record({**ds.records[3].values, "ATT": "Bogus"}, ds.records[3].label)
+    with pytest.raises(ValidationError, match=r"row 4, column 'ATT': value 'Bogus'") as info:
+        id3_build(Dataset(ds.schema, ds.records[:3] + (changed,) + ds.records[4:]))
+    assert (info.value.row, info.value.column, info.value.value) == (4, "ATT", "Bogus")
 
 
 def test_max_depth_caps_the_tree(students):
