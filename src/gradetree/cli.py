@@ -13,7 +13,7 @@ import json
 import sys
 from pathlib import Path
 
-from .dataset import fixture_paths, load_csv, load_schema, load_unlabeled_csv
+from .dataset import _unlabeled_rows, fixture_paths, load_csv, load_schema
 from .evaluate import accuracy
 from .metrics import score_all
 from .rules import extract_rules, render_rules, rules_to_json
@@ -21,9 +21,9 @@ from .tree import (
     Criterion,
     Internal,
     TreeConfig,
+    _append_predictions,
     id3_build,
     load_model,
-    predict,
     save_model,
     to_dot,
     tree_stats,
@@ -38,6 +38,21 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+def _int_at_least(minimum: int):
+    """An argparse ``type`` accepting an integer no smaller than ``minimum``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < minimum:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {minimum}, got {text!r}")
+        return value
+
+    return parse
 
 
 def _add_data_args(parser):
@@ -67,9 +82,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="build a tree and save it as JSON")
     _add_data_args(p)
     p.add_argument("--criterion", choices=("gain", "gain-ratio"), default="gain")
-    p.add_argument("--min-support", type=int, default=0, metavar="N",
+    p.add_argument("--min-support", type=_int_at_least(0), default=0, metavar="N",
                    help="collapse subtrees routed fewer than N records")
-    p.add_argument("--max-depth", type=int, default=None, metavar="N")
+    p.add_argument("--max-depth", type=_int_at_least(1), default=None, metavar="N")
     p.add_argument("--out", metavar="PATH", required=True, help="model file to write")
     p.set_defaults(func=cmd_train)
 
@@ -147,16 +162,20 @@ def cmd_train(args) -> int:
 
 
 def cmd_predict(args) -> int:
+    """Write the input rows in schema order, each followed by its predicted label and confidence.
+
+    The input is read whole and checked one column at a time; a bad cell
+    is reported as the first one in row order. The model is compiled once
+    and every row routed through it (``tree._append_predictions``), and
+    all rows are written at once.
+    """
     tree = load_model(args.model)
-    rows = load_unlabeled_csv(args.data, tree.schema)
-    names = list(tree.schema.attribute_names)
+    rows = _unlabeled_rows(args.data, tree.schema)
+    _append_predictions(tree, rows)
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(names + [tree.schema.class_name, "confidence"])
-    for row in rows:
-        label, dist = predict(tree, row)
-        confidence = dist.counts[label] / dist.total if dist.total else 0.0
-        writer.writerow([row[n] for n in names] + [label, f"{confidence:.4f}"])
+    writer.writerow([*tree.schema.attribute_names, tree.schema.class_name, "confidence"])
+    writer.writerows(rows)
     _emit(out.getvalue(), args.out)
     return 0
 

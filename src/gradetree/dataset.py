@@ -345,14 +345,15 @@ def _reading(path):
         yield
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}", row=exc.row, column=exc.column, value=exc.value) from None
-    except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
+    except (csv.Error, UnicodeDecodeError) as exc:  # csv.Error: a field over csv.field_size_limit()
         raise ValidationError(f"{path}: {exc}") from None
 
 
 def _read_rows(path, columns: Sequence[str], missing_token: str | None):
-    """Yield each row of a UTF-8 CSV, byte-order mark skipped, as a column -> cell dict.
+    """Yield each row of a UTF-8 CSV, byte-order mark skipped, as a list of cells in ``columns`` order.
 
-    The header names each of ``columns`` once, in any order. An empty cell
+    The header names each of ``columns`` once, in any order; rows are
+    reordered only when it is not already in that order. An empty cell
     reads as ``missing_token``, or is rejected when that is None.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
@@ -371,20 +372,20 @@ def _read_rows(path, columns: Sequence[str], missing_token: str | None):
         unknown = seen - set(columns)
         if unknown:
             raise ValidationError(f"unknown column(s) {sorted(unknown)}")
+        positions = None if header == list(columns) else [header.index(c) for c in columns]
         for row_no, row in enumerate(reader, start=1):
             if len(row) != len(header):
                 raise ValidationError(
                     f"row {row_no} has {len(row)} fields, expected {len(header)}", row=row_no
                 )
-            cells = dict(zip(header, row))
             if "" in row:
                 if missing_token is None:
                     col = header[row.index("")]
                     raise ValidationError(
                         f"row {row_no}, column {col!r}: missing value", row=row_no, column=col
                     )
-                cells = {col: v or missing_token for col, v in cells.items()}
-            yield cells
+                row = [v or missing_token for v in row]
+            yield row if positions is None else [row[i] for i in positions]
 
 
 def load_csv(path, schema: AttributeSchema, missing_token: str | None = None) -> Dataset:
@@ -394,26 +395,43 @@ def load_csv(path, schema: AttributeSchema, missing_token: str | None = None) ->
     case they are read as that label and still face domain validation:
     the load only succeeds if the token is declared in the domain.
     """
-    columns = schema.attribute_names + (schema.class_name,)
-    records = []
+    names = schema.attribute_names
     with _reading(path):
-        for cells in _read_rows(path, columns, missing_token):
-            label = cells.pop(schema.class_name)
-            records.append(Record(cells, label))
+        records = [
+            Record(dict(zip(names, row)), row[-1])  # the class is the last column read
+            for row in _read_rows(path, names + (schema.class_name,), missing_token)
+        ]
         return Dataset(schema, tuple(records))
 
 
-def load_unlabeled_csv(path, schema: AttributeSchema) -> list[dict[str, str]]:
-    """Load predictor-only rows (no class column) for prediction.
+def _unlabeled_rows(path, schema: AttributeSchema) -> list[list[str]]:
+    """Predictor-only rows of a CSV, each a list of cells in schema order, checked.
 
-    Read and checked as ``load_csv`` reads a labeled CSV, empty cells rejected.
+    The file is read whole, then each column is checked against its
+    domain at once. Only when some column holds a value outside its
+    domain are the rows scanned one by one, so the error names the first
+    bad cell in row order, and within a row in schema order.
     """
-    domains = {a.name: set(a.domain) for a in schema.attributes}
+    names = schema.attribute_names
+    domains = [set(a.domain) for a in schema.attributes]
     with _reading(path):
-        rows = list(_read_rows(path, schema.attribute_names, None))
-        for row_no, cells in enumerate(rows, start=1):
-            _check_cells(row_no, cells, domains)
+        rows = list(_read_rows(path, names, None))
+        if not all(domain.issuperset(column) for domain, column in zip(domains, zip(*rows))):
+            by_name = dict(zip(names, domains))
+            for row_no, row in enumerate(rows, start=1):
+                _check_cells(row_no, dict(zip(names, row)), by_name)
     return rows
+
+
+def load_unlabeled_csv(path, schema: AttributeSchema) -> list[dict[str, str]]:
+    """Load predictor-only rows (no class column) for prediction, one dict per row.
+
+    Read and checked as ``load_csv`` reads a labeled CSV, empty cells
+    rejected; a value outside its domain is reported at the first bad
+    cell in row order, and within a row in schema order.
+    """
+    names = schema.attribute_names
+    return [dict(zip(names, row)) for row in _unlabeled_rows(path, schema)]
 
 
 def dataset_to_csv(dataset: Dataset) -> str:
@@ -438,6 +456,8 @@ def load_schema(path) -> AttributeSchema:
         doc = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise SchemaError(f"{path}: JSON nested too deeply to read") from None
     return AttributeSchema.from_json_dict(doc)
 
 

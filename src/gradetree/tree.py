@@ -207,6 +207,37 @@ def predict(tree: DecisionTree, values: Mapping[str, str]) -> tuple[str, ClassDi
     return node.label, node.distribution
 
 
+def _append_predictions(tree: DecisionTree, rows: list[list[str]]) -> None:
+    """Append to each row, a list of cells in schema order, its predicted label and confidence.
+
+    The tree is compiled once: an internal node becomes ``(position,
+    {value: child})``, ``position`` being its attribute's index in schema
+    order, and a leaf the list of its two output cells, the label and its
+    confidence formatted ``.4f`` as ``predict``'s distribution gives it.
+
+    Unlike ``predict``, the routing re-checks no value and needs no
+    fallback for a missing branch: ``load_model`` requires every internal
+    node's branches to cover its attribute's whole domain, and
+    ``dataset._unlabeled_rows`` has checked every cell against that domain,
+    so every lookup finds its child.
+    """
+    position = {name: i for i, name in enumerate(tree.schema.attribute_names)}
+
+    def compile_node(node: DecisionNode):
+        if isinstance(node, Leaf):
+            dist = node.distribution
+            confidence = dist.counts[node.label] / dist.total if dist.total else 0.0
+            return [node.label, f"{confidence:.4f}"]
+        return position[node.attribute], {v: compile_node(c) for v, c in node.branches.items()}
+
+    table = compile_node(tree.root)
+    for row in rows:
+        node = table
+        while type(node) is tuple:
+            node = node[1][row[node[0]]]
+        row += node
+
+
 def tree_stats(tree: DecisionTree) -> TreeStats:
     """Leaf count, total node count, and depth (a lone leaf has depth 0)."""
 
@@ -354,9 +385,11 @@ def save_model(tree: DecisionTree, path) -> None:
 def load_model(path, schema: AttributeSchema | None = None) -> DecisionTree:
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        return model_from_json_dict(doc, schema)
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: not valid JSON: {exc}") from exc
-    return model_from_json_dict(doc, schema)
+    except RecursionError:  # in the parser, or in _node_from_dict on a deep tree
+        raise ValueError(f"{path}: model nested too deeply to read") from None
 
 
 # --- DOT export -------------------------------------------------------------

@@ -82,6 +82,17 @@ def test_invalid_value_reports_row_and_column(tmp_path, capsys):
 # --- train ----------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("argv", [
+    ["--max-depth", "0"], ["--max-depth", "-2"], ["--max-depth", "x"],
+    ["--min-support", "-1"], ["--min-support", "1.5"],
+])
+def test_train_rejects_a_bad_count_as_a_usage_error(tmp_path, capsys, argv):
+    assert main(["train", *argv, "--out", str(tmp_path / "m.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: gradetree train")
+    assert f"argument {argv[0]}: expected an integer >= " in err
+    assert not (tmp_path / "m.json").exists()
+
 def test_train_summary_names_the_argmax_root(tmp_path, capsys, students):
     path = tmp_path / "model.json"
     assert main(["train", "--out", str(path)]) == 0
@@ -191,6 +202,21 @@ def test_predict_rejects_an_empty_cell_as_a_missing_value(tmp_path, capsys, mode
     assert main(["predict", "--model", str(model_path), "--data", str(inputs)]) == 2
     assert "row 1, column 'SEM': missing value" in capsys.readouterr().err
 
+
+
+def test_predict_reports_the_first_bad_cell_in_row_order(tmp_path, capsys, model_path):
+    inputs = tmp_path / "bad.csv"
+    inputs.write_text(
+        "LW,ATT,GP,ASS,SEM,CTG,PSM\n"
+        "Yes,Good,Yes,Yes,Good,Good,First\n"
+        "Maybe,Good,Yes,Yes,Good,Good,Top\n"
+        "Yes,Good,Yes,Yes,Good,Good,Top\n"
+    )
+    assert main(["predict", "--model", str(model_path), "--data", str(inputs)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    domain = ["Fail", "First", "Second", "Third"]
+    assert captured.err == f"error: {inputs}: row 2, column 'PSM': value 'Top' not in domain {domain}\n"
 
 def test_predict_output_quotes_commas_and_reads_back(tmp_path, capsys):
     schema = AttributeSchema((Attribute("A", ("x,y", "z")),), Attribute("Y", ("p,q", "r")))
@@ -375,6 +401,33 @@ def test_malformed_model_document_is_a_data_error(tmp_path, capsys, model_path, 
     assert main([command, "--model", str(bad)]) == 2
     assert message in capsys.readouterr().err
 
+
+
+@pytest.mark.parametrize("argv", [
+    ["export-dot", "--model"], ["rules", "--model"], ["predict", "--data", "{inputs}", "--model"],
+    ["train", "--out", "{base}/m.json", "--schema"], ["gains", "--schema"],
+])
+def test_json_nested_too_deeply_is_a_data_error(tmp_path, capsys, students, argv):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
+    inputs = strip_labels(students, tmp_path / "inputs.csv")
+    argv = [arg.format(inputs=inputs, base=tmp_path) for arg in argv]
+    assert main(argv + [str(deep)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {deep}: ") and "nested too deeply" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["train", "predict"])
+def test_undecodable_csv_is_a_data_error_naming_the_file(tmp_path, capsys, model_path, command):
+    data = tmp_path / "latin1.csv"
+    data.write_bytes("PSM,CTG,SEM,ASS,GP,ATT,LW,ESM\nCaf\xe9\n".encode("latin-1"))
+    argv = {
+        "train": ["train", "--data", str(data), "--out", str(tmp_path / "m.json")],
+        "predict": ["predict", "--model", str(model_path), "--data", str(data)],
+    }[command]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: {data}: 'utf-8' codec can't decode byte 0xe9")
 
 EXIT_CODES = {0, 1, 2, 3}
 

@@ -1,6 +1,7 @@
 import copy
 import pickle
 import random
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -350,6 +351,53 @@ def test_load_unlabeled_csv(tmp_path, students):
     with pytest.raises(ValidationError):
         load_unlabeled_csv(bad, students.schema)
 
+
+
+FIRST_ERROR_CASES = {
+    # a bad PSM cell in row 3 and a bad LW cell in row 2: row order decides
+    "earlier row": (
+        "PSM,CTG,SEM,ASS,GP,ATT,LW\n"
+        "First,Good,Good,Yes,Yes,Good,Yes\n"
+        "First,Good,Good,Yes,Yes,Good,Maybe\n"
+        "Top,Good,Good,Yes,Yes,Good,Yes\n",
+        2, "LW", "Maybe",
+    ),
+    # two bad cells in one row, LW first in the file: schema order decides
+    "earlier schema column": (
+        "LW,ATT,GP,ASS,SEM,CTG,PSM\n"
+        "Yes,Good,Yes,Yes,Good,Good,First\n"
+        "Maybe,Good,Yes,Yes,Good,Good,Top\n",
+        2, "PSM", "Top",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FIRST_ERROR_CASES))
+def test_unlabeled_rows_report_the_first_bad_cell(tmp_path, students, case):
+    text, row, column, value = FIRST_ERROR_CASES[case]
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(ValidationError) as exc_info:
+        load_unlabeled_csv(path, students.schema)
+    err = exc_info.value
+    assert (err.row, err.column, err.value) == (row, column, value)
+    domain = sorted(students.schema.domain(column))
+    assert str(err) == f"{path}: row {row}, column {column!r}: value {value!r} not in domain {domain}"
+
+
+def test_undecodable_csv_names_its_file(tmp_path, students):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes("PSM,CTG,SEM,ASS,GP,ATT,LW\nCaf\xe9,Good,Good,Yes,Yes,Good,Yes\n".encode("latin-1"))
+    for load in (load_csv, load_unlabeled_csv):
+        with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}: 'utf-8' codec can't decode"):
+            load(path, students.schema)
+
+
+def test_deeply_nested_schema_json_is_a_schema_error(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    with pytest.raises(SchemaError, match="nested too deeply"):
+        load_schema(path)
 
 # --- grade bands ------------------------------------------------------------
 
