@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 __all__ = [
     "SchemaError",
@@ -204,39 +204,74 @@ class ClassDistribution:
 
 @dataclass(frozen=True)
 class Dataset:
-    """A validated collection of records over an AttributeSchema."""
+    """A validated collection of records over an AttributeSchema.
+
+    Validating a dataset encodes it. Each attribute's column, in record
+    order, is read as indices into that attribute's domain, and the labels
+    as indices into the class domain. The codes are kept on the instance,
+    built eagerly so a dataset stays a frozen value that can be shared,
+    and ``metrics.encode`` reads them. They are not dataclass fields:
+    equality and ``repr`` see only ``schema`` and ``records``.
+
+    An invalid record raises the ValidationError of the first bad row;
+    within a row the attributes are checked first, then the cells in
+    schema order, then the label.
+    """
 
     schema: AttributeSchema
     records: tuple[Record, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "records", tuple(self.records))
-        names = set(self.schema.attribute_names)
-        domains = {a.name: set(a.domain) for a in self.schema.attributes}
-        class_domain = set(self.schema.class_domain)
-        for i, rec in enumerate(self.records, start=1):
-            keys = rec.values.keys()
-            if keys != names:
-                raise ValidationError(
-                    f"row {i}: record attributes do not match schema "
-                    f"(missing={sorted(names - keys)}, unexpected={sorted(keys - names)})",
-                    row=i,
-                )
-            _check_cells(i, rec.values, domains)
-            if rec.label not in class_domain:
-                raise ValidationError(
-                    f"row {i}, column {self.schema.class_name!r}: label {rec.label!r} "
-                    f"not in class domain {sorted(class_domain)}",
-                    row=i,
-                    column=self.schema.class_name,
-                    value=rec.label,
-                )
+        records = tuple(self.records)
+        object.__setattr__(self, "records", records)
+        attributes = self.schema.attributes
+        values = [rec.values for rec in records]
+        try:
+            # with every schema name present (a missing one raises KeyError), equal size means equal keys
+            if any(len(v) != len(attributes) for v in values):
+                raise KeyError
+            columns = {a.name: _codes([v[a.name] for v in values], a.domain) for a in attributes}
+            labels = _codes([rec.label for rec in records], self.schema.class_domain)
+        except (KeyError, TypeError):  # TypeError: an unhashable value, which the scan meets too
+            _check_rows(self.schema, records)
+            raise
+        object.__setattr__(self, "_columns", columns)
+        object.__setattr__(self, "_labels", labels)
 
     def __len__(self) -> int:
         return len(self.records)
 
     def __iter__(self):
         return iter(self.records)
+
+
+def _codes(values: Iterable[str], domain: Sequence[str]) -> tuple[int, ...]:
+    """Each value's index in ``domain``; KeyError at a value outside it."""
+    return tuple(map({v: i for i, v in enumerate(domain)}.__getitem__, values))
+
+
+def _check_rows(schema: AttributeSchema, records: Sequence[Record]) -> None:
+    """Raise a ValidationError for the first invalid record, checked one row at a time."""
+    names = set(schema.attribute_names)
+    domains = {a.name: set(a.domain) for a in schema.attributes}
+    class_domain = set(schema.class_domain)
+    for i, rec in enumerate(records, start=1):
+        keys = rec.values.keys()
+        if keys != names:
+            raise ValidationError(
+                f"row {i}: record attributes do not match schema "
+                f"(missing={sorted(names - keys)}, unexpected={sorted(keys - names)})",
+                row=i,
+            )
+        _check_cells(i, rec.values, domains)
+        if rec.label not in class_domain:
+            raise ValidationError(
+                f"row {i}, column {schema.class_name!r}: label {rec.label!r} "
+                f"not in class domain {sorted(class_domain)}",
+                row=i,
+                column=schema.class_name,
+                value=rec.label,
+            )
 
 
 def _check_cells(row: int, cells: Mapping[str, str], domains: Mapping[str, set]) -> None:

@@ -6,14 +6,15 @@ distribution is defined as 0, which keeps weighted sums over partitions
 with empty parts well-formed.
 
 Attribute scores come from counts, as in ID3 (Quinlan 1986): ``encode``
-turns a dataset's columns into domain-index codes, ``contingency`` tallies
-a value x class table over some rows, and ``table_scores`` derives gain,
-split information and gain ratio from it. Every entropy, split information
-included, goes through one primitive, ``count_entropy``, which sums in the
-order given: class-domain order within an entropy, attribute-domain order
-across parts. That order is fixed because builds break ties between
-attributes on exact float equality: the same terms summed in another
-order can differ in the last bit, and so choose another split.
+reads the domain-index codes a dataset built for its columns and labels
+when it was validated, ``contingency`` tallies a value x class table over
+some rows, and ``table_scores`` derives gain, split information and gain
+ratio from it. Every entropy, split information included, goes through
+one primitive, ``count_entropy``, which sums in the order given:
+class-domain order within an entropy, attribute-domain order across
+parts. That order is fixed because builds break ties between attributes
+on exact float equality: the same terms summed in another order can
+differ in the last bit, and so choose another split.
 """
 
 from __future__ import annotations
@@ -91,16 +92,13 @@ def count_entropy(counts: Iterable[int], total: int) -> float:
     return h
 
 
-def encode(dataset: Dataset, names: Sequence[str]) -> tuple[list[list[int]], list[int]]:
-    """The columns ``names`` and the labels of a validated dataset, as domain indices."""
-    schema = dataset.schema
-    records = dataset.records
-    columns = []
-    for name in names:
-        code = {v: i for i, v in enumerate(schema.domain(name))}
-        columns.append([code[rec.values[name]] for rec in records])
-    class_code = {c: i for i, c in enumerate(schema.class_domain)}
-    return columns, [class_code[rec.label] for rec in records]
+def encode(dataset: Dataset, names: Sequence[str]) -> tuple[list[Sequence[int]], Sequence[int]]:
+    """The columns ``names`` and the labels of a dataset, as domain indices.
+
+    A read of the codes the ``Dataset`` built when it validated its
+    records: nothing is recomputed, and every caller shares them.
+    """
+    return [dataset._columns[name] for name in names], dataset._labels
 
 
 def contingency(

@@ -42,14 +42,15 @@ def extract_rules(tree: DecisionTree, training: Dataset) -> list[Rule]:
         raise ValueError("training data schema does not match the tree's schema")
 
     names = tree.schema.attribute_names
-    column_of = dict(zip(names, encode(training, names)[0]))
-    records = training.records
+    columns, labels = encode(training, names)
+    column_of = dict(zip(names, columns))
+    class_code = {c: i for i, c in enumerate(tree.schema.class_domain)}
     rules: list[Rule] = []
 
     def walk(node, path: tuple[tuple[str, str], ...], rows):
         if isinstance(node, Leaf):
             support = len(rows)
-            hits = sum(1 for r in rows if records[r].label == node.label)
+            hits = [labels[r] for r in rows].count(class_code.get(node.label))
             confidence = hits / support if support else 0.0
             rules.append(Rule(path, node.label, support, confidence))
             return
@@ -61,7 +62,7 @@ def extract_rules(tree: DecisionTree, training: Dataset) -> list[Rule]:
         for value, part in zip(domain, parts):
             walk(node.branches[value], path + ((node.attribute, value),), part)
 
-    walk(tree.root, (), range(len(records)))
+    walk(tree.root, (), range(len(labels)))
     return rules
 
 

@@ -7,11 +7,13 @@ limit. Branches for unrepresented values become majority leaves carrying
 the parent's distribution, so prediction is total and can always report
 a confidence.
 
-``id3_build`` encodes the dataset once (``metrics.encode``): a column of
-domain-index codes per attribute and one of label codes. A node is the
-list of row indices that reach it. One pass counts its classes, one pass
-per candidate fills a value x class table for ``metrics.table_scores``,
-and one pass splits the winner's rows into its children's lists.
+Growth reads the codes a ``Dataset`` built when it was validated
+(``metrics.encode``): a column of domain-index codes per attribute and
+one of label codes. A node is the list of row indices that reach it. One
+pass counts its classes, one pass per candidate fills a value x class
+table for ``metrics.table_scores``, and one pass splits the winner's rows
+into its children's lists. Because a tree is grown from row indices,
+leave-one-out grows every fold from the same codes, less one row.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import json
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
-from typing import Mapping, NamedTuple, Union
+from typing import Mapping, NamedTuple, Sequence, Union
 
 from .dataset import AttributeSchema, ClassDistribution, Dataset, ValidationError
 from .metrics import contingency, encode, table_scores
@@ -114,10 +116,18 @@ def id3_build(dataset: Dataset, config: TreeConfig | None = None) -> DecisionTre
     if len(dataset) == 0:
         raise ValueError("cannot build a tree from an empty dataset")
     schema = dataset.schema
+    columns, labels = encode(dataset, schema.attribute_names)
+    root = _grow(schema, columns, labels, range(len(dataset)), config)
+    return DecisionTree(root, schema, config, len(dataset))
+
+
+def _grow(schema: AttributeSchema, columns: Sequence[Sequence[int]], labels: Sequence[int],
+          rows: Sequence[int], config: TreeConfig) -> DecisionNode:
+    """The root of the tree grown from ``rows`` (non-empty), given every
+    attribute's code column in schema order and the label codes."""
     if not schema.attributes:
         raise ValueError("schema declares no predictor attributes")
     names = schema.attribute_names
-    columns, labels = encode(dataset, names)
     column_of = dict(zip(names, columns))
     domain_of = {a.name: a.domain for a in schema.attributes}
     classes = schema.class_domain
@@ -152,7 +162,7 @@ def id3_build(dataset: Dataset, config: TreeConfig | None = None) -> DecisionTre
             for value, part in zip(domain_of[best], parts)
         })
 
-    return DecisionTree(grow(range(len(dataset)), list(names), 0), schema, config, len(dataset))
+    return grow(rows, list(names), 0)
 
 
 def node_support(node: DecisionNode) -> int:

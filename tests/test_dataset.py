@@ -4,8 +4,9 @@ import random
 import re
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+import reference_dataset as ref
 from conftest import make_dataset, random_dataset, tiny_schema
 from gradetree.dataset import (
     Attribute,
@@ -28,6 +29,7 @@ from gradetree.dataset import (
     load_unlabeled_csv,
     partition,
 )
+from gradetree.metrics import encode
 
 FIXTURE_COUNTS = {"First": 14, "Second": 15, "Third": 13, "Fail": 8}
 
@@ -224,6 +226,55 @@ def test_record_validation_rejects_missing_and_extra_attributes():
         Dataset(schema, (Record({"A0": "a", "A1": "b"}, "nope"),))
 
 
+def with_edits(students, edits):
+    """The bundled records, with ``edits`` {row: (changes to values, label or None)}
+    applied to those 1-based rows; a value of None in the changes drops that key."""
+    records = list(students.records)
+    for row, (changes, label) in edits.items():
+        values = {**records[row - 1].values, **changes}
+        values = {k: v for k, v in values.items() if v is not None}
+        records[row - 1] = Record(values, records[row - 1].label if label is None else label)
+    return records
+
+
+def domain_message(students, row, column, value):
+    return f"row {row}, column {column!r}: value {value!r} not in domain {sorted(students.schema.domain(column))}"
+
+
+FIRST_RECORD_ERROR_CASES = {
+    # a bad cell in row 1 comes before a missing key in row 2
+    "bad cell, then key mismatch": (
+        {1: ({"PSM": "Top"}, None), 2: ({"CTG": None}, None)},
+        1, "PSM", "Top", lambda s: domain_message(s, 1, "PSM", "Top"),
+    ),
+    # a missing key in row 1 comes before a bad label in row 2
+    "key mismatch, then bad label": (
+        {1: ({"CTG": None}, None), 2: ({}, "Distinction")},
+        1, "", "", lambda s: "row 1: record attributes do not match schema (missing=['CTG'], unexpected=[])",
+    ),
+    # within a row the cells come before the label
+    "bad cell and bad label in one row": (
+        {3: ({"LW": "Maybe"}, "Distinction")},
+        3, "LW", "Maybe", lambda s: domain_message(s, 3, "LW", "Maybe"),
+    ),
+    # within a row the cells are checked in schema order
+    "two bad cells in one row": (
+        {2: ({"LW": "Maybe", "SEM": "Superb"}, None)},
+        2, "SEM", "Superb", lambda s: domain_message(s, 2, "SEM", "Superb"),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FIRST_RECORD_ERROR_CASES))
+def test_dataset_reports_the_first_error_in_row_order(students, case):
+    edits, row, column, value, message = FIRST_RECORD_ERROR_CASES[case]
+    with pytest.raises(ValidationError) as exc_info:
+        Dataset(students.schema, with_edits(students, edits))
+    err = exc_info.value
+    assert (err.row, err.column, err.value) == (row, column, value)
+    assert str(err) == message(students)
+
+
 def test_record_values_are_read_only_and_datasets_pickle_and_deepcopy():
     values = {"A0": "a", "A1": "b"}
     rec = Record(values, "c0")
@@ -234,6 +285,62 @@ def test_record_values_are_read_only_and_datasets_pickle_and_deepcopy():
     ds = load_students()
     assert pickle.loads(pickle.dumps(ds)) == ds
     assert copy.deepcopy(ds) == ds
+
+
+
+def as_lists(encoded):
+    columns, labels = encoded
+    return [list(c) for c in columns], list(labels)
+
+
+FAULTS = st.lists(
+    st.tuples(st.sampled_from(["cell", "label", "missing", "extra"]), st.integers(0, 999), st.integers(0, 99)),
+    max_size=3,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), contradiction_free=st.booleans(), faults=FAULTS)
+def test_dataset_raises_as_the_row_scan_does_or_keeps_the_naive_encoding(seed, contradiction_free, faults):
+    base = random_dataset(random.Random(seed), max_records=40, contradiction_free=contradiction_free)
+    schema = base.schema
+    names = schema.attribute_names
+    records = list(base.records)
+    for kind, row, column in faults:
+        row %= len(records)
+        name = names[column % len(names)]
+        values, label = dict(records[row].values), records[row].label
+        if kind == "cell":
+            values[name] = "bad"
+        elif kind == "label":
+            label = "bad"
+        elif kind == "missing":
+            values.pop(name, None)
+        else:
+            values["EXTRA"] = "v0"
+        records[row] = Record(values, label)
+    try:
+        ref.check(schema, records)
+    except ValidationError as exc:
+        with pytest.raises(ValidationError) as exc_info:
+            Dataset(schema, records)
+        err = exc_info.value
+        assert (str(err), err.row, err.column, err.value) == (str(exc), exc.row, exc.column, exc.value)
+        return
+    dataset = Dataset(schema, records)
+    columns, labels = ref.encode(schema, records)
+    assert as_lists(encode(dataset, names)) == (columns, labels)
+    assert as_lists(encode(dataset, names[::-1])) == (columns[::-1], labels)
+
+
+def test_copies_of_a_dataset_are_equal_and_keep_its_encoding():
+    datasets = [load_students()] + [random_dataset(random.Random(seed)) for seed in range(20)]
+    for ds in datasets:
+        names = ds.schema.attribute_names
+        for copied in (pickle.loads(pickle.dumps(ds)), copy.deepcopy(ds)):
+            assert copied == ds
+            assert as_lists(encode(copied, names)) == as_lists(encode(ds, names))
+            assert as_lists(encode(copied, names)) == ref.encode(ds.schema, ds.records)
 
 
 # --- distributions and partitions -------------------------------------------

@@ -1,11 +1,20 @@
+import itertools
 import random
 
 import pytest
 
 from conftest import make_dataset, random_dataset, tiny_schema
 from gradetree.dataset import Dataset, Record, class_distribution
-from gradetree.evaluate import accuracy, confusion, leave_one_out
-from gradetree.tree import TreeConfig, id3_build
+from gradetree.evaluate import ConfusionMatrix, accuracy, confusion, leave_one_out
+from gradetree.tree import (
+    DecisionTree,
+    Internal,
+    Leaf,
+    TreeConfig,
+    id3_build,
+    predict,
+    prune,
+)
 
 # Baseline numbers for the bundled fixture, frozen from a run of the
 # procedure itself (no published counterpart exists). Documented in the
@@ -109,3 +118,125 @@ def test_fixture_leave_one_out_baseline(students):
     assert result.accuracy == pytest.approx(FIXTURE_LOO_ACCURACY)
     assert result.confusion.total == 50
     assert result.confusion.accuracy == pytest.approx(result.accuracy)
+
+
+# --- code-routed evaluation against tree.predict ----------------------------
+
+
+def counted_with_predict(tree, dataset):
+    """Accuracy and confusion counts from one ``tree.predict`` per record."""
+    classes = dataset.schema.class_domain
+    counts = {(a, p): 0 for a in classes for p in classes}
+    hits = 0
+    for rec in dataset.records:
+        predicted = predict(tree, rec.values)[0]
+        counts[(rec.label, predicted)] += 1
+        hits += predicted == rec.label
+    return hits / len(dataset), counts
+
+
+def assert_evaluators_match_predict(tree, dataset):
+    expected_accuracy, expected_counts = counted_with_predict(tree, dataset)
+    assert accuracy(tree, dataset) == expected_accuracy
+    matrix = confusion(tree, dataset)
+    assert list(matrix.counts.items()) == list(expected_counts.items())
+
+
+def leaf_of(tree, values):
+    node = tree.root
+    while isinstance(node, Internal):
+        node = node.branches[values[node.attribute]]
+    return node
+
+
+def test_code_routed_evaluators_match_predict_on_random_trees():
+    empty_branch_rows = 0
+    for seed in range(50):
+        rng = random.Random(seed)
+        train = random_dataset(rng, max_records=60, contradiction_free=seed % 2 == 0)
+        schema = train.schema
+        domains = [a.domain for a in schema.attributes]
+        # every combination of values (up to 400), so empty branches are reached too
+        unseen = [
+            Record(dict(zip(schema.attribute_names, values)), rng.choice(schema.class_domain))
+            for values in itertools.islice(itertools.product(*domains), 400)
+        ]
+        evaluated = Dataset(schema, train.records + tuple(unseen))
+        for max_depth, min_support in itertools.product((None, 2), (0, 3)):
+            tree = id3_build(train, TreeConfig(max_depth=max_depth, min_leaf_support=min_support))
+            assert_evaluators_match_predict(tree, evaluated)
+            empty_branch_rows += sum(leaf_of(tree, r.values).support == 0 for r in evaluated)
+    assert empty_branch_rows > 0  # support-0 leaves were reached
+
+
+def test_code_routed_evaluators_match_predict_on_the_pruned_fixture_tree(students, fixture_tree):
+    pruned = prune(fixture_tree, 3)
+    assert pruned != fixture_tree
+    assert_evaluators_match_predict(pruned, students)
+
+
+def test_code_routed_evaluators_keep_predicts_fallback_for_a_missing_branch():
+    schema = tiny_schema(n_attrs=1, domain=("a", "b", "c"))
+    dist = class_distribution(make_dataset(schema, [(("a",), "c1")] * 2 + [(("b",), "c0")]))
+    lopsided = Internal("A0", {
+        "a": Leaf("c1", 2, class_distribution(make_dataset(schema, [(("a",), "c1")] * 2))),
+        "b": Leaf("c0", 1, class_distribution(make_dataset(schema, [(("b",), "c0")]))),
+    })  # no "c" branch: predict falls back to the node's majority, c1
+    tree = DecisionTree(lopsided, schema, TreeConfig(), dist.total)
+    dataset = make_dataset(schema, [(("a",), "c1"), (("b",), "c1"), (("c",), "c1"), (("c",), "c0")])
+    assert predict(tree, {"A0": "c"})[0] == "c1"
+    assert_evaluators_match_predict(tree, dataset)
+    assert accuracy(tree, dataset) == 0.5
+
+
+def test_a_leaf_label_outside_the_class_domain_never_matches():
+    schema = tiny_schema()
+    dist = class_distribution(make_dataset(schema, [(("a", "a"), "c0")]))
+    tree = DecisionTree(Leaf("c9", 1, dist), schema, TreeConfig(), 1)
+    dataset = make_dataset(schema, [(("a", "a"), "c0"), (("b", "a"), "c1")])
+    assert accuracy(tree, dataset) == 0.0
+    with pytest.raises(KeyError):
+        confusion(tree, dataset)
+
+
+def test_evaluators_reject_a_dataset_over_another_schema(fixture_tree):
+    other = make_dataset(tiny_schema(), [(("a", "b"), "c0")])
+    for evaluate in (accuracy, confusion):
+        with pytest.raises(ValueError, match="dataset schema does not match the tree's schema"):
+            evaluate(fixture_tree, other)
+
+
+# --- leave-one-out against the per-fold Dataset path ------------------------
+
+
+def leave_one_out_per_fold_dataset(dataset, config):
+    """Leave-one-out as first written: a validated Dataset per fold, ``tree.predict`` per held-out record."""
+    classes = dataset.schema.class_domain
+    counts = {(a, p): 0 for a in classes for p in classes}
+    hits = 0
+    for i, held_out in enumerate(dataset.records):
+        rest = dataset.records[:i] + dataset.records[i + 1:]
+        tree = id3_build(Dataset(dataset.schema, rest), config)
+        predicted = predict(tree, held_out.values)[0]
+        counts[(held_out.label, predicted)] += 1
+        hits += predicted == held_out.label
+    return hits / len(dataset), ConfusionMatrix(classes, counts)
+
+
+@pytest.mark.parametrize("contradiction_free", [True, False])
+def test_leave_one_out_matches_the_per_fold_dataset_path(contradiction_free):
+    for seed in range(30):
+        dataset = random_dataset(random.Random(seed), max_records=40, contradiction_free=contradiction_free)
+        if len(dataset) < 2:
+            continue
+        config = TreeConfig(max_depth=(None, 2)[seed % 2], min_leaf_support=(0, 3)[seed // 2 % 2])
+        result = leave_one_out(dataset, config)
+        expected_accuracy, expected_matrix = leave_one_out_per_fold_dataset(dataset, config)
+        assert result.accuracy == expected_accuracy
+        assert list(result.confusion.counts.items()) == list(expected_matrix.counts.items())
+
+
+def test_fixture_leave_one_out_is_exactly_the_baseline_with_the_same_matrix(students):
+    result = leave_one_out(students)
+    assert result.accuracy == FIXTURE_LOO_ACCURACY
+    assert result.confusion == leave_one_out_per_fold_dataset(students, TreeConfig())[1]
