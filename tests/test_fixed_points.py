@@ -1,8 +1,10 @@
 """The bundled build's outputs, end to end through the CLI, frozen byte for byte.
 
-The golden files were written by the partition-based builder this
-package started from; any change to scoring, tie order or rule support
-that moves a single byte fails here.
+The model, rules and verify goldens were written by the partition-based
+builder this package started from, and the DOT golden by the recursive
+``to_dot`` that preceded the iterative tree walks; any change to scoring,
+tie order, rule support or node order that moves a single byte fails
+here.
 """
 
 from pathlib import Path
@@ -37,3 +39,11 @@ def test_rules_output_is_unchanged(tmp_path, capsys):
 def test_verify_json_document_is_unchanged(capsys):
     assert main(["verify", "--format", "json"]) == 0
     assert capsys.readouterr().out == (GOLDEN / "fixture_verify.json").read_text(encoding="utf-8")
+
+
+def test_dot_output_is_unchanged(tmp_path, capsys):
+    model = tmp_path / "model.json"
+    assert main(["train", "--out", str(model)]) == 0
+    capsys.readouterr()
+    assert main(["export-dot", "--model", str(model)]) == 0
+    assert capsys.readouterr().out == (GOLDEN / "fixture_tree.dot").read_text(encoding="utf-8")
