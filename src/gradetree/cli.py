@@ -11,6 +11,7 @@ import csv
 import io
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from .dataset import _unlabeled_rows, fixture_paths, load_csv, load_schema
@@ -20,8 +21,10 @@ from .rules import extract_rules, render_rules, rules_to_json
 from .tree import (
     Criterion,
     Internal,
+    Leaf,
     TreeConfig,
-    _append_predictions,
+    _flatten,
+    _route,
     id3_build,
     load_model,
     save_model,
@@ -161,17 +164,28 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _leaf_cells(leaf: Leaf) -> list[str]:
+    """A leaf's label and confidence, formatted as ``predict``'s distribution gives them."""
+    dist = leaf.distribution
+    return [leaf.label, f"{dist.counts[leaf.label] / dist.total if dist.total else 0.0:.4f}"]
+
+
 def cmd_predict(args) -> int:
     """Write the input rows in schema order, each followed by its predicted label and confidence.
 
     The input is read whole and checked one column at a time; a bad cell
-    is reported as the first one in row order. The model is compiled once
-    and every row routed through it (``tree._append_predictions``), and
-    all rows are written at once.
+    is reported as the first one in row order. Every row is routed through
+    the model's flat form, its child ids keyed by value rather than by
+    domain code, and all rows are written at once.
     """
     tree = load_model(args.model)
     rows = _unlabeled_rows(args.data, tree.schema)
-    _append_predictions(tree, rows)
+    nodes, positions, children = flat = _flatten(tree.root, tree.schema)
+    cells = [_leaf_cells(node) if p < 0 else None for node, p in zip(nodes, positions)]
+    attributes = tree.schema.attributes
+    by_value = [ids and dict(zip(attributes[p].domain, ids)) for p, ids in zip(positions, children)]
+    for row, i in zip(rows, _route(flat._replace(children=by_value), rows)):
+        row += cells[i]
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow([*tree.schema.attribute_names, tree.schema.class_name, "confidence"])
@@ -183,11 +197,8 @@ def cmd_predict(args) -> int:
 def cmd_rules(args) -> int:
     tree = load_model(args.model)
     dataset = _load_dataset(args)
-    rules = extract_rules(tree, dataset)
-    if args.format == "json":
-        _emit(rules_to_json(rules, tree.schema.class_name), args.out)
-    else:
-        _emit(render_rules(rules, tree.schema.class_name), args.out)
+    render = rules_to_json if args.format == "json" else render_rules
+    _emit(render(extract_rules(tree, dataset), tree.schema.class_name), args.out)
     return 0
 
 
@@ -195,16 +206,7 @@ def cmd_gains(args) -> int:
     dataset = _load_dataset(args)
     scores = score_all(dataset)
     if args.format == "json":
-        doc = [
-            {
-                "attribute": s.attribute,
-                "gain": s.gain,
-                "split_information": s.split_information,
-                "gain_ratio": s.gain_ratio,
-            }
-            for s in scores
-        ]
-        _emit(json.dumps(doc, indent=2) + "\n", args.out)
+        _emit(json.dumps([asdict(s) for s in scores], indent=2) + "\n", args.out)
     else:
         lines = [f"{'attribute':<12}{'gain':>12}{'split_info':>14}{'gain_ratio':>14}"]
         for s in scores:
@@ -219,10 +221,8 @@ def cmd_gains(args) -> int:
 def cmd_verify(args) -> int:
     dataset = _load_dataset(args)
     report = verify_published(dataset)
-    if args.format == "json":
-        _emit(json.dumps(report.to_json_dict(), indent=2) + "\n", args.out)
-    else:
-        _emit(report.render(), args.out)
+    text = json.dumps(report.to_json_dict(), indent=2) + "\n" if args.format == "json" else report.render()
+    _emit(text, args.out)
     if not report.implementation_consistent:
         print("verification hard failure: implementation disagrees with oracle",
               file=sys.stderr)

@@ -183,10 +183,17 @@ class Record:
 
 @dataclass(frozen=True)
 class ClassDistribution:
-    """Class label counts (all domain labels present, zeros included)."""
+    """Class label counts (all domain labels present, zeros included), read-only."""
 
     counts: Mapping[str, int]
     total: int
+
+    def __init__(self, counts: Mapping[str, int], total: int):  # one call per node grown, so no __post_init__
+        object.__setattr__(self, "counts", MappingProxyType(dict(counts)))
+        object.__setattr__(self, "total", total)
+
+    def __reduce__(self):  # as Record's
+        return ClassDistribution, (dict(self.counts), self.total)
 
     def majority(self) -> str:
         """Most frequent class; ties broken by class-domain order."""

@@ -7,9 +7,9 @@ from dataclasses import dataclass
 from operator import eq
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .dataset import AttributeSchema, Dataset
+from .dataset import Dataset
 from .metrics import encode
-from .tree import DecisionNode, DecisionTree, Leaf, TreeConfig, _grow, node_distribution
+from .tree import DecisionTree, TreeConfig, _code_rows, _Flat, _flatten, _grow, _route
 
 __all__ = ["ConfusionMatrix", "LooResult", "accuracy", "confusion", "leave_one_out"]
 
@@ -62,65 +62,30 @@ def _check_evaluable(tree: DecisionTree, dataset: Dataset) -> None:
         raise ValueError("dataset schema does not match the tree's schema")
 
 
-def _predict_codes(root: DecisionNode, schema: AttributeSchema, columns: Sequence[Sequence[int]],
-                   rows: Iterable[int]) -> tuple[list[int], list[str]]:
-    """Each row's predicted label code, and the labels the codes stand for.
-
-    The tree is compiled once: an internal node becomes ``(code column,
-    [child per domain index])`` and a leaf its label's code, so each row
-    is routed by its codes with no string compared. The result equals
-    ``predict``'s, fallback included: a node missing a branch, which
-    only a tree built by hand can be, sends that value to the majority
-    of the node's distribution. A leaf label outside the class domain
-    gets a code past it, which matches no row's label.
-    """
-    column_of = dict(zip(schema.attribute_names, columns))
-    labels = {c: i for i, c in enumerate(schema.class_domain)}
-
-    def code(label: str) -> int:
-        return labels.setdefault(label, len(labels))
-
-    def compile_node(node: DecisionNode):
-        if isinstance(node, Leaf):
-            return code(node.label)
-        branches = node.branches
-        return column_of[node.attribute], [
-            compile_node(branches[v]) if v in branches else code(node_distribution(node).majority())
-            for v in schema.domain(node.attribute)
-        ]
-
-    table = compile_node(root)
-    predicted = []
-    for r in rows:
-        node = table
-        while type(node) is tuple:
-            node = node[1][node[0][r]]
-        predicted.append(node)
-    return predicted, list(labels)
+def _predicted(flat: _Flat, rows: Iterable[Sequence[int]]) -> list[str]:
+    """The label of the leaf each row of domain codes reaches."""
+    return [flat.nodes[i].label for i in _route(flat, rows)]
 
 
-def _confusion(classes: Sequence[str], actual: Iterable[int], predicted: Iterable[int],
-               names: Sequence[str]) -> ConfusionMatrix:
-    """The matrix of actual and predicted label codes, ``names`` naming the predicted ones."""
+def _confusion(classes: Sequence[str], actual: Iterable[str], predicted: Iterable[str]) -> ConfusionMatrix:
+    """The matrix of actual and predicted labels; a label outside ``classes`` raises KeyError."""
     counts = {(a, p): 0 for a in classes for p in classes}
-    for (a, p), n in Counter(zip(actual, predicted)).items():
-        counts[(classes[a], names[p])] += n
+    for pair, n in Counter(zip(actual, predicted)).items():
+        counts[pair] += n
     return ConfusionMatrix(classes, counts)
 
 
 def accuracy(tree: DecisionTree, dataset: Dataset) -> float:
     """Fraction of records whose prediction equals their label."""
     _check_evaluable(tree, dataset)
-    columns, labels = encode(dataset, dataset.schema.attribute_names)
-    predicted, _ = _predict_codes(tree.root, tree.schema, columns, range(len(labels)))
-    return sum(map(eq, predicted, labels)) / len(dataset)
+    predicted = _predicted(_flatten(tree.root, tree.schema), _code_rows(dataset))
+    return sum(map(eq, predicted, (rec.label for rec in dataset))) / len(dataset)
 
 
 def confusion(tree: DecisionTree, dataset: Dataset) -> ConfusionMatrix:
     _check_evaluable(tree, dataset)
-    columns, labels = encode(dataset, dataset.schema.attribute_names)
-    predicted, names = _predict_codes(tree.root, tree.schema, columns, range(len(labels)))
-    return _confusion(dataset.schema.class_domain, labels, predicted, names)
+    predicted = _predicted(_flatten(tree.root, tree.schema), _code_rows(dataset))
+    return _confusion(dataset.schema.class_domain, (rec.label for rec in dataset), predicted)
 
 
 def leave_one_out(dataset: Dataset, config: TreeConfig | None = None) -> LooResult:
@@ -138,11 +103,11 @@ def leave_one_out(dataset: Dataset, config: TreeConfig | None = None) -> LooResu
         config = TreeConfig()
     schema = dataset.schema
     columns, labels = encode(dataset, schema.attribute_names)
+    rows = list(_code_rows(dataset))
     n = len(labels)
     predicted = []
     for i in range(n):
-        root = _grow(schema, columns, labels, [r for r in range(n) if r != i], config)
-        predicted += _predict_codes(root, schema, columns, [i])[0]
-    hits = sum(map(eq, predicted, labels))
-    classes = schema.class_domain  # a grown tree's leaves carry only these labels
-    return LooResult(hits / n, _confusion(classes, labels, predicted, classes))
+        flat = _grow(schema, columns, labels, [r for r in range(n) if r != i], config)
+        predicted += _predicted(flat, [rows[i]])
+    actual = [rec.label for rec in dataset]
+    return LooResult(sum(map(eq, predicted, actual)) / n, _confusion(schema.class_domain, actual, predicted))

@@ -4,20 +4,19 @@ Each leaf yields one rule whose conditions are the attribute=value tests
 on the path from the root, in path order. Support and confidence are
 recomputed against the supplied training data rather than read off the
 leaf, which keeps the two bookkeeping paths checkable against each other.
-The training rows are routed down the tree: each internal node buckets
-the rows that reach it by their value of its attribute, and each leaf
-counts the rows that arrive along its path.
+Every training row is routed to the leaf it reaches, through the tree's
+flat form, and each leaf counts the rows that arrive there.
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
 from .dataset import Dataset
-from .metrics import encode
-from .tree import DecisionTree, Leaf
+from .tree import DecisionTree, _code_rows, _flatten, _route
 
 __all__ = ["Rule", "extract_rules", "render_rules", "rules_to_json"]
 
@@ -41,28 +40,20 @@ def extract_rules(tree: DecisionTree, training: Dataset) -> list[Rule]:
     if training.schema.digest() != tree.schema.digest():
         raise ValueError("training data schema does not match the tree's schema")
 
-    names = tree.schema.attribute_names
-    columns, labels = encode(training, names)
-    column_of = dict(zip(names, columns))
-    class_code = {c: i for i, c in enumerate(tree.schema.class_domain)}
+    nodes, positions, children = flat = _flatten(tree.root, tree.schema)
+    reached = _route(flat, _code_rows(training))
+    support = Counter(reached)
+    hits = Counter(i for i, rec in zip(reached, training) if nodes[i].label == rec.label)
+    paths = [()] * len(nodes)  # each node's conditions; preorder sets a parent's first
     rules: list[Rule] = []
-
-    def walk(node, path: tuple[tuple[str, str], ...], rows):
-        if isinstance(node, Leaf):
-            support = len(rows)
-            hits = [labels[r] for r in rows].count(class_code.get(node.label))
-            confidence = hits / support if support else 0.0
-            rules.append(Rule(path, node.label, support, confidence))
-            return
-        domain = tree.schema.domain(node.attribute)
-        column = column_of[node.attribute]
-        parts = [[] for _ in domain]
-        for r in rows:
-            parts[column[r]].append(r)
-        for value, part in zip(domain, parts):
-            walk(node.branches[value], path + ((node.attribute, value),), part)
-
-    walk(tree.root, (), range(len(labels)))
+    for i, node in enumerate(nodes):
+        if positions[i] < 0:
+            n = support[i]
+            rules.append(Rule(paths[i], node.label, n, hits[i] / n if n else 0.0))
+        else:
+            attribute = tree.schema.attributes[positions[i]]
+            for value, child in zip(attribute.domain, children[i]):
+                paths[child] = paths[i] + ((attribute.name, value),)
     return rules
 
 

@@ -1,11 +1,10 @@
 """ID3 decision trees over categorical schemas.
 
-Construction is the classic greedy recursion: pick the best-scoring
-attribute among those unused on the current path, branch over its full
-domain, and stop at pure subsets, exhausted attributes, or the depth
-limit. Branches for unrepresented values become majority leaves carrying
-the parent's distribution, so prediction is total and can always report
-a confidence.
+Construction is greedy: pick the best-scoring attribute among those
+unused on the current path, branch over its full domain, and stop at
+pure subsets, exhausted attributes, or the depth limit. Branches for
+unrepresented values become majority leaves carrying the parent's
+distribution, so prediction is total and can always report a confidence.
 
 Growth reads the codes a ``Dataset`` built when it was validated
 (``metrics.encode``): a column of domain-index codes per attribute and
@@ -14,6 +13,12 @@ pass counts its classes, one pass per candidate fills a value x class
 table for ``metrics.table_scores``, and one pass splits the winner's rows
 into its children's lists. Because a tree is grown from row indices,
 leave-one-out grows every fold from the same codes, less one row.
+
+No walk of a tree recurses. Its one flat form (``_Flat``) lists the nodes
+in preorder, on an explicit stack: growth and model documents are read
+into it (``_preorder``), and a tree is turned into it (``_flatten``) and
+back (``_unflatten``, on ``_bottom_up``). One router (``_route``) sends
+rows through it. Only model files stay depth-bound, as ``json`` recurses.
 """
 
 from __future__ import annotations
@@ -21,8 +26,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import reduce
+from itertools import repeat
 from pathlib import Path
-from typing import Mapping, NamedTuple, Sequence, Union
+from types import MappingProxyType
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 from .dataset import AttributeSchema, ClassDistribution, Dataset, ValidationError
 from .metrics import contingency, encode, table_scores
@@ -50,6 +58,9 @@ __all__ = [
 
 MODEL_FORMAT = "gradetree.model"
 MODEL_VERSION = 1
+# the deepest tree a model file holds: json.dumps(indent=2) and json.loads recurse
+# about twice per level, and overflow near 485 levels at the default recursion limit
+MAX_MODEL_DEPTH = 400
 
 
 class Criterion(Enum):
@@ -88,8 +99,16 @@ class Leaf:
 
 @dataclass(frozen=True)
 class Internal:
+    """A test of one attribute; ``branches`` is a read-only copy of the mapping passed in."""
+
     attribute: str
     branches: Mapping[str, "DecisionNode"]
+
+    def __post_init__(self):
+        object.__setattr__(self, "branches", MappingProxyType(dict(self.branches)))
+
+    def __reduce__(self):  # as Record's
+        return Internal, (self.attribute, dict(self.branches))
 
 
 DecisionNode = Union[Leaf, Internal]
@@ -117,59 +136,150 @@ def id3_build(dataset: Dataset, config: TreeConfig | None = None) -> DecisionTre
         raise ValueError("cannot build a tree from an empty dataset")
     schema = dataset.schema
     columns, labels = encode(dataset, schema.attribute_names)
-    root = _grow(schema, columns, labels, range(len(dataset)), config)
+    root = _unflatten(_grow(schema, columns, labels, range(len(dataset)), config), schema)
     return DecisionTree(root, schema, config, len(dataset))
 
 
+class _Flat(NamedTuple):
+    """A tree as lists indexed by node id: ids in preorder, branches in domain order."""
+
+    nodes: list  # a leaf is its own payload; an internal node's payload goes unread
+    positions: list[int]  # the schema position of a node's attribute; -1 at a leaf
+    children: list[list[int]]  # a node's child id per domain code
+
+
+def _preorder(root, expand) -> _Flat:
+    """The flat form of a tree given by its root item, expanded on an explicit stack:
+    ``expand(item)`` returns the node's payload, its attribute's position (-1 at a
+    leaf) and the items of its children in domain order."""
+    nodes, positions, children = flat = _Flat([], [], [])
+    stack = [(root, [0], 0)]  # an item, and the list and index its id goes to
+    while stack:
+        item, ids, code = stack.pop()
+        ids[code] = len(nodes)
+        node, position, items = expand(item)
+        nodes.append(node)
+        positions.append(position)
+        children.append([0] * len(items))
+        stack += items and [(items[k], children[-1], k) for k in reversed(range(len(items)))]
+    return flat
+
+
+def _bottom_up(flat: _Flat, leaf, internal):
+    """Combine a flat tree from its leaves up: ``leaf(node)`` at a leaf, and
+    ``internal(position, results of its children in domain order)`` elsewhere."""
+    nodes, positions, children = flat
+    results = [None] * len(nodes)
+    for i in reversed(range(len(nodes))):
+        p = positions[i]
+        results[i] = leaf(nodes[i]) if p < 0 else internal(p, [results[c] for c in children[i]])
+    return results[0]
+
+
+def _unflatten(flat: _Flat, schema: AttributeSchema) -> DecisionNode:
+    attributes = schema.attributes
+    return _bottom_up(flat, lambda leaf: leaf, lambda p, nodes: Internal(
+        attributes[p].name, dict(zip(attributes[p].domain, nodes))))
+
+
+def _flatten(root: DecisionNode, schema: AttributeSchema) -> _Flat:
+    """The flat form of a tree. A branch that a hand-built tree lacks becomes
+    a leaf of the node's majority and distribution, as in ``predict``."""
+    where = {a.name: (p, a.domain) for p, a in enumerate(schema.attributes)}
+
+    def expand(node):
+        if isinstance(node, Leaf):
+            return node, -1, ()
+        (position, domain), branches = where[node.attribute], node.branches
+        try:
+            items = [branches[v] for v in domain]
+        except KeyError:
+            dist = node_distribution(node)
+            items = [branches.get(v) or Leaf(dist.majority(), 0, dist) for v in domain]
+        return node, position, items
+
+    return _preorder(root, expand)
+
+
+def _route(flat: _Flat, rows: Iterable[Sequence]) -> list[int]:
+    """The id of the leaf each row reaches. A row holds a cell per attribute in schema
+    order, each cell a domain code, or a value when ``flat.children`` maps values."""
+    _, positions, children = flat
+    reached = []
+    for row in rows:
+        i = 0
+        while (p := positions[i]) >= 0:
+            i = children[i][row[p]]
+        reached.append(i)
+    return reached
+
+
+def _code_rows(dataset: Dataset) -> Iterator[tuple[int, ...]]:
+    """Each record's domain codes, in schema order."""
+    columns, _ = encode(dataset, dataset.schema.attribute_names)
+    return zip(*columns) if columns else repeat((), len(dataset))
+
+
 def _grow(schema: AttributeSchema, columns: Sequence[Sequence[int]], labels: Sequence[int],
-          rows: Sequence[int], config: TreeConfig) -> DecisionNode:
-    """The root of the tree grown from ``rows`` (non-empty), given every
+          rows: Sequence[int], config: TreeConfig) -> _Flat:
+    """The flat form of the tree grown from ``rows`` (non-empty), given every
     attribute's code column in schema order and the label codes."""
     if not schema.attributes:
         raise ValueError("schema declares no predictor attributes")
-    names = schema.attribute_names
-    column_of = dict(zip(names, columns))
-    domain_of = {a.name: a.domain for a in schema.attributes}
+    sizes = [len(a.domain) for a in schema.attributes]
     classes = schema.class_domain
     score = 0 if config.criterion is Criterion.GAIN else 2  # index into table_scores
 
-    def grow(rows, available: list[str], depth: int) -> DecisionNode:
+    def expand(item):
+        rows, available, depth, parent = item
         counts = [0] * len(classes)
         for r in rows:
             counts[labels[r]] += 1
         n = len(rows)
-        dist = ClassDistribution(dict(zip(classes, counts)), n)
+        # an empty branch becomes a leaf of its parent's majority and distribution
+        dist = ClassDistribution(dict(zip(classes, counts)), n) if n else parent
         if (
             (config.min_leaf_support and n < config.min_leaf_support)
-            or max(counts) == n  # single class
+            or max(counts) == n  # single class, or none
             or not available
             or (config.max_depth is not None and depth >= config.max_depth)
         ):
-            return Leaf(dist.majority(), n, dist)
+            return Leaf(dist.majority(), n, dist), -1, ()
         best = max(  # the first maximum in schema order wins ties
             available,
-            key=lambda a: table_scores(
-                contingency(column_of[a], labels, rows, len(domain_of[a]), len(classes))
+            key=lambda p: table_scores(
+                contingency(columns[p], labels, rows, sizes[p], len(classes))
             )[score],
         )
-        column = column_of[best]
-        parts = [[] for _ in domain_of[best]]
+        column = columns[best]
+        parts = [[] for _ in range(sizes[best])]
         for r in rows:
             parts[column[r]].append(r)
-        remaining = [a for a in available if a != best]
-        return Internal(best, {
-            value: grow(part, remaining, depth + 1) if part else Leaf(dist.majority(), 0, dist)
-            for value, part in zip(domain_of[best], parts)
-        })
+        remaining = [p for p in available if p != best]
+        return None, best, [(part, remaining, depth + 1, dist) for part in parts]
 
-    return grow(rows, list(names), 0)
+    return _preorder((rows, list(range(len(sizes))), 0, None), expand)
+
+
+def _walk(node: DecisionNode) -> Iterator[tuple[DecisionNode, int]]:
+    """Every node of a subtree and its depth in it, in preorder, branches in their order."""
+    stack = [(node, 0)]
+    while stack:
+        node, depth = stack.pop()
+        yield node, depth
+        if isinstance(node, Internal):
+            stack.extend((child, depth + 1) for child in reversed(node.branches.values()))
 
 
 def node_support(node: DecisionNode) -> int:
     """Training records routed through this subtree."""
-    if isinstance(node, Leaf):
-        return node.support
-    return sum(node_support(child) for child in node.branches.values())
+    return sum(n.support for n, _ in _walk(node) if isinstance(n, Leaf))
+
+
+def _own_distribution(leaf: Leaf) -> ClassDistribution:
+    if leaf.support == 0:  # the stored distribution belongs to the parent subset
+        return ClassDistribution({c: 0 for c in leaf.distribution.counts}, 0)
+    return leaf.distribution
 
 
 def node_distribution(node: DecisionNode) -> ClassDistribution:
@@ -178,15 +288,8 @@ def node_distribution(node: DecisionNode) -> ClassDistribution:
     Zero-support leaves are skipped: their stored distribution belongs to
     the parent subset, not to records of their own.
     """
-    if isinstance(node, Leaf):
-        if node.support == 0:
-            return ClassDistribution({c: 0 for c in node.distribution.counts}, 0)
-        return node.distribution
-    merged = None
-    for child in node.branches.values():
-        d = node_distribution(child)
-        merged = d if merged is None else merged.merged(d)
-    return merged
+    leaves = (_own_distribution(n) for n, _ in _walk(node) if isinstance(n, Leaf))
+    return reduce(ClassDistribution.merged, leaves)
 
 
 def predict(tree: DecisionTree, values: Mapping[str, str]) -> tuple[str, ClassDistribution]:
@@ -217,52 +320,10 @@ def predict(tree: DecisionTree, values: Mapping[str, str]) -> tuple[str, ClassDi
     return node.label, node.distribution
 
 
-def _append_predictions(tree: DecisionTree, rows: list[list[str]]) -> None:
-    """Append to each row, a list of cells in schema order, its predicted label and confidence.
-
-    The tree is compiled once: an internal node becomes ``(position,
-    {value: child})``, ``position`` being its attribute's index in schema
-    order, and a leaf the list of its two output cells, the label and its
-    confidence formatted ``.4f`` as ``predict``'s distribution gives it.
-
-    Unlike ``predict``, the routing re-checks no value and needs no
-    fallback for a missing branch: ``load_model`` requires every internal
-    node's branches to cover its attribute's whole domain, and
-    ``dataset._unlabeled_rows`` has checked every cell against that domain,
-    so every lookup finds its child.
-    """
-    position = {name: i for i, name in enumerate(tree.schema.attribute_names)}
-
-    def compile_node(node: DecisionNode):
-        if isinstance(node, Leaf):
-            dist = node.distribution
-            confidence = dist.counts[node.label] / dist.total if dist.total else 0.0
-            return [node.label, f"{confidence:.4f}"]
-        return position[node.attribute], {v: compile_node(c) for v, c in node.branches.items()}
-
-    table = compile_node(tree.root)
-    for row in rows:
-        node = table
-        while type(node) is tuple:
-            node = node[1][row[node[0]]]
-        row += node
-
-
 def tree_stats(tree: DecisionTree) -> TreeStats:
     """Leaf count, total node count, and depth (a lone leaf has depth 0)."""
-
-    def walk(node: DecisionNode) -> TreeStats:
-        if isinstance(node, Leaf):
-            return TreeStats(1, 1, 0)
-        leaves = nodes = depth = 0
-        for child in node.branches.values():
-            sub = walk(child)
-            leaves += sub.leaves
-            nodes += sub.nodes
-            depth = max(depth, sub.depth)
-        return TreeStats(leaves, nodes + 1, depth + 1)
-
-    return walk(tree.root)
+    walked = list(_walk(tree.root))
+    return TreeStats(sum(isinstance(n, Leaf) for n, _ in walked), len(walked), max(d for _, d in walked))
 
 
 def prune(tree: DecisionTree, min_support: int) -> DecisionTree:
@@ -270,38 +331,35 @@ def prune(tree: DecisionTree, min_support: int) -> DecisionTree:
     majority leaf over that subtree's own distribution. Idempotent."""
     if min_support < 1:
         raise ValueError("min_support must be >= 1")
+    attributes = tree.schema.attributes
 
-    def walk(node: DecisionNode) -> DecisionNode:
-        if isinstance(node, Leaf):
-            return node
-        support = node_support(node)
+    def internal(p: int, subs):  # each child's pruned subtree, support and distribution
+        nodes, supports, dists = zip(*subs)
+        support, dist = sum(supports), reduce(ClassDistribution.merged, dists)
         if support < min_support:
-            dist = node_distribution(node)
-            return Leaf(dist.majority(), support, dist)
-        return Internal(node.attribute, {v: walk(c) for v, c in node.branches.items()})
+            return Leaf(dist.majority(), support, dist), support, dist
+        return Internal(attributes[p].name, dict(zip(attributes[p].domain, nodes))), support, dist
 
+    flat = _flatten(tree.root, tree.schema)
+    root = _bottom_up(flat, lambda leaf: (leaf, leaf.support, _own_distribution(leaf)), internal)[0]
     config = replace(
         tree.config, min_leaf_support=max(tree.config.min_leaf_support, min_support)
     )
-    return DecisionTree(walk(tree.root), tree.schema, config, tree.training_size)
+    return DecisionTree(root, tree.schema, config, tree.training_size)
 
 
 # --- persistence ------------------------------------------------------------
 
 
-def _node_to_dict(node: DecisionNode) -> dict:
-    if isinstance(node, Leaf):
-        return {
-            "kind": "leaf",
-            "label": node.label,
-            "support": node.support,
-            "distribution": dict(node.distribution.counts),
-        }
-    return {
-        "kind": "internal",
-        "attribute": node.attribute,
-        "branches": {v: _node_to_dict(c) for v, c in node.branches.items()},
-    }
+def _node_to_dict(tree: DecisionTree) -> dict:
+    attributes = tree.schema.attributes
+    return _bottom_up(_flatten(tree.root, tree.schema), lambda leaf: {
+        "kind": "leaf", "label": leaf.label, "support": leaf.support,
+        "distribution": dict(leaf.distribution.counts),
+    }, lambda p, docs: {
+        "kind": "internal", "attribute": attributes[p].name,
+        "branches": dict(zip(attributes[p].domain, docs)),
+    })
 
 
 _JSON_TYPE_NAMES = {Mapping: "an object", str: "a string", int: "an integer", type(None): "null"}
@@ -318,33 +376,39 @@ def _field(doc: Mapping, key: str, kinds: tuple, where: str):
     return value
 
 
-def _node_from_dict(doc: Mapping, schema: AttributeSchema) -> DecisionNode:
-    kind = doc.get("kind")
-    if kind == "leaf":
-        raw = _field(doc, "distribution", (Mapping,), "model leaf")
-        unknown = set(raw) - set(schema.class_domain)
-        if unknown:
-            raise ValueError(f"model distribution names unknown classes {sorted(unknown)}")
-        counts = {c: raw.get(c, 0) for c in schema.class_domain}
-        if any(isinstance(n, bool) or not isinstance(n, int) for n in counts.values()):
-            raise ValueError(f"model distribution counts must be integers: {dict(raw)}")
-        dist = ClassDistribution(counts, sum(counts.values()))
-        if _field(doc, "label", (str,), "model leaf") not in schema.class_domain:
-            raise ValueError(f"model leaf label {doc['label']!r} not in class domain")
-        return Leaf(doc["label"], _field(doc, "support", (int,), "model leaf"), dist)
-    if kind == "internal":
-        attribute = _field(doc, "attribute", (str,), "model node")
-        domain = schema.domain(attribute)  # raises KeyError on unknown attribute
-        branch_doc = _field(doc, "branches", (Mapping,), "model node")
-        if set(branch_doc) != set(domain):
-            raise ValueError(
-                f"model branches for {attribute!r} do not cover its domain: "
-                f"{sorted(branch_doc)} vs {sorted(domain)}"
-            )
-        branches = {v: _node_from_dict(_field(branch_doc, v, (Mapping,), "model branches"), schema)
-                    for v in domain}
-        return Internal(attribute, branches)
-    raise ValueError(f"unknown model node kind {kind!r}")
+def _node_from_dict(parent: Mapping, key: str, where: str, schema: AttributeSchema) -> _Flat:
+    """The flat form of the tree whose document is ``parent[key]``, each node checked in preorder."""
+    position = {name: p for p, name in enumerate(schema.attribute_names)}
+
+    def expand(item):  # the document holding a node, the node's key, and where that is
+        container, name, place = item
+        doc = _field(container, name, (Mapping,), place)
+        kind = doc.get("kind")
+        if kind == "leaf":
+            raw = _field(doc, "distribution", (Mapping,), "model leaf")
+            unknown = set(raw) - set(schema.class_domain)
+            if unknown:
+                raise ValueError(f"model distribution names unknown classes {sorted(unknown)}")
+            counts = {c: raw.get(c, 0) for c in schema.class_domain}
+            if any(isinstance(n, bool) or not isinstance(n, int) for n in counts.values()):
+                raise ValueError(f"model distribution counts must be integers: {dict(raw)}")
+            dist = ClassDistribution(counts, sum(counts.values()))
+            if _field(doc, "label", (str,), "model leaf") not in schema.class_domain:
+                raise ValueError(f"model leaf label {doc['label']!r} not in class domain")
+            return Leaf(doc["label"], _field(doc, "support", (int,), "model leaf"), dist), -1, ()
+        if kind == "internal":
+            attribute = _field(doc, "attribute", (str,), "model node")
+            domain = schema.domain(attribute)  # raises KeyError on unknown attribute
+            branch_doc = _field(doc, "branches", (Mapping,), "model node")
+            if set(branch_doc) != set(domain):
+                raise ValueError(
+                    f"model branches for {attribute!r} do not cover its domain: "
+                    f"{sorted(branch_doc)} vs {sorted(domain)}"
+                )
+            return None, position[attribute], [(branch_doc, v, "model branches") for v in domain]
+        raise ValueError(f"unknown model node kind {kind!r}")
+
+    return _preorder((parent, key, where), expand)
 
 
 def model_to_json_dict(tree: DecisionTree) -> dict:
@@ -359,7 +423,7 @@ def model_to_json_dict(tree: DecisionTree) -> dict:
             "max_depth": tree.config.max_depth,
         },
         "training_size": tree.training_size,
-        "root": _node_to_dict(tree.root),
+        "root": _node_to_dict(tree),
     }
 
 
@@ -382,12 +446,15 @@ def model_from_json_dict(doc: Mapping, schema: AttributeSchema | None = None) ->
         min_leaf_support=_field(config_doc, "min_leaf_support", (int,), "model config"),
         max_depth=_field(config_doc, "max_depth", (int, type(None)), "model config"),
     )
-    root = _node_from_dict(_field(doc, "root", (Mapping,), "model"), embedded)
+    root = _unflatten(_node_from_dict(doc, "root", "model", embedded), embedded)
     return DecisionTree(root, embedded, config, _field(doc, "training_size", (int,), "model"))
 
 
 def save_model(tree: DecisionTree, path) -> None:
-    """Write the canonical JSON encoding (sorted keys, two-space indent)."""
+    """Write the canonical JSON encoding (sorted keys, two-space indent); a tree
+    deeper than ``MAX_MODEL_DEPTH`` raises ValueError, and nothing is written."""
+    if (depth := tree_stats(tree).depth) > MAX_MODEL_DEPTH:
+        raise ValueError(f"tree is {depth} levels deep; a model file holds at most {MAX_MODEL_DEPTH} levels")
     text = json.dumps(model_to_json_dict(tree), indent=2, sort_keys=True) + "\n"
     Path(path).write_text(text, encoding="utf-8")
 
@@ -398,7 +465,7 @@ def load_model(path, schema: AttributeSchema | None = None) -> DecisionTree:
         return model_from_json_dict(doc, schema)
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: not valid JSON: {exc}") from exc
-    except RecursionError:  # in the parser, or in _node_from_dict on a deep tree
+    except RecursionError:  # only the JSON parser recurses, on a document nested too deeply
         raise ValueError(f"{path}: model nested too deeply to read") from None
 
 
@@ -410,24 +477,27 @@ def _dot_escape(text: str) -> str:
 
 
 def to_dot(tree: DecisionTree, graph_name: str = "decision_tree") -> str:
-    """Render the tree as a Graphviz digraph (internal=box, leaf=ellipse)."""
-    lines = [f"digraph {graph_name} {{", "  node [shape=box];"]
-    counter = 0
+    """Render the tree as a Graphviz digraph (internal=box, leaf=ellipse).
 
-    def walk(node: DecisionNode) -> int:
-        nonlocal counter
-        node_id = counter
-        counter += 1
+    Node ids follow preorder, and each edge is written after its child's subtree.
+    """
+    lines = [f"digraph {graph_name} {{", "  node [shape=box];"]
+    node_id = 0
+    stack = [(tree.root, None, "")]  # a node and its parent's id and branch value, or an edge line
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            lines.append(item)
+            continue
+        node, parent, value = item
+        if parent is not None:  # popped after every line of this node's subtree
+            stack.append(f'  n{parent} -> n{node_id} [label="{_dot_escape(value)}"];')
         if isinstance(node, Leaf):
             label = f"{_dot_escape(node.label)}\\nsupport={node.support}"
             lines.append(f'  n{node_id} [shape=ellipse, label="{label}"];')
         else:
             lines.append(f'  n{node_id} [label="{_dot_escape(node.attribute)}"];')
-            for value, child in node.branches.items():
-                child_id = walk(child)
-                lines.append(f'  n{node_id} -> n{child_id} [label="{_dot_escape(value)}"];')
-        return node_id
-
-    walk(tree.root)
+            stack.extend((child, node_id, v) for v, child in reversed(node.branches.items()))
+        node_id += 1
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -15,7 +15,7 @@ on our side and is surfaced as a hard failure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -233,27 +233,8 @@ class VerifyReport:
 
     def to_json_dict(self) -> dict:
         return {
-            "rows": [
-                {
-                    "name": r.name,
-                    "published": r.published,
-                    "recomputed": r.recomputed,
-                    "delta": r.delta,
-                    "verdict": r.verdict,
-                    "tolerance": r.tolerance,
-                }
-                for r in self.rows
-            ],
-            "consistency": [
-                {
-                    "name": r.name,
-                    "implementation": r.implementation,
-                    "oracle": r.oracle,
-                    "delta": r.delta,
-                    "ok": r.ok,
-                }
-                for r in self.consistency
-            ],
+            "rows": [asdict(r) for r in self.rows],  # each row's fields, in declaration order
+            "consistency": [asdict(r) for r in self.consistency],
             "ratio_identity_residuals": [
                 {"attribute": a, "residual": res}
                 for a, res in self.ratio_identity_residuals

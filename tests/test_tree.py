@@ -1,4 +1,6 @@
+import copy
 import json
+import pickle
 import random
 
 import pytest
@@ -7,6 +9,7 @@ from conftest import make_dataset, naive_gain, random_dataset, tiny_schema
 from gradetree.dataset import (
     Attribute,
     AttributeSchema,
+    ClassDistribution,
     Dataset,
     Record,
     ValidationError,
@@ -252,6 +255,32 @@ def test_build_time_min_support_equals_post_hoc_prune(students):
 def test_pruned_leaf_keeps_subtree_distribution(students, fixture_tree):
     pruned = prune(fixture_tree, 51)
     assert pruned.root.distribution == class_distribution(students)
+
+
+# --- frozen values ----------------------------------------------------------------
+
+
+def test_trees_are_frozen_and_survive_pickle_and_deepcopy(fixture_tree):
+    leaf = next(node for node, _ in walk_leaves(fixture_tree.root))
+    with pytest.raises(TypeError):
+        fixture_tree.root.branches["x"] = 1
+    with pytest.raises(TypeError):
+        leaf.distribution.counts["Fail"] = 99
+    assert "x" not in fixture_tree.root.branches and leaf.distribution.counts["Fail"] != 99
+    for copied in (pickle.loads(pickle.dumps(fixture_tree)), copy.deepcopy(fixture_tree)):
+        assert copied == fixture_tree
+        assert to_dot(copied) == to_dot(fixture_tree)
+
+
+def test_trees_keep_copies_of_the_mappings_they_are_built_from():
+    counts = {"c0": 1, "c1": 0}
+    leaf = Leaf("c0", 1, ClassDistribution(counts, 1))
+    branches = {"a": leaf, "b": leaf}
+    node = Internal("A0", branches)
+    counts["c0"] = 5
+    branches["a"] = Leaf("c1", 0, leaf.distribution)
+    assert leaf.distribution.counts == {"c0": 1, "c1": 0}
+    assert node.branches["a"] is leaf
 
 
 # --- persistence ----------------------------------------------------------------
