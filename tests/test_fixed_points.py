@@ -1,10 +1,11 @@
 """The bundled build's outputs, end to end through the CLI, frozen byte for byte.
 
-The model, rules and verify goldens were written by the partition-based
-builder this package started from, and the DOT golden by the recursive
-``to_dot`` that preceded the iterative tree walks; any change to scoring,
-tie order, rule support or node order that moves a single byte fails
-here.
+The model, rules and verify JSON goldens were written by the partition-based
+builder this package started from, the DOT golden by the recursive
+``to_dot`` that preceded the iterative tree walks, and the verify text
+golden by the audit that built its rows in one loop per kind of quantity;
+any change to scoring, tie order, rule support, node order or report
+layout that moves a single byte fails here.
 """
 
 from pathlib import Path
@@ -34,6 +35,11 @@ def test_rules_output_is_unchanged(tmp_path, capsys):
     capsys.readouterr()
     assert main(["rules", "--model", str(model)]) == 0
     assert capsys.readouterr().out == (GOLDEN / "fixture_rules.txt").read_text(encoding="utf-8")
+
+
+def test_verify_text_report_is_unchanged(capsys):
+    assert main(["verify"]) == 0
+    assert capsys.readouterr().out == (GOLDEN / "fixture_verify.txt").read_text(encoding="utf-8")
 
 
 def test_verify_json_document_is_unchanged(capsys):

@@ -1,9 +1,14 @@
+import json
 import random
+import re
+from dataclasses import replace
 
 import pytest
 
 from conftest import random_dataset
-from gradetree.dataset import Dataset
+from gradetree.cli import main
+from gradetree.dataset import DATA_DIR_ENV, Dataset
+from gradetree.metrics import information_gain, score_all
 from gradetree.verify import PUBLISHED, consistency_check, verify_published
 
 # Verdicts established by recomputing the published tables from the
@@ -115,3 +120,39 @@ def test_consistency_holds_on_100_random_datasets():
         ds = random_dataset(rng, max_records=60, contradiction_free=False)
         for r in consistency_check(ds):
             assert r.ok, (r.name, r.implementation, r.oracle)
+
+
+def test_an_implementation_that_drifts_from_the_oracle_is_a_hard_failure(
+    students, monkeypatch, capsys
+):
+    monkeypatch.delenv(DATA_DIR_ENV, raising=False)
+    drifting = lambda dataset, attribute: information_gain(dataset, attribute) + 1e-6  # noqa: E731
+    monkeypatch.setattr("gradetree.verify.information_gain", drifting)
+    report = verify_published(students)
+    assert not report.implementation_consistent
+    lines = report.render().splitlines()
+    assert next(l for l in lines if l.startswith("implementation vs oracle")).endswith(": FAILED")
+    failures = [l for l in lines if l.startswith("  ")]
+    assert [l.split(":")[0] for l in failures] == [
+        f"  Gain(S, {a})" for a in students.schema.attribute_names
+    ]
+    assert all(re.fullmatch(r"  Gain\(S, \w+\): implementation \S+ vs oracle \S+", l) for l in failures)
+
+    assert main(["verify"]) == 3
+    assert "verification hard failure" in capsys.readouterr().err
+    assert main(["verify", "--format", "json"]) == 3
+    assert json.loads(capsys.readouterr().out)["implementation_consistent"] is False
+
+
+def test_a_broken_ratio_identity_is_a_hard_failure(students, monkeypatch):
+    skewed_gains = lambda dataset: [  # noqa: E731
+        replace(s, gain=s.gain + 1e-6) for s in score_all(dataset)
+    ]
+    monkeypatch.setattr("gradetree.verify.score_all", skewed_gains)
+    report = verify_published(students)
+    assert not report.implementation_consistent
+    lines = report.render().splitlines()
+    assert next(l for l in lines if l.startswith("implementation vs oracle")).endswith(": OK")
+    assert next(l for l in lines if l.startswith("gain_ratio * split_information")).endswith(
+        ": FAILED"
+    )
