@@ -498,6 +498,8 @@ def load_schema(path) -> AttributeSchema:
         doc = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: not valid JSON: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path}: {exc}") from None
     except RecursionError:
         raise SchemaError(f"{path}: JSON nested too deeply to read") from None
     return AttributeSchema.from_json_dict(doc)

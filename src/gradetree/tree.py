@@ -465,6 +465,8 @@ def load_model(path, schema: AttributeSchema | None = None) -> DecisionTree:
         return model_from_json_dict(doc, schema)
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: not valid JSON: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     except RecursionError:  # only the JSON parser recurses, on a document nested too deeply
         raise ValueError(f"{path}: model nested too deeply to read") from None
 

@@ -403,10 +403,14 @@ def test_malformed_model_document_is_a_data_error(tmp_path, capsys, model_path, 
 
 
 
-@pytest.mark.parametrize("argv", [
+# every option that reads a JSON file, each ending in the flag that takes it
+JSON_FILE_ARGV = [
     ["export-dot", "--model"], ["rules", "--model"], ["predict", "--data", "{inputs}", "--model"],
     ["train", "--out", "{base}/m.json", "--schema"], ["gains", "--schema"],
-])
+]
+
+
+@pytest.mark.parametrize("argv", JSON_FILE_ARGV)
 def test_json_nested_too_deeply_is_a_data_error(tmp_path, capsys, students, argv):
     deep = tmp_path / "deep.json"
     deep.write_text("[" * 100_000)
@@ -428,6 +432,16 @@ def test_undecodable_csv_is_a_data_error_naming_the_file(tmp_path, capsys, model
     }[command]
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith(f"error: {data}: 'utf-8' codec can't decode byte 0xe9")
+
+
+@pytest.mark.parametrize("argv", JSON_FILE_ARGV)
+def test_undecodable_model_or_schema_is_a_data_error_naming_the_file(tmp_path, capsys, students, argv):
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes('{"name": "Caf\xe9"}'.encode("latin-1"))
+    inputs = strip_labels(students, tmp_path / "inputs.csv")
+    argv = [arg.format(inputs=inputs, base=tmp_path) for arg in argv]
+    assert main(argv + [str(latin1)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {latin1}: 'utf-8' codec can't decode byte 0xe9")
 
 EXIT_CODES = {0, 1, 2, 3}
 
