@@ -18,6 +18,8 @@ from gradetree.metrics import information_gain, score_all
 from gradetree.rules import extract_rules
 from gradetree.tree import Criterion, TreeConfig, id3_build, model_to_json_dict
 
+pytestmark = pytest.mark.slow
+
 SEEDS = range(300)
 CONFIGS = [
     TreeConfig(criterion=criterion, max_depth=max_depth, min_leaf_support=min_support)
