@@ -93,7 +93,7 @@ PUBLISHED = PublishedResults(
 
 TOLERANCE = 1e-5  # the published tables print six decimals
 ENTROPY_TOLERANCE = 1e-3  # the published entropy, 1.964, was printed to three decimals
-# the metrics module and the oracle sum the same terms in other orders; past rounding is a bug
+# the metrics module and the oracle add the same terms in other orders: past rounding is a bug
 ORACLE_TOLERANCE = 1e-9
 RATIO_IDENTITY_TOLERANCE = 1e-12  # gain_ratio is gain / split_information, exact to rounding
 

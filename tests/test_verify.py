@@ -126,7 +126,9 @@ def test_an_implementation_that_drifts_from_the_oracle_is_a_hard_failure(
     students, monkeypatch, capsys
 ):
     monkeypatch.delenv(DATA_DIR_ENV, raising=False)
-    drifting = lambda dataset, attribute: information_gain(dataset, attribute) + 1e-6  # noqa: E731
+    def drifting(dataset, attribute):
+        return information_gain(dataset, attribute) + 1e-6
+
     monkeypatch.setattr("gradetree.verify.information_gain", drifting)
     report = verify_published(students)
     assert not report.implementation_consistent
@@ -145,9 +147,9 @@ def test_an_implementation_that_drifts_from_the_oracle_is_a_hard_failure(
 
 
 def test_a_broken_ratio_identity_is_a_hard_failure(students, monkeypatch):
-    skewed_gains = lambda dataset: [  # noqa: E731
-        replace(s, gain=s.gain + 1e-6) for s in score_all(dataset)
-    ]
+    def skewed_gains(dataset):
+        return [replace(s, gain=s.gain + 1e-6) for s in score_all(dataset)]
+
     monkeypatch.setattr("gradetree.verify.score_all", skewed_gains)
     report = verify_published(students)
     assert not report.implementation_consistent
