@@ -15,10 +15,11 @@ into its children's lists. Because a tree is grown from row indices,
 leave-one-out grows every fold from the same codes, less one row.
 
 No walk of a tree recurses. Its one flat form (``_Flat``) lists the nodes
-in preorder, on an explicit stack: growth and model documents are read
-into it (``_preorder``), and a tree is turned into it (``_flatten``) and
-back (``_unflatten``, on ``_bottom_up``). One router (``_route``) sends
-rows through it. Only model files stay depth-bound, as ``json`` recurses.
+in preorder, branches in domain order, on an explicit stack: growth and
+model documents are read into it (``_preorder``), and a tree is turned
+into it (``_flatten``) and back (``_unflatten``, on ``_bottom_up``). Stats,
+pruning, rules, model files, DOT and the router (``_route``) all read it.
+Only model files stay depth-bound, as ``json`` recurses.
 """
 
 from __future__ import annotations
@@ -261,19 +262,15 @@ def _grow(schema: AttributeSchema, columns: Sequence[Sequence[int]], labels: Seq
     return _preorder((rows, list(range(len(sizes))), 0, None), expand)
 
 
-def _walk(node: DecisionNode) -> Iterator[tuple[DecisionNode, int]]:
-    """Every node of a subtree and its depth in it, in preorder, branches in their order."""
-    stack = [(node, 0)]
-    while stack:
-        node, depth = stack.pop()
-        yield node, depth
-        if isinstance(node, Internal):
-            stack.extend((child, depth + 1) for child in reversed(node.branches.values()))
+def _leaves(node: DecisionNode) -> list[Leaf]:
+    """The leaves of a subtree, read without a schema: a missing branch adds none."""
+    flat = _preorder(node, lambda n: (n, -1, ()) if isinstance(n, Leaf) else (n, 0, [*n.branches.values()]))
+    return [n for n, p in zip(flat.nodes, flat.positions) if p < 0]
 
 
 def node_support(node: DecisionNode) -> int:
     """Training records routed through this subtree."""
-    return sum(n.support for n, _ in _walk(node) if isinstance(n, Leaf))
+    return sum(n.support for n in _leaves(node))
 
 
 def _own_distribution(leaf: Leaf) -> ClassDistribution:
@@ -288,8 +285,7 @@ def node_distribution(node: DecisionNode) -> ClassDistribution:
     Zero-support leaves are skipped: their stored distribution belongs to
     the parent subset, not to records of their own.
     """
-    leaves = (_own_distribution(n) for n, _ in _walk(node) if isinstance(n, Leaf))
-    return reduce(ClassDistribution.merged, leaves)
+    return reduce(ClassDistribution.merged, map(_own_distribution, _leaves(node)))
 
 
 def predict(tree: DecisionTree, values: Mapping[str, str]) -> tuple[str, ClassDistribution]:
@@ -321,9 +317,10 @@ def predict(tree: DecisionTree, values: Mapping[str, str]) -> tuple[str, ClassDi
 
 
 def tree_stats(tree: DecisionTree) -> TreeStats:
-    """Leaf count, total node count, and depth (a lone leaf has depth 0)."""
-    walked = list(_walk(tree.root))
-    return TreeStats(sum(isinstance(n, Leaf) for n, _ in walked), len(walked), max(d for _, d in walked))
+    """Leaf count, total node count, and depth (a lone leaf has depth 0) of the flat form."""
+    flat = _flatten(tree.root, tree.schema)
+    depth = _bottom_up(flat, lambda leaf: 0, lambda p, depths: 1 + max(depths))
+    return TreeStats(flat.positions.count(-1), len(flat.nodes), depth)
 
 
 def prune(tree: DecisionTree, min_support: int) -> DecisionTree:
@@ -478,28 +475,23 @@ def _dot_escape(text: str) -> str:
     return text.replace("\\", "\\\\").replace('"', '\\"')
 
 
-def to_dot(tree: DecisionTree, graph_name: str = "decision_tree") -> str:
-    """Render the tree as a Graphviz digraph (internal=box, leaf=ellipse).
-
-    Node ids follow preorder, and each edge is written after its child's subtree.
-    """
-    lines = [f"digraph {graph_name} {{", "  node [shape=box];"]
-    node_id = 0
-    stack = [(tree.root, None, "")]  # a node and its parent's id and branch value, or an edge line
+def to_dot(tree: DecisionTree) -> str:
+    """Render the tree as a Graphviz digraph (internal=box, leaf=ellipse). Node ``n<i>``
+    is flat id ``i``, as ``_route`` returns, and each edge follows its child's subtree."""
+    nodes, positions, children = _flatten(tree.root, tree.schema)
+    lines = ["digraph decision_tree {", "  node [shape=box];"]
+    stack = [0]  # node ids, and edge lines to write once their child's subtree is written
     while stack:
-        item = stack.pop()
-        if isinstance(item, str):
-            lines.append(item)
-            continue
-        node, parent, value = item
-        if parent is not None:  # popped after every line of this node's subtree
-            stack.append(f'  n{parent} -> n{node_id} [label="{_dot_escape(value)}"];')
-        if isinstance(node, Leaf):
-            label = f"{_dot_escape(node.label)}\\nsupport={node.support}"
-            lines.append(f'  n{node_id} [shape=ellipse, label="{label}"];')
+        i = stack.pop()
+        if isinstance(i, str):
+            lines.append(i)
+        elif positions[i] < 0:
+            label = f"{_dot_escape(nodes[i].label)}\\nsupport={nodes[i].support}"
+            lines.append(f'  n{i} [shape=ellipse, label="{label}"];')
         else:
-            lines.append(f'  n{node_id} [label="{_dot_escape(node.attribute)}"];')
-            stack.extend((child, node_id, v) for v, child in reversed(node.branches.items()))
-        node_id += 1
+            attribute = tree.schema.attributes[positions[i]]
+            lines.append(f'  n{i} [label="{_dot_escape(attribute.name)}"];')
+            for value, child in reversed([*zip(attribute.domain, children[i])]):
+                stack += [f'  n{i} -> n{child} [label="{_dot_escape(value)}"];', child]
     lines.append("}")
     return "\n".join(lines) + "\n"

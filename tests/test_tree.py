@@ -16,8 +16,10 @@ from gradetree.dataset import (
     class_distribution,
     load_students,
 )
+from gradetree.rules import extract_rules
 from gradetree.tree import (
     Criterion,
+    DecisionTree,
     Internal,
     Leaf,
     TreeConfig,
@@ -438,3 +440,22 @@ def test_dot_node_count_matches_tree_stats(fixture_tree):
     edges = [line for line in dot.splitlines() if "->" in line]
     assert len(declared) == stats.nodes
     assert len(edges) == stats.nodes - 1
+
+
+# --- every view reads the one flat form --------------------------------------------
+
+
+@pytest.mark.parametrize("order", ["ab", "bac"], ids=["missing-branch", "out-of-domain-order"])
+def test_stats_rules_dot_and_model_files_agree_on_a_hand_built_tree(tmp_path, order):
+    schema = tiny_schema(n_attrs=1, domain=("a", "b", "c"))
+    rows = {"a": [(("a",), "c1")] * 2, "b": [(("b",), "c0")], "c": [(("c",), "c0")]}
+    tree = DecisionTree(Internal("A0", {
+        v: Leaf(rows[v][0][1], len(rows[v]), class_distribution(make_dataset(schema, rows[v]))) for v in order
+    }), schema, TreeConfig(), sum(len(rows[v]) for v in order))
+    dataset = make_dataset(schema, [row for part in rows.values() for row in part])
+    saved = tmp_path / "model.json"
+    save_model(tree, saved)
+    back = load_model(saved)
+    assert tree_stats(tree) == tree_stats(back) == (3, 4, 1)
+    assert tree_stats(tree).leaves == len(extract_rules(tree, dataset))
+    assert to_dot(tree) == to_dot(back)
