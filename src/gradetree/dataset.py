@@ -89,6 +89,13 @@ class Attribute:
         object.__setattr__(self, "domain", tuple(self.domain))
 
 
+def _attribute_from_json(doc: Mapping) -> Attribute:
+    name, domain = doc["name"], doc["domain"]
+    if not isinstance(domain, list):  # tuple() would read a string's letters or an object's keys
+        raise SchemaError(f"attribute {name!r}: domain must be a JSON array, not {type(domain).__name__}")
+    return Attribute(name, tuple(domain))
+
+
 @dataclass(frozen=True)
 class AttributeSchema:
     """Ordered predictor attributes plus a separately designated class attribute."""
@@ -146,12 +153,8 @@ class AttributeSchema:
     @classmethod
     def from_json_dict(cls, doc: Mapping) -> "AttributeSchema":
         try:
-            attrs = tuple(
-                Attribute(a["name"], tuple(a["domain"])) for a in doc["attributes"]
-            )
-            cls_attr = Attribute(
-                doc["class_attribute"]["name"], tuple(doc["class_attribute"]["domain"])
-            )
+            attrs = tuple(map(_attribute_from_json, doc["attributes"]))
+            cls_attr = _attribute_from_json(doc["class_attribute"])
         except (KeyError, TypeError) as exc:
             raise SchemaError(f"malformed schema document: {exc}") from exc
         return cls(attrs, cls_attr)

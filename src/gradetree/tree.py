@@ -19,7 +19,7 @@ in preorder, branches in domain order, on an explicit stack: growth and
 model documents are read into it (``_preorder``), and a tree is turned
 into it (``_flatten``) and back (``_unflatten``, on ``_bottom_up``). Stats,
 pruning, rules, model files, DOT and the router (``_route``) all read it.
-Only model files stay depth-bound, as ``json`` recurses.
+Model files alone stay depth-bound (``MAX_MODEL_DEPTH``): ``json`` recurses.
 """
 
 from __future__ import annotations
@@ -447,19 +447,25 @@ def model_from_json_dict(doc: Mapping, schema: AttributeSchema | None = None) ->
     return DecisionTree(root, embedded, config, _field(doc, "training_size", (int,), "model"))
 
 
+def _within_depth(tree: DecisionTree, where: str = "") -> DecisionTree:
+    if (depth := tree_stats(tree).depth) > MAX_MODEL_DEPTH:
+        raise ValueError(f"{where}tree is {depth} levels deep; "
+                         f"a model file holds at most {MAX_MODEL_DEPTH} levels")
+    return tree
+
+
 def save_model(tree: DecisionTree, path) -> None:
     """Write the canonical JSON encoding (sorted keys, two-space indent); a tree
     deeper than ``MAX_MODEL_DEPTH`` raises ValueError, and nothing is written."""
-    if (depth := tree_stats(tree).depth) > MAX_MODEL_DEPTH:
-        raise ValueError(f"tree is {depth} levels deep; a model file holds at most {MAX_MODEL_DEPTH} levels")
-    text = json.dumps(model_to_json_dict(tree), indent=2, sort_keys=True) + "\n"
+    text = json.dumps(model_to_json_dict(_within_depth(tree)), indent=2, sort_keys=True) + "\n"
     Path(path).write_text(text, encoding="utf-8")
 
 
 def load_model(path, schema: AttributeSchema | None = None) -> DecisionTree:
+    """Read a model file; a malformed one, or one deeper than ``MAX_MODEL_DEPTH``, raises ValueError."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-        return model_from_json_dict(doc, schema)
+        return _within_depth(model_from_json_dict(doc, schema), f"{path}: ")
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: not valid JSON: {exc}") from exc
     except UnicodeDecodeError as exc:

@@ -14,12 +14,16 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import naive_gain
 from gradetree.cli import main
-from gradetree.dataset import Attribute, AttributeSchema, Dataset, Record, fixture_paths
+from gradetree.dataset import Attribute, AttributeSchema, ClassDistribution, Dataset, Record, fixture_paths
 from gradetree.tree import (
+    MAX_MODEL_DEPTH,
+    DecisionTree,
     Internal,
     Leaf,
+    TreeConfig,
     id3_build,
     load_model,
+    model_to_json_dict,
     predict,
     save_model,
     tree_stats,
@@ -401,6 +405,37 @@ def test_malformed_model_document_is_a_data_error(tmp_path, capsys, model_path, 
     assert main([command, "--model", str(bad)]) == 2
     assert message in capsys.readouterr().err
 
+
+
+@pytest.mark.parametrize("depth", [MAX_MODEL_DEPTH, MAX_MODEL_DEPTH + 1])
+def test_a_model_file_deeper_than_the_limit_is_refused_when_read(tmp_path, capsys, depth):
+    names = [f"A{i}" for i in range(depth)]
+    schema = AttributeSchema(tuple(Attribute(a, ("n", "y")) for a in names), Attribute("Y", ("p", "q")))
+    p, node = (Leaf(c, 1, ClassDistribution({"p": int(c == "p"), "q": int(c == "q")}, 1)) for c in "pq")
+    for name in reversed(names):  # a chain: "y" ends in a "p" leaf, "n" goes one level deeper
+        node = Internal(name, {"n": node, "y": p})
+    model = tmp_path / "chain.json"
+    model.write_text(json.dumps(model_to_json_dict(DecisionTree(node, schema, TreeConfig(), depth + 1))))
+    code, err = main(["export-dot", "--model", str(model)]), capsys.readouterr().err
+    if depth == MAX_MODEL_DEPTH:
+        assert (code, err) == (0, "") and tree_stats(load_model(model)).depth == depth
+        return
+    message = f"{model}: tree is {depth} levels deep; a model file holds at most {MAX_MODEL_DEPTH} levels"
+    assert (code, err) == (2, f"error: {message}\n")
+    with pytest.raises(ValueError, match=re.escape(message)):
+        load_model(model)
+
+
+@pytest.mark.parametrize("name", ["PSM", "ESM"], ids=["predictor", "class"])
+def test_a_schema_domain_that_is_not_an_array_is_a_data_error(tmp_path, capsys, name):
+    doc = json.loads(fixture_paths()[1].read_text())
+    for attribute in (*doc["attributes"], doc["class_attribute"]):
+        if attribute["name"] == name:  # an object of the labels: its keys would read as the domain
+            attribute["domain"] = dict.fromkeys(attribute["domain"], 0)
+    sidecar = tmp_path / "schema.json"
+    sidecar.write_text(json.dumps(doc))
+    assert main(["gains", "--schema", str(sidecar)]) == 2
+    assert capsys.readouterr().err == f"error: attribute {name!r}: domain must be a JSON array, not dict\n"
 
 
 # every option that reads a JSON file, each ending in the flag that takes it
