@@ -58,7 +58,7 @@ class LooResult(NamedTuple):
 def _check_evaluable(tree: DecisionTree, dataset: Dataset) -> None:
     if len(dataset) == 0:
         raise ValueError("cannot evaluate on an empty dataset")
-    if dataset.schema.digest() != tree.schema.digest():
+    if dataset.schema != tree.schema:
         raise ValueError("dataset schema does not match the tree's schema")
 
 

@@ -37,7 +37,7 @@ def extract_rules(tree: DecisionTree, training: Dataset) -> list[Rule]:
     A rule under an empty branch matches no training record; its support
     is 0 and its confidence is reported as 0.0.
     """
-    if training.schema.digest() != tree.schema.digest():
+    if training.schema != tree.schema:
         raise ValueError("training data schema does not match the tree's schema")
 
     nodes, positions, children = flat = _flatten(tree.root, tree.schema)

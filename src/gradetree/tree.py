@@ -435,7 +435,7 @@ def model_from_json_dict(doc: Mapping, schema: AttributeSchema | None = None) ->
     embedded = AttributeSchema.from_json_dict(_field(doc, "schema", (Mapping,), "model"))
     if embedded.digest() != doc.get("schema_digest"):
         raise ValueError("model schema digest does not match the embedded schema")
-    if schema is not None and schema.digest() != embedded.digest():
+    if schema is not None and schema != embedded:
         raise ValueError("model was trained against a differently shaped schema")
     config_doc = _field(doc, "config", (Mapping,), "model")
     config = TreeConfig(
