@@ -406,24 +406,24 @@ def test_malformed_model_document_is_a_data_error(tmp_path, capsys, model_path, 
     assert message in capsys.readouterr().err
 
 
-
 @pytest.mark.parametrize("depth", [MAX_MODEL_DEPTH, MAX_MODEL_DEPTH + 1])
 def test_a_model_file_deeper_than_the_limit_is_refused_when_read(tmp_path, capsys, depth):
     names = [f"A{i}" for i in range(depth)]
     schema = AttributeSchema(tuple(Attribute(a, ("n", "y")) for a in names), Attribute("Y", ("p", "q")))
-    p, node = (Leaf(c, 1, ClassDistribution({"p": int(c == "p"), "q": int(c == "q")}, 1)) for c in "pq")
+    p = Leaf("p", 1, ClassDistribution({"p": 1, "q": 0}, 1))
+    node = Leaf("q", 1, ClassDistribution({"p": 0, "q": 1}, 1))
     for name in reversed(names):  # a chain: "y" ends in a "p" leaf, "n" goes one level deeper
         node = Internal(name, {"n": node, "y": p})
     model = tmp_path / "chain.json"
     model.write_text(json.dumps(model_to_json_dict(DecisionTree(node, schema, TreeConfig(), depth + 1))))
     code, err = main(["export-dot", "--model", str(model)]), capsys.readouterr().err
-    if depth == MAX_MODEL_DEPTH:
+    if depth > MAX_MODEL_DEPTH:
+        message = f"{model}: tree is {depth} levels deep; a model file holds at most {MAX_MODEL_DEPTH} levels"
+        assert (code, err) == (2, f"error: {message}\n")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_model(model)
+    else:
         assert (code, err) == (0, "") and tree_stats(load_model(model)).depth == depth
-        return
-    message = f"{model}: tree is {depth} levels deep; a model file holds at most {MAX_MODEL_DEPTH} levels"
-    assert (code, err) == (2, f"error: {message}\n")
-    with pytest.raises(ValueError, match=re.escape(message)):
-        load_model(model)
 
 
 @pytest.mark.parametrize("name", ["PSM", "ESM"], ids=["predictor", "class"])

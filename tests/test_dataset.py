@@ -61,7 +61,6 @@ def test_attribute_rejects_empty_domain_and_duplicate_labels():
         Attribute("A", ("x", 1))
 
 
-
 @pytest.mark.parametrize("domain", ["First", {"First": 1, "Second": 2}], ids=["string", "object"])
 @pytest.mark.parametrize("name", ["A", "Y"], ids=["predictor", "class"])
 def test_a_schema_domain_that_is_not_an_array_is_rejected(name, domain):
@@ -69,6 +68,7 @@ def test_a_schema_domain_that_is_not_an_array_is_rejected(name, domain):
     (doc["attributes"][0] if name == "A" else doc["class_attribute"])["domain"] = domain
     with pytest.raises(SchemaError, match=f"attribute '{name}': domain must be a JSON array, not "):
         AttributeSchema.from_json_dict(doc)
+
 
 def test_schema_sidecar_round_trip(tmp_path, students):
     from gradetree.dataset import dump_schema
