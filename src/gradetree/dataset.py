@@ -1,9 +1,14 @@
 """Schema-validated categorical datasets.
 
-A dataset is a list of records over a closed categorical schema: every
-attribute has a fixed, ordered domain of labels, and one attribute is
-designated as the class. The bundled 50-student table ships with the
-package (``load_students``) together with its schema sidecar.
+A dataset is a table over a closed categorical schema: every attribute
+has a fixed, ordered domain of labels, and one attribute is designated
+as the class. A ``Dataset`` holds the table as codes, a column of domain
+indices per attribute and one of class indices; its ``records`` are a
+view built from them the first time they are read. ``load_csv`` encodes
+the rows it reads straight into those columns, so a loaded table that
+is only trained on, scored or evaluated never builds a record. The
+bundled 50-student table ships with the package (``load_students``)
+together with its schema sidecar.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 __all__ = [
     "SchemaError",
@@ -212,47 +217,114 @@ class ClassDistribution:
         return ClassDistribution(counts, self.total + other.total)
 
 
-@dataclass(frozen=True)
+class _Rows(list):
+    """Rows of cells in schema order, the label last, as ``load_csv`` reads them.
+
+    A ``Dataset`` given these encodes them straight into code columns and
+    builds its records only when they are read.
+    """
+
+
+@dataclass(frozen=True, init=False)
 class Dataset:
     """A validated collection of records over an AttributeSchema.
 
-    Validating a dataset encodes it. Each attribute's column, in record
-    order, is read as indices into that attribute's domain, and the labels
-    as indices into the class domain. The codes are kept on the instance,
-    built eagerly so a dataset stays a frozen value that can be shared,
-    and ``metrics.encode`` reads them. They are not dataclass fields:
-    equality and ``repr`` see only ``schema`` and ``records``.
+    The state is the codes: each attribute's column, in record order, as
+    indices into that attribute's domain, and the labels as indices into
+    the class domain. ``metrics.encode`` reads them, and growth, scoring,
+    rules, evaluation and ``dataset_to_csv`` read nothing else.
+    ``records`` is a view of them, built the first time it is read and
+    then kept; a dataset built from records keeps those records as its
+    view. Either way a dataset is a frozen value that can be shared, and
+    ``schema`` and ``records`` are its dataclass fields: equality, ``repr``
+    and hashing read them, so they read the view.
 
-    An invalid record raises the ValidationError of the first bad row;
-    within a row the attributes are checked first, then the cells in
+    Records and the rows ``load_csv`` reads reach the codes through one
+    encoder. An invalid record raises the ValidationError of the first bad
+    row; within a row the attributes are checked first, then the cells in
     schema order, then the label.
     """
 
     schema: AttributeSchema
-    records: tuple[Record, ...]
+    records: tuple[Record, ...]  # its default is the property below, which reads the view
 
-    def __post_init__(self):
-        records = tuple(self.records)
-        object.__setattr__(self, "records", records)
-        attributes = self.schema.attributes
-        values = [rec.values for rec in records]
+    def __init__(self, schema: AttributeSchema, records: Iterable[Record]):
+        if isinstance(records, _Rows):
+            columns, labels = _encode(schema, zip(*records), records)
+        else:
+            records = tuple(records)
+            cells = _record_cells(schema, records)
+            columns, labels = _encode(schema, cells, zip(*cells))
+            vars(self)["_records"] = records
+        vars(self).update(schema=schema, _columns=columns, _labels=labels)
+
+    @property
+    def records(self) -> tuple[Record, ...]:
+        """The records, decoded from the codes the first time they are read, then kept."""
         try:
-            # with every schema name present (a missing one raises KeyError), equal size means equal keys
-            if any(len(v) != len(attributes) for v in values):
-                raise KeyError
-            columns = {a.name: _codes([v[a.name] for v in values], a.domain) for a in attributes}
-            labels = _codes([rec.label for rec in records], self.schema.class_domain)
-        except (KeyError, TypeError):  # TypeError: an unhashable value, which the scan meets too
-            _check_rows(self.schema, records)
-            raise
-        object.__setattr__(self, "_columns", columns)
-        object.__setattr__(self, "_labels", labels)
+            return vars(self)["_records"]
+        except KeyError:
+            names = self.schema.attribute_names
+            records = tuple(Record(dict(zip(names, row)), row[-1]) for row in _decoded_rows(self))
+            return vars(self).setdefault("_records", records)  # one view, however many threads build it
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self._labels)
 
     def __iter__(self):
         return iter(self.records)
+
+
+def _record_cells(schema: AttributeSchema, records: Sequence[Record]) -> list[list[str]]:
+    """Each attribute's cells in schema order, then the labels. A record whose attribute
+    names are not the schema's raises, unless a row before it has a bad cell or label."""
+    names = [a.name for a in schema.attributes]
+    values = [rec.values for rec in records]
+    n = len(values)
+    try:
+        # with every schema name present (a missing one raises KeyError), equal size means equal keys
+        if any(len(v) != len(names) for v in values):
+            raise KeyError
+        cells = [[v[name] for v in values] for name in names]
+    except KeyError:
+        expected = set(names)
+        n = next(i for i, v in enumerate(values) if v.keys() != expected)
+        cells = [[v[name] for v in values[:n]] for name in names]
+    cells.append([rec.label for rec in records[:n]])
+    if n < len(values):
+        _encode(schema, cells, zip(*cells))  # raises the first bad cell or label of the rows before
+        keys, expected = values[n].keys(), set(names)
+        raise ValidationError(
+            f"row {n + 1}: record attributes do not match schema "
+            f"(missing={sorted(expected - keys)}, unexpected={sorted(keys - expected)})",
+            row=n + 1,
+        )
+    return cells
+
+
+def _encode(schema: AttributeSchema, cells: Iterable[Sequence[str]],
+            rows: Iterable[Sequence[str]]) -> tuple[dict, tuple[int, ...]]:
+    """The codes of one table, given by columns as ``cells`` (each attribute's cells
+    in schema order, then the labels; none at all when it has no rows) and by
+    ``rows`` (cells in schema order, the label last): each attribute's code column
+    by name, and the label codes. Whole columns are encoded at once, one at a
+    time; only when one holds a value outside its domain are the rows scanned one
+    by one, so the error names the first bad cell or label."""
+    attributes = schema.attributes
+    domains = [a.domain for a in attributes] + [schema.class_domain]
+    try:
+        *columns, labels = list(map(_codes, cells, domains)) or [()] * len(domains)
+    except (KeyError, TypeError):  # TypeError: an unhashable value, which the scan meets too
+        _check_rows(schema, rows)
+        raise
+    return {a.name: column for a, column in zip(attributes, columns)}, labels
+
+
+def _decoded_rows(dataset: Dataset) -> Iterator[tuple[str, ...]]:
+    """Each row's cells in schema order, its label last, read from the codes."""
+    schema = dataset.schema
+    columns = [map(a.domain.__getitem__, dataset._columns[a.name]) for a in schema.attributes]
+    return zip(*columns, map(schema.class_domain.__getitem__, dataset._labels))
 
 
 def _codes(values: Iterable[str], domain: Sequence[str]) -> tuple[int, ...]:
@@ -260,34 +332,26 @@ def _codes(values: Iterable[str], domain: Sequence[str]) -> tuple[int, ...]:
     return tuple(map({v: i for i, v in enumerate(domain)}.__getitem__, values))
 
 
-def _check_rows(schema: AttributeSchema, records: Sequence[Record]) -> None:
-    """Raise a ValidationError for the first invalid record, checked one row at a time."""
-    names = set(schema.attribute_names)
-    domains = {a.name: set(a.domain) for a in schema.attributes}
+def _check_rows(schema: AttributeSchema, rows: Iterable[Sequence[str]]) -> None:
+    """Raise a ValidationError for the first bad cell or label, checked one row at a time."""
+    domains = [(a.name, set(a.domain)) for a in schema.attributes]
     class_domain = set(schema.class_domain)
-    for i, rec in enumerate(records, start=1):
-        keys = rec.values.keys()
-        if keys != names:
+    for i, row in enumerate(rows, start=1):
+        _check_cells(i, row, domains)
+        if row[-1] not in class_domain:
             raise ValidationError(
-                f"row {i}: record attributes do not match schema "
-                f"(missing={sorted(names - keys)}, unexpected={sorted(keys - names)})",
-                row=i,
-            )
-        _check_cells(i, rec.values, domains)
-        if rec.label not in class_domain:
-            raise ValidationError(
-                f"row {i}, column {schema.class_name!r}: label {rec.label!r} "
+                f"row {i}, column {schema.class_name!r}: label {row[-1]!r} "
                 f"not in class domain {sorted(class_domain)}",
                 row=i,
                 column=schema.class_name,
-                value=rec.label,
+                value=row[-1],
             )
 
 
-def _check_cells(row: int, cells: Mapping[str, str], domains: Mapping[str, set]) -> None:
-    """Raise a ValidationError for the first cell outside its domain, in ``domains`` order."""
-    for name, domain in domains.items():
-        value = cells[name]
+def _check_cells(row: int, cells: Sequence[str], domains: Sequence[tuple[str, set]]) -> None:
+    """Raise a ValidationError for the first cell outside its domain; ``domains``
+    pairs each attribute's name with its domain, in the order of ``cells``."""
+    for (name, domain), value in zip(domains, cells):
         if value not in domain:
             raise ValidationError(
                 f"row {row}, column {name!r}: value {value!r} not in domain {sorted(domain)}",
@@ -299,10 +363,11 @@ def _check_cells(row: int, cells: Mapping[str, str], domains: Mapping[str, set])
 
 def class_distribution(dataset: Dataset) -> ClassDistribution:
     """Count records per class label; zero-count labels are included."""
-    counts = {c: 0 for c in dataset.schema.class_domain}
-    for rec in dataset.records:
-        counts[rec.label] += 1
-    return ClassDistribution(counts, len(dataset))
+    classes = dataset.schema.class_domain
+    counts = [0] * len(classes)
+    for c in dataset._labels:
+        counts[c] += 1
+    return ClassDistribution(dict(zip(classes, counts)), len(dataset))
 
 
 def partition(dataset: Dataset, attribute: str) -> dict[str, Dataset]:
@@ -440,13 +505,9 @@ def load_csv(path, schema: AttributeSchema, missing_token: str | None = None) ->
     case they are read as that label and still face domain validation:
     the load only succeeds if the token is declared in the domain.
     """
-    names = schema.attribute_names
+    columns = schema.attribute_names + (schema.class_name,)
     with _reading(path):
-        records = [
-            Record(dict(zip(names, row)), row[-1])  # the class is the last column read
-            for row in _read_rows(path, names + (schema.class_name,), missing_token)
-        ]
-        return Dataset(schema, tuple(records))
+        return Dataset(schema, _Rows(_read_rows(path, columns, missing_token)))
 
 
 def _unlabeled_rows(path, schema: AttributeSchema) -> list[list[str]]:
@@ -462,9 +523,9 @@ def _unlabeled_rows(path, schema: AttributeSchema) -> list[list[str]]:
     with _reading(path):
         rows = list(_read_rows(path, names, None))
         if not all(domain.issuperset(column) for domain, column in zip(domains, zip(*rows))):
-            by_name = dict(zip(names, domains))
+            named = list(zip(names, domains))
             for row_no, row in enumerate(rows, start=1):
-                _check_cells(row_no, dict(zip(names, row)), by_name)
+                _check_cells(row_no, row, named)
     return rows
 
 
@@ -485,8 +546,7 @@ def dataset_to_csv(dataset: Dataset) -> str:
     writer = csv.writer(out, lineterminator="\n")
     names = list(dataset.schema.attribute_names)
     writer.writerow(names + [dataset.schema.class_name])
-    for rec in dataset.records:
-        writer.writerow([rec.values[n] for n in names] + [rec.label])
+    writer.writerows(_decoded_rows(dataset))
     return out.getvalue()
 
 

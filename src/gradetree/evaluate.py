@@ -9,7 +9,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .dataset import Dataset
 from .metrics import encode
-from .tree import DecisionTree, TreeConfig, _code_rows, _Flat, _flatten, _grow, _route
+from .tree import DecisionTree, TreeConfig, _class_labels, _code_rows, _Flat, _flatten, _grow, _route
 
 __all__ = ["ConfusionMatrix", "LooResult", "accuracy", "confusion", "leave_one_out"]
 
@@ -79,13 +79,13 @@ def accuracy(tree: DecisionTree, dataset: Dataset) -> float:
     """Fraction of records whose prediction equals their label."""
     _check_evaluable(tree, dataset)
     predicted = _predicted(_flatten(tree.root, tree.schema), _code_rows(dataset))
-    return sum(map(eq, predicted, (rec.label for rec in dataset))) / len(dataset)
+    return sum(map(eq, predicted, _class_labels(dataset))) / len(dataset)
 
 
 def confusion(tree: DecisionTree, dataset: Dataset) -> ConfusionMatrix:
     _check_evaluable(tree, dataset)
     predicted = _predicted(_flatten(tree.root, tree.schema), _code_rows(dataset))
-    return _confusion(dataset.schema.class_domain, (rec.label for rec in dataset), predicted)
+    return _confusion(dataset.schema.class_domain, _class_labels(dataset), predicted)
 
 
 def leave_one_out(dataset: Dataset, config: TreeConfig | None = None) -> LooResult:
@@ -109,5 +109,5 @@ def leave_one_out(dataset: Dataset, config: TreeConfig | None = None) -> LooResu
     for i in range(n):
         flat = _grow(schema, columns, labels, [r for r in range(n) if r != i], config)
         predicted += _predicted(flat, [rows[i]])
-    actual = [rec.label for rec in dataset]
+    actual = _class_labels(dataset)
     return LooResult(sum(map(eq, predicted, actual)) / n, _confusion(schema.class_domain, actual, predicted))

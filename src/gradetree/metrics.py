@@ -95,8 +95,8 @@ def count_entropy(counts: Iterable[int], total: int) -> float:
 def encode(dataset: Dataset, names: Sequence[str]) -> tuple[list[Sequence[int]], Sequence[int]]:
     """The columns ``names`` and the labels of a dataset, as domain indices.
 
-    A read of the codes the ``Dataset`` built when it validated its
-    records: nothing is recomputed, and every caller shares them.
+    A read of the codes a ``Dataset`` holds as its state: nothing is
+    recomputed, no record is built, and every caller shares them.
     """
     return [dataset._columns[name] for name in names], dataset._labels
 

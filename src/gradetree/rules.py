@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .dataset import Dataset
-from .tree import DecisionTree, _code_rows, _flatten, _route
+from .tree import DecisionTree, _code_rows, _class_labels, _flatten, _route
 
 __all__ = ["Rule", "extract_rules", "render_rules", "rules_to_json"]
 
@@ -43,7 +43,7 @@ def extract_rules(tree: DecisionTree, training: Dataset) -> list[Rule]:
     nodes, positions, children = flat = _flatten(tree.root, tree.schema)
     reached = _route(flat, _code_rows(training))
     support = Counter(reached)
-    hits = Counter(i for i, rec in zip(reached, training) if nodes[i].label == rec.label)
+    hits = Counter(i for i, label in zip(reached, _class_labels(training)) if nodes[i].label == label)
     paths = [()] * len(nodes)  # each node's conditions; preorder sets a parent's first
     rules: list[Rule] = []
     for i, node in enumerate(nodes):

@@ -221,6 +221,12 @@ def _code_rows(dataset: Dataset) -> Iterator[tuple[int, ...]]:
     return zip(*columns) if columns else repeat((), len(dataset))
 
 
+def _class_labels(dataset: Dataset) -> list[str]:
+    """Each record's class label, read from the label codes."""
+    classes = dataset.schema.class_domain
+    return [classes[c] for c in encode(dataset, ())[1]]
+
+
 def _grow(schema: AttributeSchema, columns: Sequence[Sequence[int]], labels: Sequence[int],
           rows: Sequence[int], config: TreeConfig) -> _Flat:
     """The flat form of the tree grown from ``rows`` (non-empty), given every
@@ -316,11 +322,15 @@ def predict(tree: DecisionTree, values: Mapping[str, str]) -> tuple[str, ClassDi
     return node.label, node.distribution
 
 
+def _depth(flat: _Flat) -> int:
+    """The levels below the root of a flat tree; a lone leaf has depth 0."""
+    return _bottom_up(flat, lambda leaf: 0, lambda p, depths: 1 + max(depths))
+
+
 def tree_stats(tree: DecisionTree) -> TreeStats:
     """Leaf count, total node count, and depth (a lone leaf has depth 0) of the flat form."""
     flat = _flatten(tree.root, tree.schema)
-    depth = _bottom_up(flat, lambda leaf: 0, lambda p, depths: 1 + max(depths))
-    return TreeStats(flat.positions.count(-1), len(flat.nodes), depth)
+    return TreeStats(flat.positions.count(-1), len(flat.nodes), _depth(flat))
 
 
 def prune(tree: DecisionTree, min_support: int) -> DecisionTree:
@@ -348,9 +358,9 @@ def prune(tree: DecisionTree, min_support: int) -> DecisionTree:
 # --- persistence ------------------------------------------------------------
 
 
-def _node_to_dict(tree: DecisionTree) -> dict:
-    attributes = tree.schema.attributes
-    return _bottom_up(_flatten(tree.root, tree.schema), lambda leaf: {
+def _node_to_dict(flat: _Flat, schema: AttributeSchema) -> dict:
+    attributes = schema.attributes
+    return _bottom_up(flat, lambda leaf: {
         "kind": "leaf", "label": leaf.label, "support": leaf.support,
         "distribution": dict(leaf.distribution.counts),
     }, lambda p, docs: {
@@ -409,6 +419,11 @@ def _node_from_dict(parent: Mapping, key: str, where: str, schema: AttributeSche
 
 
 def model_to_json_dict(tree: DecisionTree) -> dict:
+    return _model_document(tree, _flatten(tree.root, tree.schema))
+
+
+def _model_document(tree: DecisionTree, flat: _Flat) -> dict:
+    """The JSON document of a tree, given its flat form."""
     return {
         "format": MODEL_FORMAT,
         "format_version": MODEL_VERSION,
@@ -420,12 +435,17 @@ def model_to_json_dict(tree: DecisionTree) -> dict:
             "max_depth": tree.config.max_depth,
         },
         "training_size": tree.training_size,
-        "root": _node_to_dict(tree),
+        "root": _node_to_dict(flat, tree.schema),
     }
 
 
 def model_from_json_dict(doc: Mapping, schema: AttributeSchema | None = None) -> DecisionTree:
     """Rebuild a tree from its JSON document; a malformed document raises ValueError."""
+    return _read_model(doc, schema)[0]
+
+
+def _read_model(doc: Mapping, schema: AttributeSchema | None) -> tuple[DecisionTree, _Flat]:
+    """The tree of a model document, and the flat form it was read into."""
     if not isinstance(doc, Mapping):
         raise ValueError(f"model document must be an object, not {type(doc).__name__}")
     if doc.get("format") != MODEL_FORMAT:
@@ -443,21 +463,23 @@ def model_from_json_dict(doc: Mapping, schema: AttributeSchema | None = None) ->
         min_leaf_support=_field(config_doc, "min_leaf_support", (int,), "model config"),
         max_depth=_field(config_doc, "max_depth", (int, type(None)), "model config"),
     )
-    root = _unflatten(_node_from_dict(doc, "root", "model", embedded), embedded)
-    return DecisionTree(root, embedded, config, _field(doc, "training_size", (int,), "model"))
+    flat = _node_from_dict(doc, "root", "model", embedded)
+    root = _unflatten(flat, embedded)
+    return DecisionTree(root, embedded, config, _field(doc, "training_size", (int,), "model")), flat
 
 
-def _within_depth(tree: DecisionTree, where: str = "") -> DecisionTree:
-    if (depth := tree_stats(tree).depth) > MAX_MODEL_DEPTH:
+def _within_depth(flat: _Flat, where: str = "") -> _Flat:
+    if (depth := _depth(flat)) > MAX_MODEL_DEPTH:
         raise ValueError(f"{where}tree is {depth} levels deep; "
                          f"a model file holds at most {MAX_MODEL_DEPTH} levels")
-    return tree
+    return flat
 
 
 def save_model(tree: DecisionTree, path) -> None:
     """Write the canonical JSON encoding (sorted keys, two-space indent); a tree
     deeper than ``MAX_MODEL_DEPTH`` raises ValueError, and nothing is written."""
-    text = json.dumps(model_to_json_dict(_within_depth(tree)), indent=2, sort_keys=True) + "\n"
+    flat = _within_depth(_flatten(tree.root, tree.schema))
+    text = json.dumps(_model_document(tree, flat), indent=2, sort_keys=True) + "\n"
     Path(path).write_text(text, encoding="utf-8")
 
 
@@ -465,7 +487,9 @@ def load_model(path, schema: AttributeSchema | None = None) -> DecisionTree:
     """Read a model file; a malformed one, or one deeper than ``MAX_MODEL_DEPTH``, raises ValueError."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-        return _within_depth(model_from_json_dict(doc, schema), f"{path}: ")
+        tree, flat = _read_model(doc, schema)
+        _within_depth(flat, f"{path}: ")  # the last check, after every other error in the document
+        return tree
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: not valid JSON: {exc}") from exc
     except UnicodeDecodeError as exc:

@@ -303,6 +303,21 @@ def test_model_file_is_byte_stable(tmp_path, fixture_tree):
     assert first.read_bytes() == second.read_bytes()
 
 
+def test_saving_flattens_a_tree_once_and_loading_reads_the_flat_form_it_built(
+    tmp_path, monkeypatch, fixture_tree
+):
+    import gradetree.tree
+
+    calls = []
+    flatten = gradetree.tree._flatten
+    monkeypatch.setattr(gradetree.tree, "_flatten", lambda *args: calls.append(1) or flatten(*args))
+    path = tmp_path / "model.json"
+    save_model(fixture_tree, path)
+    assert len(calls) == 1
+    assert load_model(path) == fixture_tree
+    assert len(calls) == 1
+
+
 def test_load_model_checks_schema_digest(tmp_path, students, fixture_tree):
     path = tmp_path / "model.json"
     save_model(fixture_tree, path)
