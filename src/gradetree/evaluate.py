@@ -9,7 +9,9 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .dataset import Dataset
 from .metrics import encode
-from .tree import DecisionTree, TreeConfig, _class_labels, _code_rows, _Flat, _flatten, _grow, _route
+from .tree import (
+    DecisionTree, TreeConfig, _class_labels, _code_rows, _expander, _Flat, _flatten, _root_item, _route,
+)
 
 __all__ = ["ConfusionMatrix", "LooResult", "accuracy", "confusion", "leave_one_out"]
 
@@ -93,9 +95,10 @@ def leave_one_out(dataset: Dataset, config: TreeConfig | None = None) -> LooResu
 
     A desk-scale substitute for a held-out test set; the aggregate
     accuracy is this repo's documented baseline for the bundled fixture.
-    Every fold is grown from the dataset's one encoding, over the row
-    indices of the other records in their order, and the held-out row is
-    routed by its codes.
+    No fold grows a whole tree: the held-out row descends by its codes
+    while the nodes on its path are expanded, by the rule ``id3_build``
+    uses, over the row indices of the other records in their order. The
+    leaf it reaches is the one the whole fold tree would route it to.
     """
     if len(dataset) < 2:
         raise ValueError("leave-one-out needs at least 2 records")
@@ -103,11 +106,13 @@ def leave_one_out(dataset: Dataset, config: TreeConfig | None = None) -> LooResu
         config = TreeConfig()
     schema = dataset.schema
     columns, labels = encode(dataset, schema.attribute_names)
-    rows = list(_code_rows(dataset))
+    expand = _expander(schema, columns, labels, config)
     n = len(labels)
     predicted = []
     for i in range(n):
-        flat = _grow(schema, columns, labels, [r for r in range(n) if r != i], config)
-        predicted += _predicted(flat, [rows[i]])
+        node, p, items = expand(_root_item(schema, [r for r in range(n) if r != i]))
+        while p >= 0:
+            node, p, items = expand(items[columns[p][i]])
+        predicted.append(node.label)
     actual = _class_labels(dataset)
     return LooResult(sum(map(eq, predicted, actual)) / n, _confusion(schema.class_domain, actual, predicted))

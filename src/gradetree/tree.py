@@ -11,8 +11,10 @@ Growth reads the codes a ``Dataset`` built when it was validated
 one of label codes. A node is the list of row indices that reach it. One
 pass counts its classes, one pass per candidate fills a value x class
 table for ``metrics.table_scores``, and one pass splits the winner's rows
-into its children's lists. Because a tree is grown from row indices,
-leave-one-out grows every fold from the same codes, less one row.
+into its children's lists. One expander (``_expander``) holds that rule,
+and a node depends only on the nodes along its own path. So leave-one-out
+grows no whole fold: it expands only the held-out row's path, from the
+same codes less that row, until the row reaches a leaf.
 
 No walk of a tree recurses. Its one flat form (``_Flat``) lists the nodes
 in preorder, branches in domain order, on an explicit stack: growth and
@@ -137,7 +139,8 @@ def id3_build(dataset: Dataset, config: TreeConfig | None = None) -> DecisionTre
         raise ValueError("cannot build a tree from an empty dataset")
     schema = dataset.schema
     columns, labels = encode(dataset, schema.attribute_names)
-    root = _unflatten(_grow(schema, columns, labels, range(len(dataset)), config), schema)
+    expand = _expander(schema, columns, labels, config)
+    root = _unflatten(_preorder(_root_item(schema, range(len(dataset))), expand), schema)
     return DecisionTree(root, schema, config, len(dataset))
 
 
@@ -227,10 +230,12 @@ def _class_labels(dataset: Dataset) -> list[str]:
     return [classes[c] for c in encode(dataset, ())[1]]
 
 
-def _grow(schema: AttributeSchema, columns: Sequence[Sequence[int]], labels: Sequence[int],
-          rows: Sequence[int], config: TreeConfig) -> _Flat:
-    """The flat form of the tree grown from ``rows`` (non-empty), given every
-    attribute's code column in schema order and the label codes."""
+def _expander(schema: AttributeSchema, columns: Sequence[Sequence[int]], labels: Sequence[int],
+              config: TreeConfig):
+    """The growth rule, as an ``expand`` for ``_preorder``, given every attribute's code
+    column in schema order and the label codes. An item (see ``_root_item``) is a node's
+    rows, the schema positions still available on its path, its depth and its parent's
+    distribution, so the node it yields depends only on the nodes along its own path."""
     if not schema.attributes:
         raise ValueError("schema declares no predictor attributes")
     sizes = [len(a.domain) for a in schema.attributes]
@@ -265,7 +270,12 @@ def _grow(schema: AttributeSchema, columns: Sequence[Sequence[int]], labels: Seq
         remaining = [p for p in available if p != best]
         return None, best, [(part, remaining, depth + 1, dist) for part in parts]
 
-    return _preorder((rows, list(range(len(sizes))), 0, None), expand)
+    return expand
+
+
+def _root_item(schema: AttributeSchema, rows: Sequence[int]) -> tuple:
+    """The growth item of a tree's root over ``rows`` (non-empty), every attribute available."""
+    return rows, list(range(len(schema.attributes))), 0, None
 
 
 def _leaves(node: DecisionNode) -> list[Leaf]:

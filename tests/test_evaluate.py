@@ -3,10 +3,12 @@ import random
 
 import pytest
 
+import gradetree.evaluate
 from conftest import make_dataset, random_dataset, tiny_schema
-from gradetree.dataset import Dataset, Record, class_distribution
+from gradetree.dataset import Attribute, AttributeSchema, Dataset, Record, class_distribution
 from gradetree.evaluate import ConfusionMatrix, accuracy, confusion, leave_one_out
 from gradetree.tree import (
+    Criterion,
     DecisionTree,
     Internal,
     Leaf,
@@ -229,14 +231,62 @@ def test_leave_one_out_matches_the_per_fold_dataset_path(contradiction_free):
         dataset = random_dataset(random.Random(seed), max_records=40, contradiction_free=contradiction_free)
         if len(dataset) < 2:
             continue
-        config = TreeConfig(max_depth=(None, 2)[seed % 2], min_leaf_support=(0, 3)[seed // 2 % 2])
-        result = leave_one_out(dataset, config)
-        expected_accuracy, expected_matrix = leave_one_out_per_fold_dataset(dataset, config)
-        assert result.accuracy == expected_accuracy
-        assert list(result.confusion.counts.items()) == list(expected_matrix.counts.items())
+        for criterion in Criterion:
+            config = TreeConfig(
+                criterion, max_depth=(None, 2)[seed % 2], min_leaf_support=(0, 3)[seed // 2 % 2]
+            )
+            result = leave_one_out(dataset, config)
+            expected_accuracy, expected_matrix = leave_one_out_per_fold_dataset(dataset, config)
+            assert result.accuracy == expected_accuracy
+            assert list(result.confusion.counts.items()) == list(expected_matrix.counts.items())
 
 
 def test_fixture_leave_one_out_is_exactly_the_baseline_with_the_same_matrix(students):
     result = leave_one_out(students)
     assert result.accuracy == FIXTURE_LOO_ACCURACY
     assert result.confusion == leave_one_out_per_fold_dataset(students, TreeConfig())[1]
+
+
+@pytest.mark.parametrize("config", [TreeConfig(Criterion.GAIN_RATIO), TreeConfig(max_depth=2)],
+                         ids=["gain-ratio", "max-depth-2"])
+def test_fixture_leave_one_out_matches_the_per_fold_dataset_path(students, config):
+    result = leave_one_out(students, config)
+    assert tuple(result) == leave_one_out_per_fold_dataset(students, config)
+
+
+def test_a_held_out_row_that_reaches_an_empty_branch_gets_the_fold_roots_majority():
+    schema = AttributeSchema(
+        (Attribute("A", ("a", "b", "c")), Attribute("B", ("x", "y"))), Attribute("Y", ("p", "q"))
+    )
+    rows = [(("a", "x"), "p"), (("a", "y"), "p"), (("b", "x"), "q"), (("b", "y"), "q"), (("c", "x"), "q")]
+    dataset = make_dataset(schema, rows)
+    # without (c, x, q) the fold splits on A, and c's part is empty: the
+    # leaf there carries the fold root's 2-2 distribution, whose tie goes to p
+    fold = id3_build(make_dataset(schema, rows[:-1]))
+    assert fold.root.attribute == "A" and fold.root.branches["c"].support == 0
+    result = leave_one_out(dataset)
+    assert result.accuracy == 0.8
+    assert result.confusion == leave_one_out_per_fold_dataset(dataset, TreeConfig())[1]
+    assert result.confusion.counts == {("p", "p"): 2, ("p", "q"): 0, ("q", "p"): 1, ("q", "q"): 2}
+
+
+def test_no_fold_expands_more_than_one_path(students, monkeypatch):
+    folds = []
+
+    def counting_expander(*args):
+        expand = expander(*args)
+
+        def counted(item):
+            if item[2] == 0:  # a root item starts the next fold
+                folds.append(0)
+            folds[-1] += 1
+            return expand(item)
+
+        return counted
+
+    expander = gradetree.evaluate._expander
+    monkeypatch.setattr(gradetree.evaluate, "_expander", counting_expander)
+    assert leave_one_out(students).accuracy == FIXTURE_LOO_ACCURACY
+    assert len(folds) == len(students)
+    assert max(folds) <= len(students.schema.attributes) + 1
+    assert sum(folds) == 189  # the 50 whole fold trees hold 2,574 nodes
