@@ -23,7 +23,6 @@ from .tree import (
     Internal,
     Leaf,
     TreeConfig,
-    _flatten,
     _route,
     id3_build,
     load_model,
@@ -180,7 +179,7 @@ def cmd_predict(args) -> int:
     """
     tree = load_model(args.model)
     rows = _unlabeled_rows(args.data, tree.schema)
-    nodes, positions, children = flat = _flatten(tree.root, tree.schema)
+    nodes, positions, children = flat = tree._flat
     cells = [_leaf_cells(node) if p < 0 else None for node, p in zip(nodes, positions)]
     attributes = tree.schema.attributes
     by_value = [ids and dict(zip(attributes[p].domain, ids)) for p, ids in zip(positions, children)]
@@ -236,10 +235,12 @@ def cmd_export_dot(args) -> int:
     return 0
 
 
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
     try:

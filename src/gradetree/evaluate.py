@@ -10,7 +10,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 from .dataset import Dataset
 from .metrics import encode
 from .tree import (
-    DecisionTree, TreeConfig, _class_labels, _code_rows, _expander, _Flat, _flatten, _root_item, _route,
+    DecisionTree, TreeConfig, _class_labels, _code_rows, _expander, _root_item, _route,
 )
 
 __all__ = ["ConfusionMatrix", "LooResult", "accuracy", "confusion", "leave_one_out"]
@@ -64,9 +64,9 @@ def _check_evaluable(tree: DecisionTree, dataset: Dataset) -> None:
         raise ValueError("dataset schema does not match the tree's schema")
 
 
-def _predicted(flat: _Flat, rows: Iterable[Sequence[int]]) -> list[str]:
-    """The label of the leaf each row of domain codes reaches."""
-    return [flat.nodes[i].label for i in _route(flat, rows)]
+def _predicted(tree: DecisionTree, dataset: Dataset) -> list[str]:
+    """The label of the leaf each record reaches."""
+    return [tree._flat.nodes[i].label for i in _route(tree._flat, _code_rows(dataset))]
 
 
 def _confusion(classes: Sequence[str], actual: Iterable[str], predicted: Iterable[str]) -> ConfusionMatrix:
@@ -80,14 +80,12 @@ def _confusion(classes: Sequence[str], actual: Iterable[str], predicted: Iterabl
 def accuracy(tree: DecisionTree, dataset: Dataset) -> float:
     """Fraction of records whose prediction equals their label."""
     _check_evaluable(tree, dataset)
-    predicted = _predicted(_flatten(tree.root, tree.schema), _code_rows(dataset))
-    return sum(map(eq, predicted, _class_labels(dataset))) / len(dataset)
+    return sum(map(eq, _predicted(tree, dataset), _class_labels(dataset))) / len(dataset)
 
 
 def confusion(tree: DecisionTree, dataset: Dataset) -> ConfusionMatrix:
     _check_evaluable(tree, dataset)
-    predicted = _predicted(_flatten(tree.root, tree.schema), _code_rows(dataset))
-    return _confusion(dataset.schema.class_domain, _class_labels(dataset), predicted)
+    return _confusion(dataset.schema.class_domain, _class_labels(dataset), _predicted(tree, dataset))
 
 
 def leave_one_out(dataset: Dataset, config: TreeConfig | None = None) -> LooResult:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .dataset import Dataset
-from .tree import DecisionTree, _code_rows, _class_labels, _flatten, _route
+from .tree import DecisionTree, _code_rows, _class_labels, _route
 
 __all__ = ["Rule", "extract_rules", "render_rules", "rules_to_json"]
 
@@ -40,7 +40,7 @@ def extract_rules(tree: DecisionTree, training: Dataset) -> list[Rule]:
     if training.schema != tree.schema:
         raise ValueError("training data schema does not match the tree's schema")
 
-    nodes, positions, children = flat = _flatten(tree.root, tree.schema)
+    nodes, positions, children = flat = tree._flat
     reached = _route(flat, _code_rows(training))
     support = Counter(reached)
     hits = Counter(i for i, label in zip(reached, _class_labels(training)) if nodes[i].label == label)

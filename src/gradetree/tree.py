@@ -16,12 +16,12 @@ and a node depends only on the nodes along its own path. So leave-one-out
 grows no whole fold: it expands only the held-out row's path, from the
 same codes less that row, until the row reaches a leaf.
 
-No walk of a tree recurses. Its one flat form (``_Flat``) lists the nodes
-in preorder, branches in domain order, on an explicit stack: growth and
-model documents are read into it (``_preorder``), and a tree is turned
-into it (``_flatten``) and back (``_unflatten``, on ``_bottom_up``). Stats,
-pruning, rules, model files, DOT and the router (``_route``) all read it.
-Model files alone stay depth-bound (``MAX_MODEL_DEPTH``): ``json`` recurses.
+A tree is its flat form (``_Flat``): nodes in preorder, branches in domain
+order. Growth, model documents and pruning write it on an explicit stack
+(``_preorder``); a hand-made root is flattened once (``_flatten``). Stats,
+rules, model files, DOT, the router (``_route``), equality, ``repr`` and
+pickling read it; ``root`` is a view built from it (``_bottom_up``). No walk
+of a tree recurses. ``json`` does, so model files hold ``MAX_MODEL_DEPTH`` levels.
 """
 
 from __future__ import annotations
@@ -117,12 +117,33 @@ class Internal:
 DecisionNode = Union[Leaf, Internal]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class DecisionTree:
-    root: DecisionNode
+    """A tree over a schema, stored as its flat form; ``root`` may be passed as one.
+    A tree built from a hand-made root flattens it once and keeps it as its view."""
+
     schema: AttributeSchema
     config: TreeConfig
     training_size: int
+    _flat: _Flat
+
+    def __init__(self, root: DecisionNode, schema: AttributeSchema, config: TreeConfig, training_size: int):
+        if not isinstance(root, _Flat):
+            vars(self)["_root"] = root
+            root = _flatten(root, schema)
+        vars(self).update(schema=schema, config=config, training_size=training_size, _flat=root)
+
+    def __reduce__(self):  # the flat form alone; a kept root view would pickle one frame per level
+        return DecisionTree, (self._flat, self.schema, self.config, self.training_size)
+
+    @property
+    def root(self) -> DecisionNode:
+        """The tree as ``Leaf`` and ``Internal`` nodes, built the first time it is read, then kept."""
+        if "_root" not in vars(self):  # one view, however many threads build it
+            attributes = self.schema.attributes
+            vars(self).setdefault("_root", _bottom_up(self._flat, lambda leaf: leaf, lambda p, nodes: Internal(
+                attributes[p].name, dict(zip(attributes[p].domain, nodes)))))
+        return vars(self)["_root"]
 
 
 class TreeStats(NamedTuple):
@@ -140,14 +161,13 @@ def id3_build(dataset: Dataset, config: TreeConfig | None = None) -> DecisionTre
     schema = dataset.schema
     columns, labels = encode(dataset, schema.attribute_names)
     expand = _expander(schema, columns, labels, config)
-    root = _unflatten(_preorder(_root_item(schema, range(len(dataset))), expand), schema)
-    return DecisionTree(root, schema, config, len(dataset))
+    return DecisionTree(_preorder(_root_item(schema, range(len(dataset))), expand), schema, config, len(dataset))
 
 
 class _Flat(NamedTuple):
     """A tree as lists indexed by node id: ids in preorder, branches in domain order."""
 
-    nodes: list  # a leaf is its own payload; an internal node's payload goes unread
+    nodes: list  # a leaf is its own payload; an internal node's is None
     positions: list[int]  # the schema position of a node's attribute; -1 at a leaf
     children: list[list[int]]  # a node's child id per domain code
 
@@ -180,12 +200,6 @@ def _bottom_up(flat: _Flat, leaf, internal):
     return results[0]
 
 
-def _unflatten(flat: _Flat, schema: AttributeSchema) -> DecisionNode:
-    attributes = schema.attributes
-    return _bottom_up(flat, lambda leaf: leaf, lambda p, nodes: Internal(
-        attributes[p].name, dict(zip(attributes[p].domain, nodes))))
-
-
 def _flatten(root: DecisionNode, schema: AttributeSchema) -> _Flat:
     """The flat form of a tree. A branch that a hand-built tree lacks becomes
     a leaf of the node's majority and distribution, as in ``predict``."""
@@ -200,7 +214,7 @@ def _flatten(root: DecisionNode, schema: AttributeSchema) -> _Flat:
         except KeyError:
             dist = node_distribution(node)
             items = [branches.get(v) or Leaf(dist.majority(), 0, dist) for v in domain]
-        return node, position, items
+        return None, position, items
 
     return _preorder(root, expand)
 
@@ -339,8 +353,7 @@ def _depth(flat: _Flat) -> int:
 
 def tree_stats(tree: DecisionTree) -> TreeStats:
     """Leaf count, total node count, and depth (a lone leaf has depth 0) of the flat form."""
-    flat = _flatten(tree.root, tree.schema)
-    return TreeStats(flat.positions.count(-1), len(flat.nodes), _depth(flat))
+    return TreeStats(tree._flat.positions.count(-1), len(tree._flat.nodes), _depth(tree._flat))
 
 
 def prune(tree: DecisionTree, min_support: int) -> DecisionTree:
@@ -348,21 +361,20 @@ def prune(tree: DecisionTree, min_support: int) -> DecisionTree:
     majority leaf over that subtree's own distribution. Idempotent."""
     if min_support < 1:
         raise ValueError("min_support must be >= 1")
-    attributes = tree.schema.attributes
+    nodes, positions, children = tree._flat
+    own = [None] * len(nodes)  # each node's support and own distribution, from the leaves up
+    for i in reversed(range(len(nodes))):
+        subs = [own[c] for c in children[i]] or [(nodes[i].support, _own_distribution(nodes[i]))]
+        own[i] = sum(s for s, _ in subs), reduce(ClassDistribution.merged, (d for _, d in subs))
 
-    def internal(p: int, subs):  # each child's pruned subtree, support and distribution
-        nodes, supports, dists = zip(*subs)
-        support, dist = sum(supports), reduce(ClassDistribution.merged, dists)
-        if support < min_support:
-            return Leaf(dist.majority(), support, dist), support, dist
-        return Internal(attributes[p].name, dict(zip(attributes[p].domain, nodes))), support, dist
+    def expand(i):  # a subtree routed too few records becomes a leaf
+        support, dist = own[i]
+        if positions[i] >= 0 and support < min_support:
+            return Leaf(dist.majority(), support, dist), -1, ()
+        return nodes[i], positions[i], children[i]
 
-    flat = _flatten(tree.root, tree.schema)
-    root = _bottom_up(flat, lambda leaf: (leaf, leaf.support, _own_distribution(leaf)), internal)[0]
-    config = replace(
-        tree.config, min_leaf_support=max(tree.config.min_leaf_support, min_support)
-    )
-    return DecisionTree(root, tree.schema, config, tree.training_size)
+    config = replace(tree.config, min_leaf_support=max(tree.config.min_leaf_support, min_support))
+    return DecisionTree(_preorder(0, expand), tree.schema, config, tree.training_size)
 
 
 # --- persistence ------------------------------------------------------------
@@ -429,11 +441,6 @@ def _node_from_dict(parent: Mapping, key: str, where: str, schema: AttributeSche
 
 
 def model_to_json_dict(tree: DecisionTree) -> dict:
-    return _model_document(tree, _flatten(tree.root, tree.schema))
-
-
-def _model_document(tree: DecisionTree, flat: _Flat) -> dict:
-    """The JSON document of a tree, given its flat form."""
     return {
         "format": MODEL_FORMAT,
         "format_version": MODEL_VERSION,
@@ -445,17 +452,12 @@ def _model_document(tree: DecisionTree, flat: _Flat) -> dict:
             "max_depth": tree.config.max_depth,
         },
         "training_size": tree.training_size,
-        "root": _node_to_dict(flat, tree.schema),
+        "root": _node_to_dict(tree._flat, tree.schema),
     }
 
 
 def model_from_json_dict(doc: Mapping, schema: AttributeSchema | None = None) -> DecisionTree:
     """Rebuild a tree from its JSON document; a malformed document raises ValueError."""
-    return _read_model(doc, schema)[0]
-
-
-def _read_model(doc: Mapping, schema: AttributeSchema | None) -> tuple[DecisionTree, _Flat]:
-    """The tree of a model document, and the flat form it was read into."""
     if not isinstance(doc, Mapping):
         raise ValueError(f"model document must be an object, not {type(doc).__name__}")
     if doc.get("format") != MODEL_FORMAT:
@@ -474,22 +476,20 @@ def _read_model(doc: Mapping, schema: AttributeSchema | None) -> tuple[DecisionT
         max_depth=_field(config_doc, "max_depth", (int, type(None)), "model config"),
     )
     flat = _node_from_dict(doc, "root", "model", embedded)
-    root = _unflatten(flat, embedded)
-    return DecisionTree(root, embedded, config, _field(doc, "training_size", (int,), "model")), flat
+    return DecisionTree(flat, embedded, config, _field(doc, "training_size", (int,), "model"))
 
 
-def _within_depth(flat: _Flat, where: str = "") -> _Flat:
+def _within_depth(flat: _Flat, where: str = "") -> None:
     if (depth := _depth(flat)) > MAX_MODEL_DEPTH:
         raise ValueError(f"{where}tree is {depth} levels deep; "
                          f"a model file holds at most {MAX_MODEL_DEPTH} levels")
-    return flat
 
 
 def save_model(tree: DecisionTree, path) -> None:
     """Write the canonical JSON encoding (sorted keys, two-space indent); a tree
     deeper than ``MAX_MODEL_DEPTH`` raises ValueError, and nothing is written."""
-    flat = _within_depth(_flatten(tree.root, tree.schema))
-    text = json.dumps(_model_document(tree, flat), indent=2, sort_keys=True) + "\n"
+    _within_depth(tree._flat)
+    text = json.dumps(model_to_json_dict(tree), indent=2, sort_keys=True) + "\n"
     Path(path).write_text(text, encoding="utf-8")
 
 
@@ -497,8 +497,8 @@ def load_model(path, schema: AttributeSchema | None = None) -> DecisionTree:
     """Read a model file; a malformed one, or one deeper than ``MAX_MODEL_DEPTH``, raises ValueError."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-        tree, flat = _read_model(doc, schema)
-        _within_depth(flat, f"{path}: ")  # the last check, after every other error in the document
+        tree = model_from_json_dict(doc, schema)
+        _within_depth(tree._flat, f"{path}: ")  # the last check, after every other error in the document
         return tree
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: not valid JSON: {exc}") from exc
@@ -518,7 +518,7 @@ def _dot_escape(text: str) -> str:
 def to_dot(tree: DecisionTree) -> str:
     """Render the tree as a Graphviz digraph (internal=box, leaf=ellipse). Node ``n<i>``
     is flat id ``i``, as ``_route`` returns, and each edge follows its child's subtree."""
-    nodes, positions, children = _flatten(tree.root, tree.schema)
+    nodes, positions, children = tree._flat
     lines = ["digraph decision_tree {", "  node [shape=box];"]
     stack = [0]  # node ids, and edge lines to write once their child's subtree is written
     while stack:

@@ -57,6 +57,14 @@ def test_missing_required_flag_is_a_usage_error(capsys):
     assert main(["predict"]) == 1
 
 
+def test_the_parser_is_built_once_per_process(monkeypatch, capsys):
+    from gradetree import cli
+
+    monkeypatch.setattr(cli._Parser, "__init__", lambda *args, **kwargs: pytest.fail("a parser was built"))
+    assert main(["gains"]) == 0
+    assert main(["explode"]) == 1
+
+
 def test_nonexistent_data_file_is_a_data_error(tmp_path, capsys):
     code = main(["train", "--data", str(tmp_path / "nope.csv"),
                  "--out", str(tmp_path / "m.json")])

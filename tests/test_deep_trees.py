@@ -5,14 +5,18 @@ ID3 grows a chain: a table of ``2k`` attributes gives a tree ``k``
 levels deep. Training at the real limit is slow, so each test here runs
 on a tree of depth 201 with the recursion limit lowered to the current
 stack depth plus 100 frames: a walk that recursed once per level would
-raise ``RecursionError``. Model files stay depth-bound because ``json``
-recurses; ``train`` refuses a tree deeper than ``MAX_MODEL_DEPTH`` before
-it writes, and every model it does write reads back.
+raise ``RecursionError``. That holds for equality, ``repr``, pickling
+and deepcopy too, which read a tree's flat form. Model files stay
+depth-bound because ``json`` recurses; ``train`` refuses a tree deeper
+than ``MAX_MODEL_DEPTH`` before it writes, and every model it does write
+reads back.
 """
 
 import contextlib
+import copy
 import csv
 import io
+import pickle
 import sys
 import tempfile
 from pathlib import Path
@@ -143,6 +147,42 @@ def test_model_documents_do_not_recurse(deep):
         back = model_from_json_dict(model_to_json_dict(tree))
         dots = to_dot(back), to_dot(tree)
     assert dots[0] == dots[1]
+
+
+def test_equality_does_not_recurse(deep):
+    dataset, tree = deep
+    with shallow_stack():
+        assert tree == id3_build(dataset)
+        assert model_from_json_dict(model_to_json_dict(tree)) == tree
+        # pruning keeps its threshold in the config, as build-time min_leaf_support
+        for support in (1, ROWS - 100):
+            assert prune(tree, support) == id3_build(dataset, TreeConfig(min_leaf_support=support))
+        assert prune(tree, ROWS - 100) != tree
+
+
+def kept_view(tree: DecisionTree) -> DecisionTree:
+    """The same tree, built from its root, so it keeps that root as its view."""
+    return DecisionTree(tree.root, tree.schema, tree.config, tree.training_size)
+
+
+def test_repr_does_not_recurse_and_a_tree_stays_unhashable(deep):
+    _, tree = deep
+    viewed = kept_view(tree)
+    with shallow_stack():
+        text = repr(tree)
+        assert repr(viewed) == text
+    assert text.startswith("DecisionTree(schema=AttributeSchema(") and text.count("Leaf(") == ATTRIBUTES // 2 + 1
+    with pytest.raises(TypeError):
+        hash(tree)
+
+
+def test_pickle_and_deepcopy_do_not_recurse(deep):
+    _, tree = deep
+    viewed = kept_view(tree)
+    with shallow_stack():
+        copies = [pickle.loads(pickle.dumps(t)) for t in (tree, viewed)] + [copy.deepcopy(t) for t in (tree, viewed)]
+        assert all(c == tree for c in copies)
+    assert all("_root" not in vars(c) for c in copies)
 
 
 # --- the model depth limit, end to end ------------------------------------------

@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import gradetree.evaluate
 from conftest import make_dataset, random_dataset, tiny_schema
@@ -14,6 +15,8 @@ from gradetree.tree import (
     Leaf,
     TreeConfig,
     id3_build,
+    model_to_json_dict,
+    node_support,
     predict,
     prune,
 )
@@ -169,6 +172,28 @@ def test_code_routed_evaluators_match_predict_on_random_trees():
             assert_evaluators_match_predict(tree, evaluated)
             empty_branch_rows += sum(leaf_of(tree, r.values).support == 0 for r in evaluated)
     assert empty_branch_rows > 0  # support-0 leaves were reached
+
+
+def with_branches_dropped(node, rng):
+    """A copy of a subtree that leaves out some branches, more often empty ones; a node keeps one at least."""
+    if isinstance(node, Leaf):
+        return node
+    kept = {v: child for v, child in node.branches.items() if rng.random() > (0.1 if node_support(child) else 0.5)}
+    kept = kept or dict([next(iter(node.branches.items()))])
+    return Internal(node.attribute, {v: with_branches_dropped(child, rng) for v, child in kept.items()})
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), drops=st.tuples(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1)))
+def test_trees_are_equal_exactly_when_their_model_documents_are(seed, drops):
+    rng = random.Random(seed)
+    train = random_dataset(rng, max_records=40, contradiction_free=seed % 2 == 0)
+    grown = id3_build(train, TreeConfig(max_depth=rng.choice((None, 2))))
+    first, second = (
+        DecisionTree(with_branches_dropped(grown.root, random.Random(d)), train.schema, grown.config, len(train))
+        for d in drops
+    )
+    assert (first == second) == (model_to_json_dict(first) == model_to_json_dict(second))
 
 
 def test_code_routed_evaluators_match_predict_on_the_pruned_fixture_tree(students, fixture_tree):

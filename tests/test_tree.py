@@ -16,6 +16,7 @@ from gradetree.dataset import (
     class_distribution,
     load_students,
 )
+from gradetree.evaluate import accuracy
 from gradetree.rules import extract_rules
 from gradetree.tree import (
     Criterion,
@@ -25,6 +26,8 @@ from gradetree.tree import (
     TreeConfig,
     id3_build,
     load_model,
+    model_to_json_dict,
+    node_distribution,
     node_support,
     predict,
     prune,
@@ -285,6 +288,18 @@ def test_trees_keep_copies_of_the_mappings_they_are_built_from():
     assert node.branches["a"] is leaf
 
 
+def test_a_missing_branch_equals_an_explicit_majority_leaf_of_its_node():
+    schema = tiny_schema(n_attrs=1, domain=("a", "b", "c"))
+    branches = {"a": Leaf("c1", 2, ClassDistribution({"c0": 0, "c1": 2}, 2)),
+                "b": Leaf("c0", 1, ClassDistribution({"c0": 1, "c1": 0}, 1))}
+    lacking = Internal("A0", branches)
+    dist = node_distribution(lacking)
+    explicit = Internal("A0", {**branches, "c": Leaf(dist.majority(), 0, dist)})
+    first, second = (DecisionTree(root, schema, TreeConfig(), 3) for root in (lacking, explicit))
+    assert first == second and model_to_json_dict(first) == model_to_json_dict(second)
+    assert first.root != second.root
+
+
 # --- persistence ----------------------------------------------------------------
 
 
@@ -303,19 +318,38 @@ def test_model_file_is_byte_stable(tmp_path, fixture_tree):
     assert first.read_bytes() == second.read_bytes()
 
 
-def test_saving_flattens_a_tree_once_and_loading_reads_the_flat_form_it_built(
-    tmp_path, monkeypatch, fixture_tree
-):
+def test_readers_take_the_stored_flat_form_and_build_no_root_view(tmp_path, monkeypatch, students):
+    import gradetree.tree
+
+    monkeypatch.setattr(gradetree.tree, "_flatten", lambda *args: pytest.fail("a tree was flattened"))
+    path = tmp_path / "model.json"
+    grown = id3_build(students)
+    save_model(grown, path)
+    loaded = load_model(path)
+    for tree in (grown, loaded):
+        save_model(tree, tmp_path / "again.json")
+        tree_stats(tree)
+        to_dot(tree)
+        accuracy(tree, students)
+        extract_rules(tree, students)
+        pruned = prune(tree, 3)
+        assert "_root" not in vars(tree) and "_root" not in vars(pruned)
+    assert loaded == grown and (tmp_path / "again.json").read_bytes() == path.read_bytes()
+
+
+def test_a_tree_built_from_a_root_flattens_it_once_and_keeps_it_as_its_view(tmp_path, monkeypatch, fixture_tree):
     import gradetree.tree
 
     calls = []
     flatten = gradetree.tree._flatten
     monkeypatch.setattr(gradetree.tree, "_flatten", lambda *args: calls.append(1) or flatten(*args))
-    path = tmp_path / "model.json"
-    save_model(fixture_tree, path)
+    root = fixture_tree.root
+    tree = DecisionTree(root, fixture_tree.schema, fixture_tree.config, fixture_tree.training_size)
+    save_model(tree, tmp_path / "model.json")
+    tree_stats(tree)
+    prune(tree, 1)
     assert len(calls) == 1
-    assert load_model(path) == fixture_tree
-    assert len(calls) == 1
+    assert tree.root is root and tree == fixture_tree
 
 
 def test_load_model_checks_schema_digest(tmp_path, students, fixture_tree):
