@@ -20,7 +20,6 @@ from .metrics import score_all
 from .rules import extract_rules, render_rules, rules_to_json
 from .tree import (
     Criterion,
-    Internal,
     Leaf,
     TreeConfig,
     _route,
@@ -149,10 +148,11 @@ def cmd_train(args) -> int:
     tree = id3_build(dataset, config)
     save_model(tree, args.out)
     stats = tree_stats(tree)
-    if isinstance(tree.root, Internal):
-        root_line = f"root attribute: {tree.root.attribute}"
+    nodes, positions, _ = tree._flat  # node 0 is the root
+    if positions[0] >= 0:
+        root_line = f"root attribute: {tree.schema.attributes[positions[0]].name}"
     else:
-        root_line = f"tree is a single leaf predicting {tree.root.label!r}"
+        root_line = f"tree is a single leaf predicting {nodes[0].label!r}"
     acc = accuracy(tree, dataset)
     print(f"trained on {len(dataset)} records (criterion={args.criterion}, "
           f"min_support={args.min_support})")

@@ -21,6 +21,7 @@ import os
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 from pathlib import Path
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -139,13 +140,6 @@ class AttributeSchema:
             raise KeyError(f"unknown attribute {name!r}")
         return self._domains[name]
 
-    def index(self, name: str) -> int:
-        """Position of a predictor in schema order (used for tie-breaking)."""
-        for i, a in enumerate(self.attributes):
-            if a.name == name:
-                return i
-        raise KeyError(f"unknown attribute {name!r}")
-
     def to_json_dict(self) -> dict:
         return {
             "attributes": [{"name": a.name, "domain": list(a.domain)} for a in self.attributes],
@@ -239,10 +233,11 @@ class Dataset:
     ``schema`` and ``records`` are its dataclass fields: equality, ``repr``
     and hashing read them, so they read the view.
 
-    Records and the rows ``load_csv`` reads reach the codes through one
-    encoder. An invalid record raises the ValidationError of the first bad
-    row; within a row the attributes are checked first, then the cells in
-    schema order, then the label.
+    Records and the rows ``load_csv`` reads reach the codes through one row
+    encoder: each record is first made the row ``load_csv`` would read. An
+    invalid record raises the ValidationError of the first bad row; within
+    a row the attributes are checked first, then the cells in schema order,
+    then the label.
     """
 
     schema: AttributeSchema
@@ -250,11 +245,10 @@ class Dataset:
 
     def __init__(self, schema: AttributeSchema, records: Iterable[Record]):
         if isinstance(records, _Rows):
-            columns, labels = _encode(schema, zip(*records), records)
+            columns, labels = _encode(schema, records)
         else:
             records = tuple(records)
-            cells = _record_cells(schema, records)
-            columns, labels = _encode(schema, cells, zip(*cells))
+            columns, labels = _encode(schema, _record_rows(schema, records))
             vars(self)["_records"] = records
         vars(self).update(schema=schema, _columns=columns, _labels=labels)
 
@@ -275,45 +269,41 @@ class Dataset:
         return iter(self.records)
 
 
-def _record_cells(schema: AttributeSchema, records: Sequence[Record]) -> list[list[str]]:
-    """Each attribute's cells in schema order, then the labels. A record whose attribute
-    names are not the schema's raises, unless a row before it has a bad cell or label."""
-    names = [a.name for a in schema.attributes]
-    values = [rec.values for rec in records]
-    n = len(values)
-    try:
-        # with every schema name present (a missing one raises KeyError), equal size means equal keys
-        if any(len(v) != len(names) for v in values):
-            raise KeyError
-        cells = [[v[name] for v in values] for name in names]
-    except KeyError:
-        expected = set(names)
-        n = next(i for i, v in enumerate(values) if v.keys() != expected)
-        cells = [[v[name] for v in values[:n]] for name in names]
-    cells.append([rec.label for rec in records[:n]])
-    if n < len(values):
-        _encode(schema, cells, zip(*cells))  # raises the first bad cell or label of the rows before
-        keys, expected = values[n].keys(), set(names)
+def _record_rows(schema: AttributeSchema, records: Iterable[Record]) -> list[tuple[str, ...]]:
+    """Each record as the row ``load_csv`` would read: its cells in schema order, then its
+    label. At the first record whose attribute names are not the schema's, the rows before
+    it are encoded first, so a bad cell or label among them is raised before the mismatch."""
+    names = schema.attribute_names
+    # itemgetter is the fastest read of many keys, but of one key it returns the bare value
+    cells = itemgetter(*names) if len(names) > 1 else lambda values: tuple(map(values.__getitem__, names))
+    rows = []
+    for rec in records:
+        try:  # with every name present (a missing one raises KeyError), equal size means equal keys
+            if len(rec.values) == len(names):
+                rows.append((*cells(rec.values), rec.label))
+                continue
+        except KeyError:
+            pass
+        _encode(schema, rows)
+        keys, expected, n = rec.values.keys(), set(names), len(rows) + 1
         raise ValidationError(
-            f"row {n + 1}: record attributes do not match schema "
+            f"row {n}: record attributes do not match schema "
             f"(missing={sorted(expected - keys)}, unexpected={sorted(keys - expected)})",
-            row=n + 1,
+            row=n,
         )
-    return cells
+    return rows
 
 
-def _encode(schema: AttributeSchema, cells: Iterable[Sequence[str]],
-            rows: Iterable[Sequence[str]]) -> tuple[dict, tuple[int, ...]]:
-    """The codes of one table, given by columns as ``cells`` (each attribute's cells
-    in schema order, then the labels; none at all when it has no rows) and by
-    ``rows`` (cells in schema order, the label last): each attribute's code column
-    by name, and the label codes. Whole columns are encoded at once, one at a
-    time; only when one holds a value outside its domain are the rows scanned one
-    by one, so the error names the first bad cell or label."""
+def _encode(schema: AttributeSchema, rows: Sequence[Sequence[str]]) -> tuple[dict, tuple[int, ...]]:
+    """The codes of a table given by its rows (cells in schema order, the label last):
+    each attribute's code column by name, and the label codes. The rows are transposed
+    and whole columns encoded at once, one at a time; only when one holds a value outside
+    its domain are the rows scanned one by one, so the error names the first bad cell or
+    label."""
     attributes = schema.attributes
     domains = [a.domain for a in attributes] + [schema.class_domain]
     try:
-        *columns, labels = list(map(_codes, cells, domains)) or [()] * len(domains)
+        *columns, labels = list(map(_codes, zip(*rows), domains)) or [()] * len(domains)
     except (KeyError, TypeError):  # TypeError: an unhashable value, which the scan meets too
         _check_rows(schema, rows)
         raise
@@ -554,18 +544,21 @@ def dump_csv(dataset: Dataset, path) -> None:
     Path(path).write_text(dataset_to_csv(dataset), encoding="utf-8")
 
 
+def _read_json(path, error: type[Exception]):
+    """The document in a UTF-8 JSON file; a file that does not decode or parse raises ``error`` naming it."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise error(f"{path}: not valid JSON: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: {exc}") from None
+    except RecursionError:  # the parser recurses once per level of nesting
+        raise error(f"{path}: JSON nested too deeply to read") from None
+
+
 def load_schema(path) -> AttributeSchema:
     """Read a JSON schema sidecar (see README for the exact key names)."""
-    path = Path(path)
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path}: not valid JSON: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise SchemaError(f"{path}: {exc}") from None
-    except RecursionError:
-        raise SchemaError(f"{path}: JSON nested too deeply to read") from None
-    return AttributeSchema.from_json_dict(doc)
+    return AttributeSchema.from_json_dict(_read_json(Path(path), SchemaError))
 
 
 def dump_schema(schema: AttributeSchema, path) -> None:

@@ -35,7 +35,7 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
-from .dataset import AttributeSchema, ClassDistribution, Dataset, ValidationError
+from .dataset import AttributeSchema, ClassDistribution, Dataset, ValidationError, _read_json
 from .metrics import contingency, encode, table_scores
 
 __all__ = [
@@ -120,7 +120,7 @@ DecisionNode = Union[Leaf, Internal]
 @dataclass(frozen=True, init=False)
 class DecisionTree:
     """A tree over a schema, stored as its flat form; ``root`` may be passed as one.
-    A tree built from a hand-made root flattens it once and keeps it as its view."""
+    A hand-made root is flattened once and not kept: ``root`` is always the flat form's view."""
 
     schema: AttributeSchema
     config: TreeConfig
@@ -128,10 +128,8 @@ class DecisionTree:
     _flat: _Flat
 
     def __init__(self, root: DecisionNode, schema: AttributeSchema, config: TreeConfig, training_size: int):
-        if not isinstance(root, _Flat):
-            vars(self)["_root"] = root
-            root = _flatten(root, schema)
-        vars(self).update(schema=schema, config=config, training_size=training_size, _flat=root)
+        flat = root if isinstance(root, _Flat) else _flatten(root, schema)
+        vars(self).update(schema=schema, config=config, training_size=training_size, _flat=flat)
 
     def __reduce__(self):  # the flat form alone; a kept root view would pickle one frame per level
         return DecisionTree, (self._flat, self.schema, self.config, self.training_size)
@@ -201,8 +199,8 @@ def _bottom_up(flat: _Flat, leaf, internal):
 
 
 def _flatten(root: DecisionNode, schema: AttributeSchema) -> _Flat:
-    """The flat form of a tree. A branch that a hand-built tree lacks becomes
-    a leaf of the node's majority and distribution, as in ``predict``."""
+    """The flat form of a tree. A branch that a hand-built tree lacks becomes a
+    leaf of the node's majority and its ``node_distribution``, with support 0."""
     where = {a.name: (p, a.domain) for p, a in enumerate(schema.attributes)}
 
     def expand(node):
@@ -319,11 +317,7 @@ def node_distribution(node: DecisionNode) -> ClassDistribution:
 
 
 def predict(tree: DecisionTree, values: Mapping[str, str]) -> tuple[str, ClassDistribution]:
-    """Route one example to a leaf; returns (label, distribution there).
-
-    A missing branch (possible only in hand-edited models) falls back to
-    the majority class at the deepest node reached.
-    """
+    """Route one example to a leaf; returns (label, distribution there)."""
     node = tree.root
     while isinstance(node, Internal):
         try:
@@ -339,9 +333,6 @@ def predict(tree: DecisionTree, values: Mapping[str, str]) -> tuple[str, ClassDi
                 column=node.attribute,
                 value=value,
             )
-        if value not in node.branches:
-            dist = node_distribution(node)
-            return dist.majority(), dist
         node = node.branches[value]
     return node.label, node.distribution
 
@@ -495,17 +486,9 @@ def save_model(tree: DecisionTree, path) -> None:
 
 def load_model(path, schema: AttributeSchema | None = None) -> DecisionTree:
     """Read a model file; a malformed one, or one deeper than ``MAX_MODEL_DEPTH``, raises ValueError."""
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-        tree = model_from_json_dict(doc, schema)
-        _within_depth(tree._flat, f"{path}: ")  # the last check, after every other error in the document
-        return tree
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: not valid JSON: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: {exc}") from None
-    except RecursionError:  # only the JSON parser recurses, on a document nested too deeply
-        raise ValueError(f"{path}: model nested too deeply to read") from None
+    tree = model_from_json_dict(_read_json(path, ValueError), schema)
+    _within_depth(tree._flat, f"{path}: ")  # the last check, after every other error in the document
+    return tree
 
 
 # --- DOT export -------------------------------------------------------------

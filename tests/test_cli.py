@@ -414,6 +414,17 @@ def test_malformed_model_document_is_a_data_error(tmp_path, capsys, model_path, 
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["export-dot", "rules", "predict"])
+def test_a_model_node_naming_an_unknown_attribute_is_a_data_error(tmp_path, capsys, students, model_path, command):
+    doc = json.loads(model_path.read_text())
+    doc["root"]["attribute"] = "XYZ"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    data = ["--data", str(strip_labels(students, tmp_path / "inputs.csv"))] if command == "predict" else []
+    assert main([command, "--model", str(bad), *data]) == 2
+    assert capsys.readouterr().err == "error: unknown attribute 'XYZ'\n"
+
+
 @pytest.mark.parametrize("depth", [MAX_MODEL_DEPTH, MAX_MODEL_DEPTH + 1])
 def test_a_model_file_deeper_than_the_limit_is_refused_when_read(tmp_path, capsys, depth):
     names = [f"A{i}" for i in range(depth)]

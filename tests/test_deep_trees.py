@@ -161,8 +161,10 @@ def test_equality_does_not_recurse(deep):
 
 
 def kept_view(tree: DecisionTree) -> DecisionTree:
-    """The same tree, built from its root, so it keeps that root as its view."""
-    return DecisionTree(tree.root, tree.schema, tree.config, tree.training_size)
+    """The same tree, built from its root, with its own root view already built and kept."""
+    viewed = DecisionTree(tree.root, tree.schema, tree.config, tree.training_size)
+    viewed.root  # builds the view, so the copies below start from a tree that keeps one
+    return viewed
 
 
 def test_repr_does_not_recurse_and_a_tree_stays_unhashable(deep):

@@ -77,7 +77,7 @@ def test_fixture_root_is_argmax_of_recomputed_gains(students, fixture_tree):
     oracle = {a: naive_gain(students, a) for a in students.schema.attribute_names}
     expected_root = max(
         students.schema.attribute_names,
-        key=lambda a: (oracle[a], -students.schema.index(a)),
+        key=lambda a: (oracle[a], -students.schema.attribute_names.index(a)),
     )
     assert isinstance(fixture_tree.root, Internal)
     assert fixture_tree.root.attribute == expected_root
@@ -288,6 +288,13 @@ def test_trees_keep_copies_of_the_mappings_they_are_built_from():
     assert node.branches["a"] is leaf
 
 
+def test_a_root_view_survives_pickle_and_deepcopy(fixture_tree):
+    root = fixture_tree.root
+    assert isinstance(root, Internal)
+    assert pickle.loads(pickle.dumps(root)) == root
+    assert copy.deepcopy(root) == root
+
+
 def test_a_missing_branch_equals_an_explicit_majority_leaf_of_its_node():
     schema = tiny_schema(n_attrs=1, domain=("a", "b", "c"))
     branches = {"a": Leaf("c1", 2, ClassDistribution({"c0": 0, "c1": 2}, 2)),
@@ -297,7 +304,7 @@ def test_a_missing_branch_equals_an_explicit_majority_leaf_of_its_node():
     explicit = Internal("A0", {**branches, "c": Leaf(dist.majority(), 0, dist)})
     first, second = (DecisionTree(root, schema, TreeConfig(), 3) for root in (lacking, explicit))
     assert first == second and model_to_json_dict(first) == model_to_json_dict(second)
-    assert first.root != second.root
+    assert first.root == second.root
 
 
 # --- persistence ----------------------------------------------------------------
@@ -337,7 +344,7 @@ def test_readers_take_the_stored_flat_form_and_build_no_root_view(tmp_path, monk
     assert loaded == grown and (tmp_path / "again.json").read_bytes() == path.read_bytes()
 
 
-def test_a_tree_built_from_a_root_flattens_it_once_and_keeps_it_as_its_view(tmp_path, monkeypatch, fixture_tree):
+def test_a_tree_built_from_a_root_flattens_it_once_and_views_its_flat_form(tmp_path, monkeypatch, fixture_tree):
     import gradetree.tree
 
     calls = []
@@ -349,7 +356,7 @@ def test_a_tree_built_from_a_root_flattens_it_once_and_keeps_it_as_its_view(tmp_
     tree_stats(tree)
     prune(tree, 1)
     assert len(calls) == 1
-    assert tree.root is root and tree == fixture_tree
+    assert tree.root == root and tree == fixture_tree
 
 
 def test_load_model_checks_schema_digest(tmp_path, students, fixture_tree):
