@@ -8,13 +8,17 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
+import os
+import shutil
+import stat
 import sys
+import tempfile
+from contextlib import closing, contextmanager, nullcontext
 from dataclasses import asdict
 from pathlib import Path
 
-from .dataset import _unlabeled_rows, fixture_paths, load_csv, load_schema
+from .dataset import _unlabeled_chunks, fixture_paths, load_csv, load_schema
 from .evaluate import accuracy
 from .metrics import score_all
 from .rules import extract_rules, render_rules, rules_to_json
@@ -132,10 +136,53 @@ def _load_dataset(args):
 
 
 def _emit(text: str, out: str | None) -> None:
-    if out:
-        Path(out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    with _atomic_output(out) as fh:
+        fh.write(text)
+
+
+@contextmanager
+def _naming(out: str):
+    """Re-raise an OSError as one about ``out``, not the temporary file beside it."""
+    try:
+        yield
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, out) from None
+
+
+@contextmanager
+def _atomic_output(out: str | None):
+    """A text file to write a command's output to, which reaches ``out``, or stdout, only
+    once the block succeeds; if it raises, nothing is written.
+
+    A new or regular ``out`` is replaced by a file made beside it, with the mode
+    ``Path.write_text`` would give, or that of the file it replaces; a symlink is written
+    through. Stdout and any other ``out``, such as ``/dev/null`` or a pipe, are opened
+    first and get the output copied from a spool file.
+    """
+    try:
+        regular = bool(out) and stat.S_ISREG(os.stat(out).st_mode)
+    except FileNotFoundError:
+        regular = True
+    if not regular:
+        with open(out, "w", encoding="utf-8") if out else nullcontext(sys.stdout) as sink, \
+                tempfile.TemporaryFile("w+", encoding="utf-8") as spool:
+            yield spool
+            spool.seek(0)
+            shutil.copyfileobj(spool, sink)
+        return
+    target = Path(out).resolve()
+    temp = target.with_name(f".{target.name}.{os.urandom(4).hex()}.tmp")
+    with _naming(out):
+        fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, "w", encoding="utf-8") as fh:
+            yield fh
+        with _naming(out):
+            if target.exists():
+                shutil.copymode(target, temp)
+            os.replace(temp, target)
+    finally:
+        temp.unlink(missing_ok=True)  # already gone once moved into place
 
 
 def cmd_train(args) -> int:
@@ -172,24 +219,27 @@ def _leaf_cells(leaf: Leaf) -> list[str]:
 def cmd_predict(args) -> int:
     """Write the input rows in schema order, each followed by its predicted label and confidence.
 
-    The input is read whole and checked one column at a time; a bad cell
-    is reported as the first one in row order. Every row is routed through
-    the model's flat form, its child ids keyed by value rather than by
-    domain code, and all rows are written at once.
+    The input is read, checked, routed and written a chunk of rows at a time
+    (``dataset._unlabeled_chunks``), so memory does not grow with the file;
+    the error of a bad input is that of its first bad row. Each row is routed
+    through the model's flat form, its child ids keyed by value rather than by
+    domain code. The output reaches ``--out``, or stdout, only once every row
+    is written (``_atomic_output``).
     """
     tree = load_model(args.model)
-    rows = _unlabeled_rows(args.data, tree.schema)
     nodes, positions, children = flat = tree._flat
     cells = [_leaf_cells(node) if p < 0 else None for node, p in zip(nodes, positions)]
     attributes = tree.schema.attributes
-    by_value = [ids and dict(zip(attributes[p].domain, ids)) for p, ids in zip(positions, children)]
-    for row, i in zip(rows, _route(flat._replace(children=by_value), rows)):
-        row += cells[i]
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow([*tree.schema.attribute_names, tree.schema.class_name, "confidence"])
-    writer.writerows(rows)
-    _emit(out.getvalue(), args.out)
+    by_value = flat._replace(children=[
+        ids and dict(zip(attributes[p].domain, ids)) for p, ids in zip(positions, children)])
+    # the input closes before the output is moved into place, which may be the same file
+    with _atomic_output(args.out) as fh, closing(_unlabeled_chunks(args.data, tree.schema)) as chunks:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow([*tree.schema.attribute_names, tree.schema.class_name, "confidence"])
+        for rows in chunks:
+            for row, i in zip(rows, _route(by_value, rows)):
+                row += cells[i]
+            writer.writerows(rows)
     return 0
 
 

@@ -18,9 +18,10 @@ import hashlib
 import io
 import json
 import os
-from contextlib import contextmanager
+from contextlib import closing, contextmanager
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 from operator import itemgetter
 from pathlib import Path
 from types import MappingProxyType
@@ -438,14 +439,18 @@ def bin_marks(percent: float, bands: GradeBands = DEFAULT_GRADE_BANDS) -> str:
 # --- CSV and sidecar I/O ----------------------------------------------------
 
 
+# what reading a CSV raises; csv.Error: a field over csv.field_size_limit()
+_READ_ERRORS = (ValidationError, csv.Error, UnicodeDecodeError)
+
+
 @contextmanager
 def _reading(path):
-    """Re-raise an error in reading ``path`` as a ValidationError that names it."""
+    """Re-raise an error in reading ``path``, one of ``_READ_ERRORS``, as a ValidationError that names it."""
     try:
         yield
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}", row=exc.row, column=exc.column, value=exc.value) from None
-    except (csv.Error, UnicodeDecodeError) as exc:  # csv.Error: a field over csv.field_size_limit()
+    except _READ_ERRORS as exc:
         raise ValidationError(f"{path}: {exc}") from None
 
 
@@ -500,34 +505,54 @@ def load_csv(path, schema: AttributeSchema, missing_token: str | None = None) ->
         return Dataset(schema, _Rows(_read_rows(path, columns, missing_token)))
 
 
-def _unlabeled_rows(path, schema: AttributeSchema) -> list[list[str]]:
-    """Predictor-only rows of a CSV, each a list of cells in schema order, checked.
+_CHUNK_ROWS = 4096  # rows ``_unlabeled_chunks`` reads and checks at a time
 
-    The file is read whole, then each column is checked against its
-    domain at once. Only when some column holds a value outside its
-    domain are the rows scanned one by one, so the error names the first
-    bad cell in row order, and within a row in schema order.
+
+def _unlabeled_chunks(path, schema: AttributeSchema) -> Iterator[list[list[str]]]:
+    """Predictor-only rows of a CSV, read and checked ``_CHUNK_ROWS`` at a time: each chunk
+    a list of rows, each row a list of cells in schema order.
+
+    Each column of a chunk is checked against its domain at once. Only when some column
+    holds a value outside its domain are the chunk's rows scanned one by one, so the error
+    names the first bad cell in row order, and within a row in schema order. A row the
+    reader rejects (ragged, or with an empty cell) is reported only after the rows before
+    it are checked: the error is that of the first bad row in the file, whatever its kind.
     """
     names = schema.attribute_names
     domains = [set(a.domain) for a in schema.attributes]
-    with _reading(path):
-        rows = list(_read_rows(path, names, None))
-        if not all(domain.issuperset(column) for domain, column in zip(domains, zip(*rows))):
-            named = list(zip(names, domains))
-            for row_no, row in enumerate(rows, start=1):
+    named = list(zip(names, domains))
+
+    def check(chunk, first):
+        if not all(domain.issuperset(column) for domain, column in zip(domains, zip(*chunk))):
+            for row_no, row in enumerate(chunk, start=first):
                 _check_cells(row_no, row, named)
-    return rows
+
+    with _reading(path), closing(_read_rows(path, names, None)) as rows:
+        first = 1
+        while True:
+            chunk = []
+            try:
+                for row in islice(rows, _CHUNK_ROWS):
+                    chunk.append(row)
+            except _READ_ERRORS:
+                check(chunk, first)
+                raise
+            check(chunk, first)
+            if not chunk:
+                return
+            yield chunk
+            first += len(chunk)
 
 
 def load_unlabeled_csv(path, schema: AttributeSchema) -> list[dict[str, str]]:
     """Load predictor-only rows (no class column) for prediction, one dict per row.
 
-    Read and checked as ``load_csv`` reads a labeled CSV, empty cells
-    rejected; a value outside its domain is reported at the first bad
-    cell in row order, and within a row in schema order.
+    Read and checked as ``gradetree predict`` reads its input, empty cells
+    rejected; the error is that of the first bad row, and a value outside
+    its domain is reported at the first bad cell in schema order.
     """
     names = schema.attribute_names
-    return [dict(zip(names, row)) for row in _unlabeled_rows(path, schema)]
+    return [dict(zip(names, row)) for chunk in _unlabeled_chunks(path, schema) for row in chunk]
 
 
 def dataset_to_csv(dataset: Dataset) -> str:

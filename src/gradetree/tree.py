@@ -200,13 +200,20 @@ def _bottom_up(flat: _Flat, leaf, internal):
 
 def _flatten(root: DecisionNode, schema: AttributeSchema) -> _Flat:
     """The flat form of a tree. A branch that a hand-built tree lacks becomes a
-    leaf of the node's majority and its ``node_distribution``, with support 0."""
+    leaf of the node's majority and its ``node_distribution``, with support 0. A node
+    naming an attribute outside the schema, or a branch value outside its domain, is a
+    ValueError."""
     where = {a.name: (p, a.domain) for p, a in enumerate(schema.attributes)}
 
     def expand(node):
         if isinstance(node, Leaf):
             return node, -1, ()
+        if node.attribute not in where:
+            raise ValueError(f"unknown attribute {node.attribute!r}")
         (position, domain), branches = where[node.attribute], node.branches
+        outside = [v for v in branches if v not in domain]
+        if outside:
+            raise ValueError(f"branches for {node.attribute!r} name values outside its domain: {outside}")
         try:
             items = [branches[v] for v in domain]
         except KeyError:

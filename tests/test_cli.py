@@ -4,17 +4,30 @@ import functools
 import io
 import json
 import operator
+import os
 import random
 import re
+import stat
 import subprocess
 import sys
+import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import gradetree.dataset
 from conftest import naive_gain
 from gradetree.cli import main
-from gradetree.dataset import Attribute, AttributeSchema, ClassDistribution, Dataset, Record, fixture_paths
+from gradetree.dataset import (
+    Attribute,
+    AttributeSchema,
+    ClassDistribution,
+    Dataset,
+    Record,
+    ValidationError,
+    fixture_paths,
+    load_unlabeled_csv,
+)
 from gradetree.tree import (
     MAX_MODEL_DEPTH,
     DecisionTree,
@@ -257,6 +270,145 @@ def test_saved_model_predicts_identically_to_in_memory_tree(tmp_path, students, 
         disk_label, disk_dist = predict(loaded, values)
         assert mem_label == disk_label
         assert mem_dist == disk_dist
+
+
+# --- predict in chunks, output in one piece ----------------------------------------
+
+GOOD_ROW = "First,Good,Good,Yes,Yes,Good,Yes"
+BAD_VALUE_ROW = "First,Good,Good,Yes,Yes,Epic,Yes"
+RAGGED_ROW = "First,Good,Good,Yes,Yes,Good"
+EMPTY_CELL_ROW = "First,Good,,Yes,Yes,Good,Yes"
+
+
+def write_inputs(path, rows):
+    path.write_text("\n".join(["PSM,CTG,SEM,ASS,GP,ATT,LW", *rows]) + "\n")
+    return path
+
+
+def first_error(monkeypatch, capsys, model_path, inputs, chunk_rows):
+    """The error that ``load_unlabeled_csv`` raises and ``predict`` prints, the same
+    for both, with the input read ``chunk_rows`` rows at a time."""
+    monkeypatch.setattr(gradetree.dataset, "_CHUNK_ROWS", chunk_rows)
+    with pytest.raises(ValidationError) as exc_info:
+        load_unlabeled_csv(inputs, load_model(model_path).schema)
+    assert main(["predict", "--model", str(model_path), "--data", str(inputs)]) == 2
+    assert capsys.readouterr() == ("", f"error: {exc_info.value}\n")
+    return exc_info.value
+
+
+@pytest.mark.parametrize("later", [RAGGED_ROW, EMPTY_CELL_ROW])
+def test_a_bad_value_beats_a_reader_error_later_in_its_chunk(tmp_path, capsys, monkeypatch, model_path, later):
+    inputs = write_inputs(tmp_path / "in.csv", [GOOD_ROW, BAD_VALUE_ROW, later, GOOD_ROW])
+    err = first_error(monkeypatch, capsys, model_path, inputs, chunk_rows=4)
+    assert (err.row, err.column, err.value) == (2, "ATT", "Epic")
+
+
+@pytest.mark.parametrize("chunk_rows", [2, 4])
+def test_a_reader_error_beats_a_bad_value_in_a_later_row(tmp_path, capsys, monkeypatch, model_path, chunk_rows):
+    inputs = write_inputs(tmp_path / "in.csv", [GOOD_ROW, RAGGED_ROW, BAD_VALUE_ROW, GOOD_ROW])
+    err = first_error(monkeypatch, capsys, model_path, inputs, chunk_rows)
+    assert str(err) == f"{inputs}: row 2 has 6 fields, expected 7"
+
+
+@pytest.mark.parametrize("bad_rows, reported", [((3, 4), 3), ((4, 7), 4), ((6,), 6)])
+def test_bad_cells_at_chunk_seams_keep_their_row_numbers(tmp_path, capsys, monkeypatch, model_path,
+                                                         bad_rows, reported):
+    rows = [BAD_VALUE_ROW if n in bad_rows else GOOD_ROW for n in range(1, 8)]
+    err = first_error(monkeypatch, capsys, model_path, write_inputs(tmp_path / "in.csv", rows), chunk_rows=3)
+    assert (err.row, err.column) == (reported, "ATT")
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 7, 10])
+def test_predict_output_is_the_same_in_any_chunk_size(tmp_path, capsys, monkeypatch, students, model_path,
+                                                      chunk_rows):
+    inputs = strip_labels(students, tmp_path / "inputs.csv")
+    argv = ["predict", "--model", str(model_path), "--data", str(inputs)]
+    assert main(argv) == 0
+    whole, loaded = capsys.readouterr().out, load_unlabeled_csv(inputs, students.schema)
+    monkeypatch.setattr(gradetree.dataset, "_CHUNK_ROWS", chunk_rows)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == whole
+    assert load_unlabeled_csv(inputs, students.schema) == loaded
+
+
+def test_a_failing_predict_leaves_its_out_file_as_it_was(tmp_path, capsys, monkeypatch, model_path):
+    monkeypatch.setattr(gradetree.dataset, "_CHUNK_ROWS", 2)  # two chunks are written before the bad row
+    inputs = write_inputs(tmp_path / "in.csv", [GOOD_ROW] * 4 + [BAD_VALUE_ROW])
+    out = tmp_path / "out.csv"
+    out.write_bytes(b"earlier output\n")
+    before = sorted(os.listdir(tmp_path))
+    assert main(["predict", "--model", str(model_path), "--data", str(inputs), "--out", str(out)]) == 2
+    assert out.read_bytes() == b"earlier output\n"
+    assert sorted(os.listdir(tmp_path)) == before
+    assert capsys.readouterr().out == ""
+
+
+def test_predict_can_write_over_its_own_input(tmp_path, capsys, students, model_path):
+    inputs = strip_labels(students, tmp_path / "inputs.csv")
+    assert main(["predict", "--model", str(model_path), "--data", str(inputs)]) == 0
+    expected = capsys.readouterr().out
+    assert main(["predict", "--model", str(model_path), "--data", str(inputs), "--out", str(inputs)]) == 0
+    assert inputs.read_text() == expected
+    assert sorted(os.listdir(tmp_path)) == ["inputs.csv", "model.json"]
+
+
+def test_predict_output_mode_is_the_one_write_text_gives(tmp_path, capsys, students, model_path):
+    inputs = strip_labels(students, tmp_path / "inputs.csv")
+    new, kept = tmp_path / "new.csv", tmp_path / "kept.csv"
+    kept.write_text("earlier output\n")
+    kept.chmod(0o600)
+    umask = os.umask(0o027)
+    try:
+        for out in (new, kept):
+            assert main(["predict", "--model", str(model_path), "--data", str(inputs), "--out", str(out)]) == 0
+    finally:
+        os.umask(umask)
+    assert stat.S_IMODE(new.stat().st_mode) == 0o640  # 0o666 under the umask, not mkstemp's 0o600
+    assert stat.S_IMODE(kept.stat().st_mode) == 0o600  # a file written over keeps its mode
+
+
+def test_predict_writes_through_a_symlinked_out_file(tmp_path, capsys, students, model_path):
+    inputs = strip_labels(students, tmp_path / "inputs.csv")
+    assert main(["predict", "--model", str(model_path), "--data", str(inputs)]) == 0
+    expected = capsys.readouterr().out
+    real, link = tmp_path / "real.csv", tmp_path / "link.csv"
+    real.write_text("earlier output\n")
+    link.symlink_to(real.name)
+    assert main(["predict", "--model", str(model_path), "--data", str(inputs), "--out", str(link)]) == 0
+    assert link.is_symlink() and real.read_text() == expected
+
+
+@pytest.mark.parametrize("name, error", [("absent/out.csv", "[Errno 2] No such file or directory"),
+                                         ("directory", "[Errno 21] Is a directory")])
+def test_a_bad_out_path_is_named_in_the_error(tmp_path, capsys, students, model_path, name, error):
+    inputs = strip_labels(students, tmp_path / "inputs.csv")
+    (tmp_path / "directory").mkdir()
+    out = tmp_path / name
+    assert main(["predict", "--model", str(model_path), "--data", str(inputs), "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", f"error: {error}: {str(out)!r}\n")
+    assert sorted(os.listdir(tmp_path)) == ["directory", "inputs.csv", "model.json"]
+
+
+def test_predict_writes_into_a_pipe_without_replacing_it(tmp_path, capsys, students, model_path):
+    inputs = strip_labels(students, tmp_path / "inputs.csv")
+    assert main(["predict", "--model", str(model_path), "--data", str(inputs)]) == 0
+    expected = capsys.readouterr().out
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_text()), daemon=True)
+    reader.start()
+    assert main(["predict", "--model", str(model_path), "--data", str(inputs), "--out", str(fifo)]) == 0
+    reader.join(timeout=10)
+    assert received == [expected]
+    assert stat.S_ISFIFO(fifo.stat().st_mode)
+
+
+def test_predict_into_the_null_device_leaves_it_a_device(tmp_path, capsys, students, model_path):
+    inputs = strip_labels(students, tmp_path / "inputs.csv")
+    assert main(["predict", "--model", str(model_path), "--data", str(inputs), "--out", os.devnull]) == 0
+    assert capsys.readouterr() == ("", "")
+    assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
 
 
 # --- rules, gains, verify, export-dot ---------------------------------------------

@@ -307,6 +307,20 @@ def test_a_missing_branch_equals_an_explicit_majority_leaf_of_its_node():
     assert first.root == second.root
 
 
+def test_a_hand_built_branch_outside_its_domain_is_refused():
+    leaf = Leaf("c0", 1, ClassDistribution({"c0": 1, "c1": 0}, 1))
+    stray = Leaf("c1", 5, ClassDistribution({"c0": 0, "c1": 5}, 5))
+    root = Internal("A0", {"a": leaf, "b": leaf, "zzz": stray})
+    with pytest.raises(ValueError, match=r"branches for 'A0' name values outside its domain: \['zzz'\]"):
+        DecisionTree(root, tiny_schema(n_attrs=1), TreeConfig(), 6)
+
+
+def test_a_hand_built_node_on_an_unknown_attribute_is_refused():
+    leaf = Leaf("c0", 1, ClassDistribution({"c0": 1, "c1": 0}, 1))
+    with pytest.raises(ValueError, match="^unknown attribute 'XYZ'$"):
+        DecisionTree(Internal("XYZ", {"a": leaf}), tiny_schema(n_attrs=1), TreeConfig(), 1)
+
+
 # --- persistence ----------------------------------------------------------------
 
 
