@@ -9,16 +9,11 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
-import shutil
-import stat
 import sys
-import tempfile
-from contextlib import closing, contextmanager, nullcontext
+from contextlib import closing
 from dataclasses import asdict
-from pathlib import Path
 
-from .dataset import _unlabeled_chunks, fixture_paths, load_csv, load_schema
+from .dataset import _atomic_output, _unlabeled_chunks, _write_text, fixture_paths, load_csv, load_schema
 from .evaluate import accuracy
 from .metrics import score_all
 from .rules import extract_rules, render_rules, rules_to_json
@@ -135,56 +130,6 @@ def _load_dataset(args):
     return load_csv(args.data if args.data else default_csv, schema)
 
 
-def _emit(text: str, out: str | None) -> None:
-    with _atomic_output(out) as fh:
-        fh.write(text)
-
-
-@contextmanager
-def _naming(out: str):
-    """Re-raise an OSError as one about ``out``, not the temporary file beside it."""
-    try:
-        yield
-    except OSError as exc:
-        raise OSError(exc.errno, exc.strerror, out) from None
-
-
-@contextmanager
-def _atomic_output(out: str | None):
-    """A text file to write a command's output to, which reaches ``out``, or stdout, only
-    once the block succeeds; if it raises, nothing is written.
-
-    A new or regular ``out`` is replaced by a file made beside it, with the mode
-    ``Path.write_text`` would give, or that of the file it replaces; a symlink is written
-    through. Stdout and any other ``out``, such as ``/dev/null`` or a pipe, are opened
-    first and get the output copied from a spool file.
-    """
-    try:
-        regular = bool(out) and stat.S_ISREG(os.stat(out).st_mode)
-    except FileNotFoundError:
-        regular = True
-    if not regular:
-        with open(out, "w", encoding="utf-8") if out else nullcontext(sys.stdout) as sink, \
-                tempfile.TemporaryFile("w+", encoding="utf-8") as spool:
-            yield spool
-            spool.seek(0)
-            shutil.copyfileobj(spool, sink)
-        return
-    target = Path(out).resolve()
-    temp = target.with_name(f".{target.name}.{os.urandom(4).hex()}.tmp")
-    with _naming(out):
-        fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-    try:
-        with open(fd, "w", encoding="utf-8") as fh:
-            yield fh
-        with _naming(out):
-            if target.exists():
-                shutil.copymode(target, temp)
-            os.replace(temp, target)
-    finally:
-        temp.unlink(missing_ok=True)  # already gone once moved into place
-
-
 def cmd_train(args) -> int:
     dataset = _load_dataset(args)
     config = TreeConfig(
@@ -224,7 +169,7 @@ def cmd_predict(args) -> int:
     the error of a bad input is that of its first bad row. Each row is routed
     through the model's flat form, its child ids keyed by value rather than by
     domain code. The output reaches ``--out``, or stdout, only once every row
-    is written (``_atomic_output``).
+    is written (``dataset._atomic_output``).
     """
     tree = load_model(args.model)
     nodes, positions, children = flat = tree._flat
@@ -247,7 +192,7 @@ def cmd_rules(args) -> int:
     tree = load_model(args.model)
     dataset = _load_dataset(args)
     render = rules_to_json if args.format == "json" else render_rules
-    _emit(render(extract_rules(tree, dataset), tree.schema.class_name), args.out)
+    _write_text(render(extract_rules(tree, dataset), tree.schema.class_name), args.out)
     return 0
 
 
@@ -255,7 +200,7 @@ def cmd_gains(args) -> int:
     dataset = _load_dataset(args)
     scores = score_all(dataset)
     if args.format == "json":
-        _emit(json.dumps([asdict(s) for s in scores], indent=2) + "\n", args.out)
+        _write_text(json.dumps([asdict(s) for s in scores], indent=2) + "\n", args.out)
     else:
         lines = [f"{'attribute':<12}{'gain':>12}{'split_info':>14}{'gain_ratio':>14}"]
         for s in scores:
@@ -263,7 +208,7 @@ def cmd_gains(args) -> int:
                 f"{s.attribute:<12}{s.gain:>12.6f}{s.split_information:>14.6f}"
                 f"{s.gain_ratio:>14.6f}"
             )
-        _emit("\n".join(lines) + "\n", args.out)
+        _write_text("\n".join(lines) + "\n", args.out)
     return 0
 
 
@@ -271,7 +216,7 @@ def cmd_verify(args) -> int:
     dataset = _load_dataset(args)
     report = verify_published(dataset)
     text = json.dumps(report.to_json_dict(), indent=2) + "\n" if args.format == "json" else report.render()
-    _emit(text, args.out)
+    _write_text(text, args.out)
     if not report.implementation_consistent:
         print("verification hard failure: implementation disagrees with oracle",
               file=sys.stderr)
@@ -281,7 +226,7 @@ def cmd_verify(args) -> int:
 
 def cmd_export_dot(args) -> int:
     tree = load_model(args.model)
-    _emit(to_dot(tree), args.out)
+    _write_text(to_dot(tree), args.out)
     return 0
 
 

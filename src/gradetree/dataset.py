@@ -6,9 +6,11 @@ as the class. A ``Dataset`` holds the table as codes, a column of domain
 indices per attribute and one of class indices; its ``records`` are a
 view built from them the first time they are read. ``load_csv`` encodes
 the rows it reads straight into those columns, so a loaded table that
-is only trained on, scored or evaluated never builds a record. The
-bundled 50-student table ships with the package (``load_students``)
-together with its schema sidecar.
+is only trained on, scored or evaluated never builds a record. Every CSV
+is read through one chunk loop (``_chunks``), and every file the package
+writes goes through one atomic writer (``_atomic_output``). The bundled
+50-student table ships with the package (``load_students``) together
+with its schema sidecar.
 """
 
 from __future__ import annotations
@@ -18,14 +20,18 @@ import hashlib
 import io
 import json
 import os
-from contextlib import closing, contextmanager
+import shutil
+import stat
+import sys
+import tempfile
+from contextlib import closing, contextmanager, nullcontext
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import islice
 from operator import itemgetter
 from pathlib import Path
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 __all__ = [
     "SchemaError",
@@ -212,12 +218,9 @@ class ClassDistribution:
         return ClassDistribution(counts, self.total + other.total)
 
 
-class _Rows(list):
-    """Rows of cells in schema order, the label last, as ``load_csv`` reads them.
-
-    A ``Dataset`` given these encodes them straight into code columns and
-    builds its records only when they are read.
-    """
+class _Codes(tuple):
+    """A table's code columns, one per attribute in schema order, then the label codes, as
+    ``load_csv`` reads them; a ``Dataset`` given these keeps them as its state."""
 
 
 @dataclass(frozen=True, init=False)
@@ -234,24 +237,23 @@ class Dataset:
     ``schema`` and ``records`` are its dataclass fields: equality, ``repr``
     and hashing read them, so they read the view.
 
-    Records and the rows ``load_csv`` reads reach the codes through one row
-    encoder: each record is first made the row ``load_csv`` would read. An
-    invalid record raises the ValidationError of the first bad row; within
-    a row the attributes are checked first, then the cells in schema order,
-    then the label.
+    Records and ``load_csv``'s chunks reach the codes through one row
+    encoder, ``_encode``: each record is first made the row ``load_csv``
+    would read. An invalid record raises the ValidationError of the first
+    bad row; within a row the attributes are checked first, then the cells
+    in schema order, then the label.
     """
 
     schema: AttributeSchema
     records: tuple[Record, ...]  # its default is the property below, which reads the view
 
     def __init__(self, schema: AttributeSchema, records: Iterable[Record]):
-        if isinstance(records, _Rows):
-            columns, labels = _encode(schema, records)
+        if isinstance(records, _Codes):
+            *columns, labels = records
         else:
-            records = tuple(records)
-            columns, labels = _encode(schema, _record_rows(schema, records))
-            vars(self)["_records"] = records
-        vars(self).update(schema=schema, _columns=columns, _labels=labels)
+            vars(self)["_records"] = records = tuple(records)
+            *columns, labels = _encode(schema, _record_rows(schema, records))
+        vars(self).update(schema=schema, _columns=dict(zip(schema.attribute_names, columns)), _labels=labels)
 
     @property
     def records(self) -> tuple[Record, ...]:
@@ -295,20 +297,18 @@ def _record_rows(schema: AttributeSchema, records: Iterable[Record]) -> list[tup
     return rows
 
 
-def _encode(schema: AttributeSchema, rows: Sequence[Sequence[str]]) -> tuple[dict, tuple[int, ...]]:
-    """The codes of a table given by its rows (cells in schema order, the label last):
-    each attribute's code column by name, and the label codes. The rows are transposed
-    and whole columns encoded at once, one at a time; only when one holds a value outside
-    its domain are the rows scanned one by one, so the error names the first bad cell or
-    label."""
-    attributes = schema.attributes
-    domains = [a.domain for a in attributes] + [schema.class_domain]
+def _encode(schema: AttributeSchema, rows: Sequence[Sequence[str]], first: int = 1) -> list[tuple[int, ...]]:
+    """The codes of a table given by its rows (cells in schema order, the label last),
+    as ``_Codes`` holds them. The rows are transposed and whole columns encoded at once,
+    one at a time; only when one holds a value outside its domain are the rows scanned
+    one by one, so the error names the first bad cell or label, its row numbered from
+    ``first``."""
+    domains = [a.domain for a in schema.attributes] + [schema.class_domain]
     try:
-        *columns, labels = list(map(_codes, zip(*rows), domains)) or [()] * len(domains)
+        return list(map(_codes, zip(*rows), domains)) or [()] * len(domains)
     except (KeyError, TypeError):  # TypeError: an unhashable value, which the scan meets too
-        _check_rows(schema, rows)
+        _check_rows(schema, rows, first)
         raise
-    return {a.name: column for a, column in zip(attributes, columns)}, labels
 
 
 def _decoded_rows(dataset: Dataset) -> Iterator[tuple[str, ...]]:
@@ -323,11 +323,11 @@ def _codes(values: Iterable[str], domain: Sequence[str]) -> tuple[int, ...]:
     return tuple(map({v: i for i, v in enumerate(domain)}.__getitem__, values))
 
 
-def _check_rows(schema: AttributeSchema, rows: Iterable[Sequence[str]]) -> None:
-    """Raise a ValidationError for the first bad cell or label, checked one row at a time."""
+def _check_rows(schema: AttributeSchema, rows: Iterable[Sequence[str]], first: int) -> None:
+    """Raise a ValidationError for the first bad cell or label, the rows numbered from ``first``."""
     domains = [(a.name, set(a.domain)) for a in schema.attributes]
     class_domain = set(schema.class_domain)
-    for i, row in enumerate(rows, start=1):
+    for i, row in enumerate(rows, start=first):
         _check_cells(i, row, domains)
         if row[-1] not in class_domain:
             raise ValidationError(
@@ -471,11 +471,9 @@ def _read_rows(path, columns: Sequence[str], missing_token: str | None):
             if col in seen:
                 raise ValidationError(f"duplicate header column {col!r}", column=col)
             seen.add(col)
-        missing = set(columns) - seen
-        if missing:
+        if missing := set(columns) - seen:
             raise ValidationError(f"missing column(s) {sorted(missing)}")
-        unknown = seen - set(columns)
-        if unknown:
+        if unknown := seen - set(columns):
             raise ValidationError(f"unknown column(s) {sorted(unknown)}")
         positions = None if header == list(columns) else [header.index(c) for c in columns]
         for row_no, row in enumerate(reader, start=1):
@@ -498,36 +496,30 @@ def load_csv(path, schema: AttributeSchema, missing_token: str | None = None) ->
 
     Empty cells are rejected unless ``missing_token`` is given, in which
     case they are read as that label and still face domain validation:
-    the load only succeeds if the token is declared in the domain.
+    the load only succeeds if the token is declared in the domain. Rows
+    are read and encoded a chunk at a time (``_chunks``), and the error of
+    a bad file is that of its first bad row, whatever its kind.
     """
     columns = schema.attribute_names + (schema.class_name,)
-    with _reading(path):
-        return Dataset(schema, _Rows(_read_rows(path, columns, missing_token)))
+    codes = [[] for _ in columns]
+    for chunk in _chunks(path, columns, missing_token, partial(_encode, schema)):
+        for column, part in zip(codes, chunk):
+            column += part
+    return Dataset(schema, _Codes(map(tuple, codes)))
 
 
-_CHUNK_ROWS = 4096  # rows ``_unlabeled_chunks`` reads and checks at a time
+_CHUNK_ROWS = 4096  # rows ``_chunks`` reads and checks at a time
 
 
-def _unlabeled_chunks(path, schema: AttributeSchema) -> Iterator[list[list[str]]]:
-    """Predictor-only rows of a CSV, read and checked ``_CHUNK_ROWS`` at a time: each chunk
-    a list of rows, each row a list of cells in schema order.
+def _chunks(path, columns: Sequence[str], missing_token: str | None, check: Callable) -> Iterator:
+    """Yield ``check(rows, first)`` for each chunk of up to ``_CHUNK_ROWS`` rows that
+    ``_read_rows`` reads from a CSV, ``first`` being the chunk's first row number in the file.
 
-    Each column of a chunk is checked against its domain at once. Only when some column
-    holds a value outside its domain are the chunk's rows scanned one by one, so the error
-    names the first bad cell in row order, and within a row in schema order. A row the
-    reader rejects (ragged, or with an empty cell) is reported only after the rows before
-    it are checked: the error is that of the first bad row in the file, whatever its kind.
+    A row the reader rejects (ragged, or with an empty cell) is raised only after ``check``
+    has seen the rows before it. So when ``check`` raises at the first bad row it is given,
+    the error is that of the first bad row in the file, whatever its kind.
     """
-    names = schema.attribute_names
-    domains = [set(a.domain) for a in schema.attributes]
-    named = list(zip(names, domains))
-
-    def check(chunk, first):
-        if not all(domain.issuperset(column) for domain, column in zip(domains, zip(*chunk))):
-            for row_no, row in enumerate(chunk, start=first):
-                _check_cells(row_no, row, named)
-
-    with _reading(path), closing(_read_rows(path, names, None)) as rows:
+    with _reading(path), closing(_read_rows(path, columns, missing_token)) as rows:
         first = 1
         while True:
             chunk = []
@@ -537,20 +529,33 @@ def _unlabeled_chunks(path, schema: AttributeSchema) -> Iterator[list[list[str]]
             except _READ_ERRORS:
                 check(chunk, first)
                 raise
-            check(chunk, first)
             if not chunk:
                 return
-            yield chunk
+            yield check(chunk, first)
             first += len(chunk)
 
 
-def load_unlabeled_csv(path, schema: AttributeSchema) -> list[dict[str, str]]:
-    """Load predictor-only rows (no class column) for prediction, one dict per row.
+def _unlabeled_chunks(path, schema: AttributeSchema) -> Iterator[list[list[str]]]:
+    """Predictor-only rows of a CSV, read through ``_chunks``: each chunk a list of rows, each
+    a list of cells in schema order. Each column of a chunk is checked against its domain at
+    once; only when one holds a value outside it are the rows scanned one by one, so the
+    error names the first bad cell in row order, and within a row in schema order."""
+    names = schema.attribute_names
+    domains = [set(a.domain) for a in schema.attributes]
+    named = list(zip(names, domains))
 
-    Read and checked as ``gradetree predict`` reads its input, empty cells
-    rejected; the error is that of the first bad row, and a value outside
-    its domain is reported at the first bad cell in schema order.
-    """
+    def check(chunk, first):
+        if not all(domain.issuperset(column) for domain, column in zip(domains, zip(*chunk))):
+            for row_no, row in enumerate(chunk, start=first):
+                _check_cells(row_no, row, named)
+        return chunk
+
+    return _chunks(path, names, None, check)
+
+
+def load_unlabeled_csv(path, schema: AttributeSchema) -> list[dict[str, str]]:
+    """Load predictor-only rows (no class column) for prediction, one dict per row, read
+    and checked as ``gradetree predict`` reads its input (``_unlabeled_chunks``)."""
     names = schema.attribute_names
     return [dict(zip(names, row)) for chunk in _unlabeled_chunks(path, schema) for row in chunk]
 
@@ -566,7 +571,7 @@ def dataset_to_csv(dataset: Dataset) -> str:
 
 
 def dump_csv(dataset: Dataset, path) -> None:
-    Path(path).write_text(dataset_to_csv(dataset), encoding="utf-8")
+    _write_text(dataset_to_csv(dataset), path)
 
 
 def _read_json(path, error: type[Exception]):
@@ -581,15 +586,64 @@ def _read_json(path, error: type[Exception]):
         raise error(f"{path}: JSON nested too deeply to read") from None
 
 
+@contextmanager
+def _naming(out):
+    """Re-raise an OSError as one about ``out``, not the temporary file beside it."""
+    try:
+        yield
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, os.fspath(out)) from None
+
+
+@contextmanager
+def _atomic_output(out):
+    """A text file to write to, which reaches ``out``, or stdout when it is None, only
+    once the block succeeds; if it raises, nothing is written.
+
+    A new or regular ``out`` is replaced by a file made beside it, with the mode
+    ``Path.write_text`` would give, or that of the file it replaces; a symlink is written
+    through. Stdout and any other ``out``, such as ``/dev/null`` or a pipe (but not ``""``,
+    which ``open`` refuses), are opened first and get the output copied from a spool file.
+    """
+    try:
+        regular = out is not None and stat.S_ISREG(os.stat(out).st_mode)
+    except FileNotFoundError:
+        regular = out != ""  # not the working directory, which Path("") names
+    if not regular:
+        with open(out, "w", encoding="utf-8") if out is not None else nullcontext(sys.stdout) as sink, \
+                tempfile.TemporaryFile("w+", encoding="utf-8") as spool:
+            yield spool
+            spool.seek(0)
+            shutil.copyfileobj(spool, sink)
+        return
+    target = Path(out).resolve()
+    temp = target.with_name(f".{target.name}.{os.urandom(4).hex()}.tmp")
+    with _naming(out):
+        fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, "w", encoding="utf-8") as fh:
+            yield fh
+        with _naming(out):
+            if target.exists():
+                shutil.copymode(target, temp)
+            os.replace(temp, target)
+    finally:
+        temp.unlink(missing_ok=True)  # already gone once moved into place
+
+
+def _write_text(text: str, path) -> None:
+    """Write ``text`` to ``path`` through ``_atomic_output``."""
+    with _atomic_output(path) as fh:
+        fh.write(text)
+
+
 def load_schema(path) -> AttributeSchema:
     """Read a JSON schema sidecar (see README for the exact key names)."""
     return AttributeSchema.from_json_dict(_read_json(Path(path), SchemaError))
 
 
 def dump_schema(schema: AttributeSchema, path) -> None:
-    Path(path).write_text(
-        json.dumps(schema.to_json_dict(), indent=2) + "\n", encoding="utf-8"
-    )
+    _write_text(json.dumps(schema.to_json_dict(), indent=2) + "\n", path)
 
 
 # --- bundled fixture --------------------------------------------------------

@@ -31,11 +31,10 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from functools import reduce
 from itertools import repeat
-from pathlib import Path
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
-from .dataset import AttributeSchema, ClassDistribution, Dataset, ValidationError, _read_json
+from .dataset import AttributeSchema, ClassDistribution, Dataset, ValidationError, _read_json, _write_text
 from .metrics import contingency, encode, table_scores
 
 __all__ = [
@@ -484,11 +483,12 @@ def _within_depth(flat: _Flat, where: str = "") -> None:
 
 
 def save_model(tree: DecisionTree, path) -> None:
-    """Write the canonical JSON encoding (sorted keys, two-space indent); a tree
-    deeper than ``MAX_MODEL_DEPTH`` raises ValueError, and nothing is written."""
+    """Write the canonical JSON encoding (sorted keys, two-space indent), replacing ``path``
+    only once it is complete (``dataset._atomic_output``); a tree deeper than
+    ``MAX_MODEL_DEPTH`` raises ValueError, and nothing is written."""
     _within_depth(tree._flat)
     text = json.dumps(model_to_json_dict(tree), indent=2, sort_keys=True) + "\n"
-    Path(path).write_text(text, encoding="utf-8")
+    _write_text(text, path)
 
 
 def load_model(path, schema: AttributeSchema | None = None) -> DecisionTree:

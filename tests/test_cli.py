@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import gradetree.dataset
-from conftest import naive_gain
+from conftest import naive_gain, random_dataset
 from gradetree.cli import main
 from gradetree.dataset import (
     Attribute,
@@ -25,7 +25,10 @@ from gradetree.dataset import (
     Dataset,
     Record,
     ValidationError,
+    dump_csv,
     fixture_paths,
+    load_csv,
+    load_students,
     load_unlabeled_csv,
 )
 from gradetree.tree import (
@@ -285,15 +288,32 @@ def write_inputs(path, rows):
     return path
 
 
+def labeled_twin(inputs, labels=None):
+    """A labeled CSV beside ``inputs``: each of its rows followed by the label ``labels``
+    gives for its row number, or ``First``."""
+    header, *rows = inputs.read_text().splitlines()
+    labels = labels or {}
+    twin = inputs.with_name(f"labeled-{inputs.name}")
+    twin.write_text("\n".join([f"{header},ESM"] + [f"{row},{labels.get(n, 'First')}"
+                                                    for n, row in enumerate(rows, start=1)]) + "\n")
+    return twin
+
+
 def first_error(monkeypatch, capsys, model_path, inputs, chunk_rows):
     """The error that ``load_unlabeled_csv`` raises and ``predict`` prints, the same
-    for both, with the input read ``chunk_rows`` rows at a time."""
+    for both, with the input read ``chunk_rows`` rows at a time; ``load_csv`` reports
+    it at the same row and column of the input's labeled twin."""
     monkeypatch.setattr(gradetree.dataset, "_CHUNK_ROWS", chunk_rows)
+    schema = load_model(model_path).schema
     with pytest.raises(ValidationError) as exc_info:
-        load_unlabeled_csv(inputs, load_model(model_path).schema)
+        load_unlabeled_csv(inputs, schema)
     assert main(["predict", "--model", str(model_path), "--data", str(inputs)]) == 2
     assert capsys.readouterr() == ("", f"error: {exc_info.value}\n")
-    return exc_info.value
+    err = exc_info.value
+    with pytest.raises(ValidationError) as labeled:
+        load_csv(labeled_twin(inputs), schema)
+    assert (labeled.value.row, labeled.value.column, labeled.value.value) == (err.row, err.column, err.value)
+    return err
 
 
 @pytest.mark.parametrize("later", [RAGGED_ROW, EMPTY_CELL_ROW])
@@ -316,6 +336,26 @@ def test_bad_cells_at_chunk_seams_keep_their_row_numbers(tmp_path, capsys, monke
     rows = [BAD_VALUE_ROW if n in bad_rows else GOOD_ROW for n in range(1, 8)]
     err = first_error(monkeypatch, capsys, model_path, write_inputs(tmp_path / "in.csv", rows), chunk_rows=3)
     assert (err.row, err.column) == (reported, "ATT")
+
+
+@pytest.mark.parametrize("bad_rows, reported", [((3, 4), 3), ((4, 7), 4), ((6,), 6)])
+def test_bad_labels_at_chunk_seams_keep_their_row_numbers(tmp_path, monkeypatch, students, bad_rows, reported):
+    monkeypatch.setattr(gradetree.dataset, "_CHUNK_ROWS", 3)
+    inputs = write_inputs(tmp_path / "in.csv", [GOOD_ROW] * 7)
+    with pytest.raises(ValidationError) as exc_info:
+        load_csv(labeled_twin(inputs, dict.fromkeys(bad_rows, "Distinction")), students.schema)
+    assert (exc_info.value.row, exc_info.value.column, exc_info.value.value) == (reported, "ESM", "Distinction")
+
+
+def test_load_csv_gives_the_same_dataset_in_any_chunk_size(tmp_path, monkeypatch):
+    dataset = random_dataset(random.Random(14), max_attributes=5, max_records=60)
+    data = tmp_path / "table.csv"
+    dump_csv(dataset, data)
+    for chunk_rows in (1, 7, 10, 4096):
+        monkeypatch.setattr(gradetree.dataset, "_CHUNK_ROWS", chunk_rows)
+        loaded = load_csv(data, dataset.schema)
+        assert (loaded._columns, loaded._labels) == (dataset._columns, dataset._labels)
+        assert loaded.records == dataset.records and loaded == dataset
 
 
 @pytest.mark.parametrize("chunk_rows", [1, 7, 10])
@@ -387,6 +427,31 @@ def test_a_bad_out_path_is_named_in_the_error(tmp_path, capsys, students, model_
     assert main(["predict", "--model", str(model_path), "--data", str(inputs), "--out", str(out)]) == 2
     assert capsys.readouterr() == ("", f"error: {error}: {str(out)!r}\n")
     assert sorted(os.listdir(tmp_path)) == ["directory", "inputs.csv", "model.json"]
+
+
+def test_train_replaces_its_out_file_rather_than_writing_into_it(tmp_path, capsys):
+    model, link = tmp_path / "model.json", tmp_path / "link.json"
+    model.write_text("earlier model\n")
+    os.link(model, link)
+    assert main(["train", "--out", str(model)]) == 0
+    assert link.read_text() == "earlier model\n"
+    expected = json.dumps(model_to_json_dict(id3_build(load_students())), indent=2, sort_keys=True) + "\n"
+    assert model.read_text() == expected
+    assert sorted(os.listdir(tmp_path)) == ["link.json", "model.json"]
+
+
+@pytest.mark.parametrize("command", ["train", "predict", "rules", "gains", "verify", "export-dot"])
+def test_every_command_refuses_an_empty_out_path(tmp_path, capsys, monkeypatch, students, model_path, command):
+    inputs = strip_labels(students, tmp_path / "inputs.csv")
+    model = ["--model", str(model_path)]
+    argv = {"predict": [*model, "--data", str(inputs)], "rules": model, "export-dot": model}.get(command, [])
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)  # a temporary file for the empty path would land here or in its parent
+    assert main([command, *argv, "--out", ""]) == 2
+    assert capsys.readouterr() == ("", "error: [Errno 2] No such file or directory: ''\n")
+    assert os.listdir(work) == []
+    assert sorted(os.listdir(tmp_path)) == ["inputs.csv", "model.json", "work"]
 
 
 def test_predict_writes_into_a_pipe_without_replacing_it(tmp_path, capsys, students, model_path):
