@@ -8,11 +8,16 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
+import os
+import re
 import sys
 from contextlib import closing
 from dataclasses import asdict
+from itertools import chain, islice, repeat
 
+from . import dataset as _dataset
 from .dataset import _atomic_output, _unlabeled_chunks, _write_text, fixture_paths, load_csv, load_schema
 from .evaluate import accuracy
 from .metrics import score_all
@@ -161,30 +166,151 @@ def _leaf_cells(leaf: Leaf) -> list[str]:
     return [leaf.label, f"{dist.counts[leaf.label] / dist.total if dist.total else 0.0:.4f}"]
 
 
+def _csv_line(cells) -> str:
+    """The line ``csv.writer`` writes for ``cells``, as ``predict`` writes its output."""
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerow(cells)
+    return out.getvalue()
+
+
+def _plain(value: str) -> bool:
+    """Whether ``csv.writer`` writes ``value`` unquoted and ``csv.reader`` reads that back as
+    the one cell ``value``; an empty value, one over ``csv.field_size_limit()`` or one with a
+    comma, a quote or a newline is not plain."""
+    line = _csv_line([value])
+    try:
+        return line == value + "\n" and next(csv.reader([line])) == [value]
+    except csv.Error:
+        return False
+
+
+def _alternation(values) -> str:
+    """A regular expression that matches exactly ``values``, none of them empty: a trie of
+    their characters, so a match tries one branch per character, however many values."""
+    trie = {}
+    for value in values:
+        node = trie
+        for char in value:
+            node = node.setdefault(char, {})
+        node[""] = None  # a value ends here
+    order = [("", trie, -1)]  # (character, node, index of its parent), parents first
+    for i, (_, node, _) in enumerate(order):
+        order += [(char, child, i) for char, child in node.items() if char]
+    branches = [[] for _ in order]
+    for (char, node, parent), alternatives in zip(reversed(order), reversed(branches)):
+        text = "|".join(reversed(alternatives))  # appended last child first
+        if len(alternatives) > 1 or ("" in node and alternatives):
+            text = f"(?:{text})" + "?" * ("" in node)
+        if parent < 0:
+            return text
+        branches[parent].append(re.escape(char) + text)
+
+
+# Building the line pattern costs 2.7 to 6.7 us per character of the domains, the most for
+# large domains of random words, and the plain path saves 0.02 to 0.12 us per input byte,
+# the least on long values of large domains. So the pattern is built only for an input
+# this many bytes long per domain character, more than the 300 it took at worst to pay.
+_INPUT_BYTES_PER_DOMAIN_CHAR = 512
+
+
+def _line_pattern(schema, input_bytes: int) -> re.Pattern | None:
+    """The pattern of a plain input line: a value of each attribute's domain, in schema order,
+    each in a group of its own, separated by commas, then an optional newline. None when a
+    domain value or attribute name is not plain, the pattern is too deep to compile, or the
+    input, of ``input_bytes``, is too short to repay compiling it."""
+    domains = [a.domain for a in schema.attributes]
+    # a value has a character at least, so the count of values rules a short input out first
+    if (sum(map(len, domains)) * _INPUT_BYTES_PER_DOMAIN_CHAR > input_bytes
+            or sum(map(len, chain(*domains))) * _INPUT_BYTES_PER_DOMAIN_CHAR > input_bytes):
+        return None
+    if not all(map(_plain, chain(schema.attribute_names, *domains))):
+        return None
+    try:
+        return re.compile(",".join(f"({_alternation(domain)})" for domain in domains) + "\n?")
+    except (re.error, RecursionError, OverflowError):
+        return None
+
+
+def _raising(error: Exception):
+    """An iterator whose first read raises ``error``."""
+    raise error
+    yield
+
+
+def _read_lines(source, n: int):
+    """Up to ``n`` lines of ``source``, and what follows them: ``source`` itself, or, at a line
+    that does not decode, an iterator that raises that error again."""
+    lines = []
+    try:
+        for line in islice(source, n):
+            lines.append(line)
+    except UnicodeDecodeError as exc:
+        return lines, _raising(exc)
+    return lines, source
+
+
+def _echo_plain(source, header: str, pattern: re.Pattern, view, suffixes: list[str], out):
+    """Copy the lines of ``source`` to ``out`` while they are plain: first ``header``, then
+    chunks of ``dataset._CHUNK_ROWS`` lines that each ``pattern`` matches. Each line is routed
+    through ``view`` on its match and written without its newline, then its leaf's suffix.
+    Return the lines from the first chunk that is not plain or does not decode and the row
+    number of the first (0 for the header), for the csv path to read; None at the end."""
+    lines, rest = _read_lines(source, 1)
+    if lines != [header]:
+        return chain(lines, rest), 0
+    first = 1
+    while True:
+        lines, rest = _read_lines(source, _dataset._CHUNK_ROWS)
+        matches = list(map(pattern.fullmatch, lines))
+        if rest is not source or not all(matches):
+            return chain(lines, rest), first
+        if not lines:
+            return None
+        ends = map(suffixes.__getitem__, _route(view, matches))
+        out.write("".join(map(str.__add__, map(str.removesuffix, lines, repeat("\n")), ends)))
+        first += len(lines)
+
+
 def cmd_predict(args) -> int:
     """Write the input rows in schema order, each followed by its predicted label and confidence.
 
-    The input is read, checked, routed and written a chunk of rows at a time
-    (``dataset._unlabeled_chunks``), so memory does not grow with the file;
-    the error of a bad input is that of its first bad row. Each row is routed
-    through the model's flat form, its child ids keyed by value rather than by
-    domain code. The output reaches ``--out``, or stdout, only once every row
-    is written (``dataset._atomic_output``).
+    The input is read, checked, routed and written a chunk of rows at a time,
+    so memory does not grow with the file. While its lines are plain (the
+    header names the attributes in schema order, and each line is a value of
+    each domain, in that order, between commas, as ``_line_pattern`` matches),
+    each line is checked by its match alone, routed on it and echoed with its
+    leaf's label and confidence (``_echo_plain``). From the first chunk with a
+    line that is not, the rest of the file is read as CSV
+    (``dataset._unlabeled_chunks``), its rows numbered on from there, and each
+    row is routed through the model's flat form, its child ids keyed by value
+    rather than by domain code. Both paths write the same bytes, and the error
+    of a bad input is that of its first bad row. The output reaches ``--out``,
+    or stdout, only once every row is written (``dataset._atomic_output``).
     """
     tree = load_model(args.model)
+    schema = tree.schema
     nodes, positions, children = flat = tree._flat
     cells = [_leaf_cells(node) if p < 0 else None for node, p in zip(nodes, positions)]
-    attributes = tree.schema.attributes
     by_value = flat._replace(children=[
-        ids and dict(zip(attributes[p].domain, ids)) for p, ids in zip(positions, children)])
+        ids and dict(zip(schema.attributes[p].domain, ids)) for p, ids in zip(positions, children)])
     # the input closes before the output is moved into place, which may be the same file
-    with _atomic_output(args.out) as fh, closing(_unlabeled_chunks(args.data, tree.schema)) as chunks:
+    with _atomic_output(args.out) as fh, open(args.data, newline="", encoding="utf-8-sig") as source:
+        fh.write(_csv_line([*schema.attribute_names, schema.class_name, "confidence"]))
+        pattern = _line_pattern(schema, os.fstat(source.fileno()).st_size)
+        rest = source, 0
+        if pattern is not None:
+            # a match's group p + 1 is cell p
+            view = by_value._replace(positions=[p + 1 if p >= 0 else p for p in positions])
+            suffixes = [leaf and "," + _csv_line(leaf) for leaf in cells]
+            rest = _echo_plain(source, ",".join(schema.attribute_names) + "\n", pattern, view, suffixes, fh)
+        if rest is None:
+            return 0
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([*tree.schema.attribute_names, tree.schema.class_name, "confidence"])
-        for rows in chunks:
-            for row, i in zip(rows, _route(by_value, rows)):
-                row += cells[i]
-            writer.writerows(rows)
+        with closing(_unlabeled_chunks(args.data, schema, *rest)) as chunks:
+            for rows in chunks:
+                for row, i in zip(rows, _route(by_value, rows)):
+                    row += cells[i]
+                writer.writerows(rows)
     return 0
 
 

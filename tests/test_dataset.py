@@ -2,6 +2,7 @@ import copy
 import pickle
 import random
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,6 +19,7 @@ from gradetree.dataset import (
     Record,
     SchemaError,
     ValidationError,
+    _Codes,
     bin_marks,
     class_distribution,
     dataset_to_csv,
@@ -419,6 +421,23 @@ def test_dump_then_load_is_identity(tmp_path, students):
         path = tmp_path / f"rt{i}.csv"
         dump_csv(ds, path)
         assert load_csv(path, ds.schema) == ds
+
+
+def test_dump_csv_streams_rows_rather_than_holding_the_text(tmp_path):
+    rng = random.Random(5)
+    attrs = tuple(Attribute(f"A{i}", tuple(f"value{j}" for j in range(4))) for i in range(20))
+    schema = AttributeSchema(attrs, Attribute("Y", ("k0", "k1", "k2")))
+    codes = [tuple(rng.randrange(4) for _ in range(5000)) for _ in attrs]
+    dataset = Dataset(schema, _Codes([*codes, tuple(rng.randrange(3) for _ in range(5000))]))
+    path = tmp_path / "wide.csv"
+    tracemalloc.start()
+    try:
+        dump_csv(dataset, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert path.read_text() == dataset_to_csv(dataset)
+    assert peak < path.stat().st_size  # about half a megabyte; the text at once is twice that
 
 
 def test_fuzzed_rows_all_validate_or_are_rejected(tmp_path, students):
