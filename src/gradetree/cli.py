@@ -12,6 +12,7 @@ import io
 import json
 import os
 import re
+import stat
 import sys
 from contextlib import closing
 from dataclasses import asdict
@@ -231,61 +232,42 @@ def _line_pattern(schema, input_bytes: int) -> re.Pattern | None:
         return None
 
 
-def _raising(error: Exception):
-    """An iterator whose first read raises ``error``."""
-    raise error
-    yield
-
-
-def _read_lines(source, n: int):
-    """Up to ``n`` lines of ``source``, and what follows them: ``source`` itself, or, at a line
-    that does not decode, an iterator that raises that error again."""
-    lines = []
-    try:
-        for line in islice(source, n):
-            lines.append(line)
-    except UnicodeDecodeError as exc:
-        return lines, _raising(exc)
-    return lines, source
-
-
-def _echo_plain(source, header: str, pattern: re.Pattern, view, suffixes: list[str], out):
+def _echo_plain(source, header: str, pattern: re.Pattern, view, suffixes: list[str], out) -> bool:
     """Copy the lines of ``source`` to ``out`` while they are plain: first ``header``, then
     chunks of ``dataset._CHUNK_ROWS`` lines that each ``pattern`` matches. Each line is routed
     through ``view`` on its match and written without its newline, then its leaf's suffix.
-    Return the lines from the first chunk that is not plain or does not decode and the row
-    number of the first (0 for the header), for the csv path to read; None at the end."""
-    lines, rest = _read_lines(source, 1)
-    if lines != [header]:
-        return chain(lines, rest), 0
-    first = 1
-    while True:
-        lines, rest = _read_lines(source, _dataset._CHUNK_ROWS)
-        matches = list(map(pattern.fullmatch, lines))
-        if rest is not source or not all(matches):
-            return chain(lines, rest), first
-        if not lines:
-            return None
-        ends = map(suffixes.__getitem__, _route(view, matches))
-        out.write("".join(map(str.__add__, map(str.removesuffix, lines, repeat("\n")), ends)))
-        first += len(lines)
+    Return True once the whole file is copied, or False at the first line that is not plain
+    or does not decode, with the chunks before it already written to ``out``."""
+    try:
+        if next(source, None) != header:
+            return False
+        while lines := list(islice(source, _dataset._CHUNK_ROWS)):
+            matches = list(map(pattern.fullmatch, lines))
+            if not all(matches):
+                return False
+            ends = map(suffixes.__getitem__, _route(view, matches))
+            out.write("".join(map(str.__add__, map(str.removesuffix, lines, repeat("\n")), ends)))
+    except UnicodeDecodeError:
+        return False
+    return True
 
 
 def cmd_predict(args) -> int:
     """Write the input rows in schema order, each followed by its predicted label and confidence.
 
     The input is read, checked, routed and written a chunk of rows at a time,
-    so memory does not grow with the file. While its lines are plain (the
-    header names the attributes in schema order, and each line is a value of
-    each domain, in that order, between commas, as ``_line_pattern`` matches),
-    each line is checked by its match alone, routed on it and echoed with its
-    leaf's label and confidence (``_echo_plain``). From the first chunk with a
-    line that is not, the rest of the file is read as CSV
-    (``dataset._unlabeled_chunks``), its rows numbered on from there, and each
-    row is routed through the model's flat form, its child ids keyed by value
-    rather than by domain code. Both paths write the same bytes, and the error
-    of a bad input is that of its first bad row. The output reaches ``--out``,
-    or stdout, only once every row is written (``dataset._atomic_output``).
+    so memory does not grow with the file. A regular file is copied while its
+    lines are plain (the header names the attributes in schema order, and each
+    line is a value of each domain, in that order, between commas, as
+    ``_line_pattern`` matches): each line is checked by its match alone, routed
+    on it and echoed with its leaf's label and confidence (``_echo_plain``). At
+    its first line that is not plain, the output so far is discarded and the
+    file is read again from its header as CSV (``dataset._unlabeled_chunks``),
+    as any other input is read from the start; each row is routed through the
+    model's flat form, its child ids keyed by value rather than by domain code.
+    So every error comes from the CSV path, and it is that of the first bad
+    row. The output reaches ``--out``, or stdout, only once every row is
+    written (``dataset._atomic_output``).
     """
     tree = load_model(args.model)
     schema = tree.schema
@@ -293,20 +275,23 @@ def cmd_predict(args) -> int:
     cells = [_leaf_cells(node) if p < 0 else None for node, p in zip(nodes, positions)]
     by_value = flat._replace(children=[
         ids and dict(zip(schema.attributes[p].domain, ids)) for p, ids in zip(positions, children)])
+    header = _csv_line([*schema.attribute_names, schema.class_name, "confidence"])
     # the input closes before the output is moved into place, which may be the same file
     with _atomic_output(args.out) as fh, open(args.data, newline="", encoding="utf-8-sig") as source:
-        fh.write(_csv_line([*schema.attribute_names, schema.class_name, "confidence"]))
-        pattern = _line_pattern(schema, os.fstat(source.fileno()).st_size)
-        rest = source, 0
+        fh.write(header)
+        info = os.fstat(source.fileno())  # only a regular file can be read a second time
+        pattern = _line_pattern(schema, info.st_size) if stat.S_ISREG(info.st_mode) else None
         if pattern is not None:
             # a match's group p + 1 is cell p
             view = by_value._replace(positions=[p + 1 if p >= 0 else p for p in positions])
             suffixes = [leaf and "," + _csv_line(leaf) for leaf in cells]
-            rest = _echo_plain(source, ",".join(schema.attribute_names) + "\n", pattern, view, suffixes, fh)
-        if rest is None:
-            return 0
+            if _echo_plain(source, ",".join(schema.attribute_names) + "\n", pattern, view, suffixes, fh):
+                return 0
+            fh.seek(0)  # a temporary or spool file, never --out itself
+            fh.truncate()
+            fh.write(header)
         writer = csv.writer(fh, lineterminator="\n")
-        with closing(_unlabeled_chunks(args.data, schema, *rest)) as chunks:
+        with closing(_unlabeled_chunks(args.data, schema)) as chunks:
             for rows in chunks:
                 for row, i in zip(rows, _route(by_value, rows)):
                     row += cells[i]

@@ -7,9 +7,9 @@ indices per attribute and one of class indices; its ``records`` are a
 view built from them the first time they are read. ``load_csv`` encodes
 the rows it reads straight into those columns, so a loaded table that
 is only trained on, scored or evaluated never builds a record. Every CSV
-is read as CSV through one chunk loop (``_chunks``), which can also take
-over an open file mid-way, at the row where ``predict`` stops copying
-plain lines. Every file the package writes goes through one atomic
+is read as CSV from its header through one chunk loop (``_chunks``),
+including a ``predict`` input whose plain lines were being copied until
+one was not. Every file the package writes goes through one atomic
 writer (``_atomic_output``); ``dump_csv`` writes a row at a time. The bundled
 50-student table ships with the package (``load_students``) together
 with its schema sidecar.
@@ -456,33 +456,29 @@ def _reading(path):
         raise ValidationError(f"{path}: {exc}") from None
 
 
-def _read_rows(lines: Iterable[str], columns: Sequence[str], missing_token: str | None, first: int = 0):
-    """Yield each row that ``csv.reader`` reads from the lines of a CSV, as a list of cells
-    in ``columns`` order, the row numbered ``first`` being the first.
+def _read_rows(lines: Iterable[str], columns: Sequence[str], missing_token: str | None):
+    """Yield each data row that ``csv.reader`` reads from the lines of a CSV, as a list of
+    cells in ``columns`` order.
 
-    Row 0 is the header, which names each of ``columns`` once, in any order;
-    rows are reordered only when it is not already in that order. Lines that
-    start past it (``first`` above 0) are read as under a header that named
-    ``columns`` in order. An empty cell reads as ``missing_token``, or is
-    rejected when that is None.
+    The header names each of ``columns`` once, in any order; rows are reordered
+    only when it is not already in that order. An empty cell reads as
+    ``missing_token``, or is rejected when that is None.
     """
     reader = csv.reader(lines)
-    header = list(columns)
-    if first == 0:
-        header = next(reader, None)
-        if header is None:
-            raise ValidationError("file is empty (no header row)")
-        seen = set()
-        for col in header:
-            if col in seen:
-                raise ValidationError(f"duplicate header column {col!r}", column=col)
-            seen.add(col)
-        if missing := set(columns) - seen:
-            raise ValidationError(f"missing column(s) {sorted(missing)}")
-        if unknown := seen - set(columns):
-            raise ValidationError(f"unknown column(s) {sorted(unknown)}")
+    header = next(reader, None)
+    if header is None:
+        raise ValidationError("file is empty (no header row)")
+    seen = set()
+    for col in header:
+        if col in seen:
+            raise ValidationError(f"duplicate header column {col!r}", column=col)
+        seen.add(col)
+    if missing := set(columns) - seen:
+        raise ValidationError(f"missing column(s) {sorted(missing)}")
+    if unknown := seen - set(columns):
+        raise ValidationError(f"unknown column(s) {sorted(unknown)}")
     positions = None if header == list(columns) else [header.index(c) for c in columns]
-    for row_no, row in enumerate(reader, start=max(first, 1)):
+    for row_no, row in enumerate(reader, start=1):
         if len(row) != len(header):
             raise ValidationError(
                 f"row {row_no} has {len(row)} fields, expected {len(header)}", row=row_no
@@ -517,22 +513,18 @@ def load_csv(path, schema: AttributeSchema, missing_token: str | None = None) ->
 _CHUNK_ROWS = 4096  # rows ``_chunks`` reads and checks at a time
 
 
-def _chunks(path, columns: Sequence[str], missing_token: str | None, check: Callable,
-            lines: Iterable[str] | None = None, first: int = 0) -> Iterator:
+def _chunks(path, columns: Sequence[str], missing_token: str | None, check: Callable) -> Iterator:
     """Yield ``check(rows, first)`` for each chunk of up to ``_CHUNK_ROWS`` rows that
-    ``_read_rows`` reads from a UTF-8 CSV, byte-order mark skipped, ``first`` being the
-    chunk's first row number in the file.
+    ``_read_rows`` reads from the UTF-8 CSV at ``path``, byte-order mark skipped, ``first``
+    being the chunk's first row number in the file (1 being the first row after the header).
 
-    The lines are those of ``path``, or those of ``lines``, an open source of them that
-    takes the read over mid-file: its first line is row ``first`` (0 being the header),
-    and the rows before it are not read again. A row the reader rejects (ragged, or with
-    an empty cell) is raised only after ``check`` has seen the rows before it. So when
-    ``check`` raises at the first bad row it is given, the error is that of the first bad
-    row in the file, whatever its kind.
+    A row the reader rejects (ragged, or with an empty cell) is raised only after ``check``
+    has seen the rows before it. So when ``check`` raises at the first bad row it is given,
+    the error is that of the first bad row in the file, whatever its kind.
     """
-    opened = open(path, newline="", encoding="utf-8-sig") if lines is None else nullcontext(lines)
-    with _reading(path), opened as source, closing(_read_rows(source, columns, missing_token, first)) as rows:
-        first = max(first, 1)
+    with _reading(path), open(path, newline="", encoding="utf-8-sig") as source, \
+            closing(_read_rows(source, columns, missing_token)) as rows:
+        first = 1
         while True:
             chunk = []
             try:
@@ -547,13 +539,11 @@ def _chunks(path, columns: Sequence[str], missing_token: str | None, check: Call
             first += len(chunk)
 
 
-def _unlabeled_chunks(path, schema: AttributeSchema, lines: Iterable[str] | None = None,
-                      first: int = 0) -> Iterator[list[list[str]]]:
-    """Predictor-only rows of a CSV, read through ``_chunks`` (from ``lines`` at row ``first``,
-    when given): each chunk a list of rows, each a list of cells in schema order. Each column
-    of a chunk is checked against its domain at once; only when one holds a value outside it
-    are the rows scanned one by one, so the error names the first bad cell in row order, and
-    within a row in schema order."""
+def _unlabeled_chunks(path, schema: AttributeSchema) -> Iterator[list[list[str]]]:
+    """Predictor-only rows of a CSV, read through ``_chunks``: each chunk a list of rows,
+    each a list of cells in schema order. Each column of a chunk is checked against its
+    domain at once; only when one holds a value outside it are the rows scanned one by one,
+    so the error names the first bad cell in row order, and within a row in schema order."""
     names = schema.attribute_names
     domains = [set(a.domain) for a in schema.attributes]
     named = list(zip(names, domains))
@@ -564,7 +554,7 @@ def _unlabeled_chunks(path, schema: AttributeSchema, lines: Iterable[str] | None
                 _check_cells(row_no, row, named)
         return chunk
 
-    return _chunks(path, names, None, check, lines, first)
+    return _chunks(path, names, None, check)
 
 
 def load_unlabeled_csv(path, schema: AttributeSchema) -> list[dict[str, str]]:

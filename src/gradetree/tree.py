@@ -27,12 +27,13 @@ of a tree recurses. ``json`` does, so model files hold ``MAX_MODEL_DEPTH`` level
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import reduce
 from itertools import repeat
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
+from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 
 from .dataset import AttributeSchema, ClassDistribution, Dataset, ValidationError, _read_json, _write_text
 from .metrics import contingency, encode, table_scores
@@ -392,13 +393,16 @@ _JSON_TYPE_NAMES = {Mapping: "an object", str: "a string", int: "an integer", ty
 
 
 def _field(doc: Mapping, key: str, kinds: tuple, where: str):
-    """``doc[key]``, which must be present and of one of ``kinds``; no model field is a boolean."""
+    """``doc[key]``, which must be present and of one of ``kinds``; no model field is a boolean,
+    and no integer is negative."""
     if key not in doc:
         raise ValueError(f"{where} is missing key {key!r}")
     value = doc[key]
     if isinstance(value, bool) or not isinstance(value, kinds):
         expected = " or ".join(_JSON_TYPE_NAMES[k] for k in kinds)
         raise ValueError(f"{where} key {key!r} must be {expected}, not {type(value).__name__}")
+    if isinstance(value, int) and value < 0:
+        raise ValueError(f"{where} key {key!r} must be >= 0, not {value}")
     return value
 
 
@@ -416,8 +420,8 @@ def _node_from_dict(parent: Mapping, key: str, where: str, schema: AttributeSche
             if unknown:
                 raise ValueError(f"model distribution names unknown classes {sorted(unknown)}")
             counts = {c: raw.get(c, 0) for c in schema.class_domain}
-            if any(isinstance(n, bool) or not isinstance(n, int) for n in counts.values()):
-                raise ValueError(f"model distribution counts must be integers: {dict(raw)}")
+            if any(isinstance(n, bool) or not isinstance(n, int) or n < 0 for n in counts.values()):
+                raise ValueError(f"model distribution counts must be integers >= 0: {dict(raw)}")
             dist = ClassDistribution(counts, sum(counts.values()))
             if _field(doc, "label", (str,), "model leaf") not in schema.class_domain:
                 raise ValueError(f"model leaf label {doc['label']!r} not in class domain")

@@ -607,6 +607,15 @@ def test_module_entrypoint_runs_in_a_subprocess(tmp_path):
 
 # --- model documents and the input contract ----------------------------------------
 
+def with_first_leaf(doc, **fields):
+    """``doc`` with ``fields`` set on the leaf reached by each node's first branch."""
+    node = doc["root"]
+    while node["kind"] != "leaf":
+        node = next(iter(node["branches"].values()))
+    node.update(fields)
+    return doc
+
+
 MALFORMED_MODELS = {
     "a list": (lambda doc: [doc], "model document must be an object, not list"),
     "a list root": (lambda doc: {**doc, "root": []}, "'root' must be an object"),
@@ -617,6 +626,18 @@ MALFORMED_MODELS = {
     "no training_size": (
         lambda doc: {k: v for k, v in doc.items() if k != "training_size"},
         "missing key 'training_size'",
+    ),
+    "a negative training_size": (
+        lambda doc: {**doc, "training_size": -1},
+        "model key 'training_size' must be >= 0, not -1",
+    ),
+    "a negative leaf support": (
+        lambda doc: with_first_leaf(doc, support=-1),
+        "model leaf key 'support' must be >= 0, not -1",
+    ),
+    "a negative leaf count": (
+        lambda doc: with_first_leaf(doc, distribution={"Third": 5, "Fail": -3}),
+        "model distribution counts must be integers >= 0: {'Third': 5, 'Fail': -3}",
     ),
 }
 

@@ -1,10 +1,11 @@
 """``predict``'s two read paths: plain lines, echoed through one compiled line pattern,
-and the csv path (``csv.reader`` and the column check) that takes over from the first
-chunk with a line that is not plain. Both must give the same exit code, error and bytes."""
+and the csv path (``csv.reader`` and the column check) that reads the file again from its
+header once a line is not plain. Both must give the same exit code, error and bytes."""
 
 import contextlib
 import csv
 import io
+import os
 import random
 import re
 from pathlib import Path
@@ -178,7 +179,7 @@ def test_the_plain_path_and_the_csv_path_give_the_same_result(workdir, case):
         both_paths(["predict", "--model", str(model), "--data", str(inputs), "--out", str(out)])
 
 
-# --- hand-off ---------------------------------------------------------------------
+# --- restart ----------------------------------------------------------------------
 
 
 @pytest.fixture()
@@ -209,12 +210,12 @@ def test_plain_input_never_reaches_the_csv_reader(monkeypatch, dumped, chunk_row
 
 
 def spy_on_read_rows(monkeypatch):
-    """The ``first`` row number of each ``_read_rows`` call, each with the rows it yields."""
+    """The rows that each ``_read_rows`` call yields, a list per call."""
     calls, read_rows = [], gradetree.dataset._read_rows
 
-    def spy(lines, columns, missing_token, first=0):
-        calls.append((first, rows := []))
-        for row in read_rows(lines, columns, missing_token, first):
+    def spy(lines, columns, missing_token):
+        calls.append(rows := [])
+        for row in read_rows(lines, columns, missing_token):
             rows.append(list(row))  # predict appends its label and confidence to the row
             yield row
 
@@ -222,20 +223,27 @@ def spy_on_read_rows(monkeypatch):
     return calls
 
 
-def test_the_csv_path_takes_over_at_the_chunk_with_a_quoted_cell(monkeypatch, dumped):
-    model, inputs, out = dumped
+def with_a_quoted_cell(inputs, row):
+    """Rewrite ``inputs`` with the first cell of data row ``row`` quoted; return its rows' cells."""
     header, *lines = inputs.read_text().splitlines()
     cells = [line.split(",") for line in lines]
-    inputs.write_text("\n".join([header, *lines[:4], f'"{cells[4][0]}",' + ",".join(cells[4][1:]), *lines[5:]]) + "\n")
+    lines[row - 1] = f'"{cells[row - 1][0]}",' + ",".join(cells[row - 1][1:])
+    inputs.write_text("\n".join([header, *lines]) + "\n")
+    return cells
+
+
+def test_the_csv_path_restarts_from_the_header_at_a_quoted_cell(monkeypatch, dumped):
+    model, inputs, out = dumped
+    cells = with_a_quoted_cell(inputs, 5)  # rows 4-6 are its chunk; rows 1-3 were echoed
     argv = ["predict", "--model", str(model), "--data", str(inputs), "--out", str(out)]
     monkeypatch.setattr(gradetree.dataset, "_CHUNK_ROWS", 3)
     expected = forced_csv_path(argv)
     assert expected[:2] == (0, "")
     calls = spy_on_read_rows(monkeypatch)
-    assert run(argv) == expected
-    [(first, rows)] = calls
-    assert first == 4  # rows 4-6 are the chunk holding row 5; rows 1-3 were echoed
-    assert rows == cells[3:]
+    code, err, written = run(argv)
+    assert (code, err, written) == expected
+    assert calls == [cells]  # one read, from the header, of every row
+    assert written.count(written.split(b"\n", 1)[0] + b"\n") == 1
 
 
 def test_the_csv_path_reads_a_reordered_header_from_the_start(monkeypatch, dumped):
@@ -247,7 +255,25 @@ def test_the_csv_path_reads_a_reordered_header_from_the_start(monkeypatch, dumpe
     expected = forced_csv_path(argv)
     calls = spy_on_read_rows(monkeypatch)
     assert run(argv) == expected
-    assert [(first, len(rows)) for first, rows in calls] == [(0, len(lines))]
+    assert list(map(len, calls)) == [len(lines)]
+
+
+def test_a_pipe_is_read_once_as_csv(monkeypatch, dumped):
+    model, inputs, out = dumped
+    with_a_quoted_cell(inputs, 5)  # past the first chunk of three rows
+    data = inputs.read_bytes()
+    assert len(data) < 65536  # the pipe holds it all, so it is written before predict reads it
+    monkeypatch.setattr(gradetree.dataset, "_CHUNK_ROWS", 3)
+    expected = run(["predict", "--model", str(model), "--data", str(inputs), "--out", str(out)])
+    assert expected[:2] == (0, "")
+    read_end, write_end = os.pipe()
+    try:
+        os.write(write_end, data)
+        os.close(write_end)
+        argv = ["predict", "--model", str(model), "--data", f"/dev/fd/{read_end}", "--out", str(out)]
+        assert run(argv) == expected
+    finally:
+        os.close(read_end)
 
 
 @pytest.mark.parametrize("chunk_rows", [3, 4096])
