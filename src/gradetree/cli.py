@@ -19,7 +19,7 @@ from dataclasses import asdict
 from itertools import chain, islice, repeat
 
 from . import dataset as _dataset
-from .dataset import _atomic_output, _unlabeled_chunks, _write_text, fixture_paths, load_csv, load_schema
+from .dataset import _atomic_output, _chunks, _write_text, fixture_paths, load_csv, load_schema
 from .evaluate import accuracy
 from .metrics import score_all
 from .rules import extract_rules, render_rules, rules_to_json
@@ -262,9 +262,9 @@ def cmd_predict(args) -> int:
     ``_line_pattern`` matches): each line is checked by its match alone, routed
     on it and echoed with its leaf's label and confidence (``_echo_plain``). At
     its first line that is not plain, the output so far is discarded and the
-    file is read again from its header as CSV (``dataset._unlabeled_chunks``),
-    as any other input is read from the start; each row is routed through the
-    model's flat form, its child ids keyed by value rather than by domain code.
+    file is read again from its header as CSV and checked by the row encoder
+    (``dataset._chunks``), as any other input is read from the start; each row
+    is routed through the model's flat form, its child ids keyed by value.
     So every error comes from the CSV path, and it is that of the first bad
     row. The output reaches ``--out``, or stdout, only once every row is
     written (``dataset._atomic_output``).
@@ -291,8 +291,8 @@ def cmd_predict(args) -> int:
             fh.truncate()
             fh.write(header)
         writer = csv.writer(fh, lineterminator="\n")
-        with closing(_unlabeled_chunks(args.data, schema)) as chunks:
-            for rows in chunks:
+        with closing(_chunks(args.data, schema, schema.attribute_names, None)) as chunks:
+            for rows, _ in chunks:
                 for row, i in zip(rows, _route(by_value, rows)):
                     row += cells[i]
                 writer.writerows(rows)

@@ -2,17 +2,17 @@
 
 A dataset is a table over a closed categorical schema: every attribute
 has a fixed, ordered domain of labels, and one attribute is designated
-as the class. A ``Dataset`` holds the table as codes, a column of domain
-indices per attribute and one of class indices; its ``records`` are a
-view built from them the first time they are read. ``load_csv`` encodes
-the rows it reads straight into those columns, so a loaded table that
-is only trained on, scored or evaluated never builds a record. Every CSV
-is read as CSV from its header through one chunk loop (``_chunks``),
-including a ``predict`` input whose plain lines were being copied until
-one was not. Every file the package writes goes through one atomic
-writer (``_atomic_output``); ``dump_csv`` writes a row at a time. The bundled
-50-student table ships with the package (``load_students``) together
-with its schema sidecar.
+as the class. A ``Dataset`` holds the table as one tuple of codes, a
+column of domain indices per attribute, then one of class indices; its
+``records`` are a view built from them when first read. ``load_csv``
+encodes the rows it reads straight into those columns, so a table only
+trained on, scored or evaluated never builds a record. Every CSV is read
+from its header through one chunk loop (``_chunks``), and every row the
+package reads, from a record or a labeled or predictor-only CSV, is
+checked by one encoder (``_encode``). Every file the package writes goes
+through one atomic writer (``_atomic_output``); ``dump_csv`` writes a row
+at a time. The bundled 50-student table ships with the package
+(``load_students``) together with its schema sidecar.
 """
 
 from __future__ import annotations
@@ -28,12 +28,12 @@ import sys
 import tempfile
 from contextlib import closing, contextmanager, nullcontext
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 from itertools import islice
 from operator import itemgetter
 from pathlib import Path
 from types import MappingProxyType
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 __all__ = [
     "SchemaError",
@@ -222,17 +222,17 @@ class ClassDistribution:
 
 class _Codes(tuple):
     """A table's code columns, one per attribute in schema order, then the label codes, as
-    ``load_csv`` reads them; a ``Dataset`` given these keeps them as its state."""
+    ``load_csv`` reads them: a ``Dataset``'s only state, kept as its ``_codes``."""
 
 
 @dataclass(frozen=True, init=False)
 class Dataset:
     """A validated collection of records over an AttributeSchema.
 
-    The state is the codes: each attribute's column, in record order, as
-    indices into that attribute's domain, and the labels as indices into
-    the class domain. ``metrics.encode`` reads them, and growth, scoring,
-    rules, evaluation and ``dataset_to_csv`` read nothing else.
+    The only state is the codes, a ``_Codes`` tuple kept as ``_codes``: each
+    attribute's column, in schema order, as indices into its domain, then
+    the labels as indices into the class domain. Growth, scoring, rules,
+    evaluation and ``dataset_to_csv`` read nothing else.
     ``records`` is a view of them, built the first time it is read and
     then kept; a dataset built from records keeps those records as its
     view. Either way a dataset is a frozen value that can be shared, and
@@ -243,19 +243,17 @@ class Dataset:
     encoder, ``_encode``: each record is first made the row ``load_csv``
     would read. An invalid record raises the ValidationError of the first
     bad row; within a row the attributes are checked first, then the cells
-    in schema order, then the label.
+    in schema order, then the label (``_check_rows``).
     """
 
     schema: AttributeSchema
     records: tuple[Record, ...]  # its default is the property below, which reads the view
 
     def __init__(self, schema: AttributeSchema, records: Iterable[Record]):
-        if isinstance(records, _Codes):
-            *columns, labels = records
-        else:
+        if not isinstance(records, _Codes):
             vars(self)["_records"] = records = tuple(records)
-            *columns, labels = _encode(schema, _record_rows(schema, records))
-        vars(self).update(schema=schema, _columns=dict(zip(schema.attribute_names, columns)), _labels=labels)
+            records = _Codes(_encode(schema, _record_rows(schema, records)))
+        vars(self).update(schema=schema, _codes=records)
 
     @property
     def records(self) -> tuple[Record, ...]:
@@ -268,7 +266,7 @@ class Dataset:
             return vars(self).setdefault("_records", records)  # one view, however many threads build it
 
     def __len__(self) -> int:
-        return len(self._labels)
+        return len(self._codes[-1])
 
     def __iter__(self):
         return iter(self.records)
@@ -300,11 +298,11 @@ def _record_rows(schema: AttributeSchema, records: Iterable[Record]) -> list[tup
 
 
 def _encode(schema: AttributeSchema, rows: Sequence[Sequence[str]], first: int = 1) -> list[tuple[int, ...]]:
-    """The codes of a table given by its rows (cells in schema order, the label last),
-    as ``_Codes`` holds them. The rows are transposed and whole columns encoded at once,
-    one at a time; only when one holds a value outside its domain are the rows scanned
-    one by one, so the error names the first bad cell or label, its row numbered from
-    ``first``."""
+    """The codes of a table given by its rows (cells in schema order, then the label, if the
+    rows have one), as ``_Codes`` holds them. The rows are transposed and whole columns
+    encoded at once, one at a time; only when one holds a value outside its domain are the
+    rows scanned one by one (``_check_rows``), so the error names the first bad cell or
+    label, its row numbered from ``first``."""
     domains = [a.domain for a in schema.attributes] + [schema.class_domain]
     try:
         return list(map(_codes, zip(*rows), domains)) or [()] * len(domains)
@@ -315,50 +313,33 @@ def _encode(schema: AttributeSchema, rows: Sequence[Sequence[str]], first: int =
 
 def _decoded_rows(dataset: Dataset) -> Iterator[tuple[str, ...]]:
     """Each row's cells in schema order, its label last, read from the codes."""
-    schema = dataset.schema
-    columns = [map(a.domain.__getitem__, dataset._columns[a.name]) for a in schema.attributes]
-    return zip(*columns, map(schema.class_domain.__getitem__, dataset._labels))
+    attributes = (*dataset.schema.attributes, dataset.schema.class_attribute)
+    return zip(*(map(a.domain.__getitem__, codes) for a, codes in zip(attributes, dataset._codes)))
 
 
-def _codes(values: Iterable[str], domain: Sequence[str]) -> tuple[int, ...]:
+def _codes(values: Sequence[str], domain: Sequence[str]) -> tuple[int, ...]:
     """Each value's index in ``domain``; KeyError at a value outside it."""
-    return tuple(map({v: i for i, v in enumerate(domain)}.__getitem__, values))
+    index = {v: i for i, v in enumerate(domain)}
+    # as in _record_rows: itemgetter reads many keys fastest, but one key as a bare value
+    return itemgetter(*values)(index) if len(values) > 1 else tuple(map(index.__getitem__, values))
 
 
 def _check_rows(schema: AttributeSchema, rows: Iterable[Sequence[str]], first: int) -> None:
-    """Raise a ValidationError for the first bad cell or label, the rows numbered from ``first``."""
-    domains = [(a.name, set(a.domain)) for a in schema.attributes]
-    class_domain = set(schema.class_domain)
+    """Raise a ValidationError for the first cell or label outside its domain, rows numbered from ``first``."""
+    checks = [(a.name, set(a.domain), "value {!r} not in domain") for a in schema.attributes]
+    checks.append((schema.class_name, set(schema.class_domain), "label {!r} not in class domain"))
     for i, row in enumerate(rows, start=first):
-        _check_cells(i, row, domains)
-        if row[-1] not in class_domain:
-            raise ValidationError(
-                f"row {i}, column {schema.class_name!r}: label {row[-1]!r} "
-                f"not in class domain {sorted(class_domain)}",
-                row=i,
-                column=schema.class_name,
-                value=row[-1],
-            )
-
-
-def _check_cells(row: int, cells: Sequence[str], domains: Sequence[tuple[str, set]]) -> None:
-    """Raise a ValidationError for the first cell outside its domain; ``domains``
-    pairs each attribute's name with its domain, in the order of ``cells``."""
-    for (name, domain), value in zip(domains, cells):
-        if value not in domain:
-            raise ValidationError(
-                f"row {row}, column {name!r}: value {value!r} not in domain {sorted(domain)}",
-                row=row,
-                column=name,
-                value=value,
-            )
+        for (name, domain, text), value in zip(checks, row):  # a predictor-only row has no label
+            if value not in domain:
+                message = f"row {i}, column {name!r}: {text.format(value)} {sorted(domain)}"
+                raise ValidationError(message, row=i, column=name, value=value)
 
 
 def class_distribution(dataset: Dataset) -> ClassDistribution:
     """Count records per class label; zero-count labels are included."""
     classes = dataset.schema.class_domain
     counts = [0] * len(classes)
-    for c in dataset._labels:
+    for c in dataset._codes[-1]:
         counts[c] += 1
     return ClassDistribution(dict(zip(classes, counts)), len(dataset))
 
@@ -504,23 +485,24 @@ def load_csv(path, schema: AttributeSchema, missing_token: str | None = None) ->
     """
     columns = schema.attribute_names + (schema.class_name,)
     codes = [[] for _ in columns]
-    for chunk in _chunks(path, columns, missing_token, partial(_encode, schema)):
+    # only each chunk's codes are kept, so its rows are freed before the next chunk is read
+    for chunk in map(itemgetter(1), _chunks(path, schema, columns, missing_token)):
         for column, part in zip(codes, chunk):
             column += part
     return Dataset(schema, _Codes(map(tuple, codes)))
 
 
-_CHUNK_ROWS = 4096  # rows ``_chunks`` reads and checks at a time
+_CHUNK_ROWS = 4096  # rows ``_chunks`` reads and encodes at a time
 
 
-def _chunks(path, columns: Sequence[str], missing_token: str | None, check: Callable) -> Iterator:
-    """Yield ``check(rows, first)`` for each chunk of up to ``_CHUNK_ROWS`` rows that
-    ``_read_rows`` reads from the UTF-8 CSV at ``path``, byte-order mark skipped, ``first``
-    being the chunk's first row number in the file (1 being the first row after the header).
+def _chunks(path, schema: AttributeSchema, columns: Sequence[str], missing_token: str | None) -> Iterator[tuple]:
+    """Yield ``(rows, codes)`` for each chunk of up to ``_CHUNK_ROWS`` rows that ``_read_rows``
+    reads from the UTF-8 CSV at ``path``, byte-order mark skipped: ``columns`` are the
+    attribute names, then the class name in a labeled file, and ``codes`` are ``_encode``'s.
 
-    A row the reader rejects (ragged, or with an empty cell) is raised only after ``check``
-    has seen the rows before it. So when ``check`` raises at the first bad row it is given,
-    the error is that of the first bad row in the file, whatever its kind.
+    A row the reader rejects (ragged, or with an empty cell) is raised only after the rows
+    before it are encoded, and ``_encode`` raises at the first bad cell or label (row 1 being
+    the first after the header). So the error is that of the first bad row in the file.
     """
     with _reading(path), open(path, newline="", encoding="utf-8-sig") as source, \
             closing(_read_rows(source, columns, missing_token)) as rows:
@@ -531,37 +513,19 @@ def _chunks(path, columns: Sequence[str], missing_token: str | None, check: Call
                 for row in islice(rows, _CHUNK_ROWS):
                     chunk.append(row)
             except _READ_ERRORS:
-                check(chunk, first)
+                _encode(schema, chunk, first)
                 raise
             if not chunk:
                 return
-            yield check(chunk, first)
+            yield chunk, _encode(schema, chunk, first)
             first += len(chunk)
-
-
-def _unlabeled_chunks(path, schema: AttributeSchema) -> Iterator[list[list[str]]]:
-    """Predictor-only rows of a CSV, read through ``_chunks``: each chunk a list of rows,
-    each a list of cells in schema order. Each column of a chunk is checked against its
-    domain at once; only when one holds a value outside it are the rows scanned one by one,
-    so the error names the first bad cell in row order, and within a row in schema order."""
-    names = schema.attribute_names
-    domains = [set(a.domain) for a in schema.attributes]
-    named = list(zip(names, domains))
-
-    def check(chunk, first):
-        if not all(domain.issuperset(column) for domain, column in zip(domains, zip(*chunk))):
-            for row_no, row in enumerate(chunk, start=first):
-                _check_cells(row_no, row, named)
-        return chunk
-
-    return _chunks(path, names, None, check)
 
 
 def load_unlabeled_csv(path, schema: AttributeSchema) -> list[dict[str, str]]:
     """Load predictor-only rows (no class column) for prediction, one dict per row, read
-    and checked as ``gradetree predict`` reads its input (``_unlabeled_chunks``)."""
+    and checked as ``gradetree predict`` reads its input (``_chunks``)."""
     names = schema.attribute_names
-    return [dict(zip(names, row)) for chunk in _unlabeled_chunks(path, schema) for row in chunk]
+    return [dict(zip(names, row)) for rows, _ in _chunks(path, schema, names, None) for row in rows]
 
 
 def _write_csv(dataset: Dataset, out) -> None:

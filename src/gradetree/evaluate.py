@@ -8,7 +8,6 @@ from operator import eq
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .dataset import Dataset
-from .metrics import encode
 from .tree import (
     DecisionTree, TreeConfig, _class_labels, _code_rows, _expander, _root_item, _route,
 )
@@ -103,7 +102,7 @@ def leave_one_out(dataset: Dataset, config: TreeConfig | None = None) -> LooResu
     if config is None:
         config = TreeConfig()
     schema = dataset.schema
-    columns, labels = encode(dataset, schema.attribute_names)
+    *columns, labels = dataset._codes
     expand = _expander(schema, columns, labels, config)
     n = len(labels)
     predicted = []

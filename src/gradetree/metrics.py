@@ -5,9 +5,9 @@ distribution scores 0 under every index. The impurity of an empty
 distribution is defined as 0, which keeps weighted sums over partitions
 with empty parts well-formed.
 
-Attribute scores come from counts, as in ID3 (Quinlan 1986): ``encode``
-reads the domain-index codes a dataset built for its columns and labels
-when it was validated, ``contingency`` tallies a value x class table over
+Attribute scores come from counts, as in ID3 (Quinlan 1986): scoring
+reads the domain-index codes a dataset built when it was validated, its
+``_codes``; ``contingency`` tallies a value x class table over
 some rows, and ``table_scores`` derives gain, split information and gain
 ratio from it. Every entropy, split information included, goes through
 one primitive, ``count_entropy``, which sums in the order given:
@@ -92,15 +92,6 @@ def count_entropy(counts: Iterable[int], total: int) -> float:
     return h
 
 
-def encode(dataset: Dataset, names: Sequence[str]) -> tuple[list[Sequence[int]], Sequence[int]]:
-    """The columns ``names`` and the labels of a dataset, as domain indices.
-
-    A read of the codes a ``Dataset`` holds as its state: nothing is
-    recomputed, no record is built, and every caller shares them.
-    """
-    return [dataset._columns[name] for name in names], dataset._labels
-
-
 def contingency(
     column: Sequence[int], labels: Sequence[int], rows: Iterable[int], n_values: int, n_classes: int
 ) -> list[list[int]]:
@@ -167,11 +158,11 @@ def score_all(dataset: Dataset, available: Sequence[str] | None = None) -> list[
         raise KeyError(f"unknown attribute(s) {sorted(unknown)}")
     if len(dataset) == 0:
         raise ValueError("cannot score attributes on an empty dataset")
-    names = [name for name in schema.attribute_names if name in available]
-    columns, labels = encode(dataset, names)
+    *columns, labels = dataset._codes
     rows = range(len(labels))
     scores = []
-    for name, column in zip(names, columns):
-        table = contingency(column, labels, rows, len(schema.domain(name)), len(schema.class_domain))
-        scores.append(AttributeScore(name, *table_scores(table)))
+    for attribute, column in zip(schema.attributes, columns):
+        if attribute.name in available:
+            table = contingency(column, labels, rows, len(attribute.domain), len(schema.class_domain))
+            scores.append(AttributeScore(attribute.name, *table_scores(table)))
     return scores

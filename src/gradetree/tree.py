@@ -6,9 +6,9 @@ pure subsets, exhausted attributes, or the depth limit. Branches for
 unrepresented values become majority leaves carrying the parent's
 distribution, so prediction is total and can always report a confidence.
 
-Growth reads the codes a ``Dataset`` built when it was validated
-(``metrics.encode``): a column of domain-index codes per attribute and
-one of label codes. A node is the list of row indices that reach it. One
+Growth reads the codes a ``Dataset`` built when it was validated, its
+``_codes``: a column of domain-index codes per attribute and one of
+label codes. A node is the list of row indices that reach it. One
 pass counts its classes, one pass per candidate fills a value x class
 table for ``metrics.table_scores``, and one pass splits the winner's rows
 into its children's lists. One expander (``_expander``) holds that rule,
@@ -19,8 +19,8 @@ same codes less that row, until the row reaches a leaf.
 A tree is its flat form (``_Flat``): nodes in preorder, branches in domain
 order. Growth, model documents and pruning write it on an explicit stack
 (``_preorder``); a hand-made root is flattened once (``_flatten``). Stats,
-rules, model files, DOT, the router (``_route``), equality, ``repr`` and
-pickling read it; ``root`` is a view built from it (``_bottom_up``). No walk
+rules, model files, DOT, the router (``_route``), ``predict``, equality, ``repr``
+and pickling read it; ``root`` is a view built from it (``_bottom_up``). No walk
 of a tree recurses. ``json`` does, so model files hold ``MAX_MODEL_DEPTH`` levels.
 """
 
@@ -36,7 +36,7 @@ from types import MappingProxyType
 from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 
 from .dataset import AttributeSchema, ClassDistribution, Dataset, ValidationError, _read_json, _write_text
-from .metrics import contingency, encode, table_scores
+from .metrics import contingency, table_scores
 
 __all__ = [
     "Criterion",
@@ -157,7 +157,7 @@ def id3_build(dataset: Dataset, config: TreeConfig | None = None) -> DecisionTre
     if len(dataset) == 0:
         raise ValueError("cannot build a tree from an empty dataset")
     schema = dataset.schema
-    columns, labels = encode(dataset, schema.attribute_names)
+    *columns, labels = dataset._codes
     expand = _expander(schema, columns, labels, config)
     return DecisionTree(_preorder(_root_item(schema, range(len(dataset))), expand), schema, config, len(dataset))
 
@@ -239,14 +239,14 @@ def _route(flat: _Flat, rows: Iterable[Sequence]) -> list[int]:
 
 def _code_rows(dataset: Dataset) -> Iterator[tuple[int, ...]]:
     """Each record's domain codes, in schema order."""
-    columns, _ = encode(dataset, dataset.schema.attribute_names)
+    *columns, _ = dataset._codes
     return zip(*columns) if columns else repeat((), len(dataset))
 
 
 def _class_labels(dataset: Dataset) -> list[str]:
     """Each record's class label, read from the label codes."""
     classes = dataset.schema.class_domain
-    return [classes[c] for c in encode(dataset, ())[1]]
+    return [classes[c] for c in dataset._codes[-1]]
 
 
 def _expander(schema: AttributeSchema, columns: Sequence[Sequence[int]], labels: Sequence[int],
@@ -324,24 +324,25 @@ def node_distribution(node: DecisionNode) -> ClassDistribution:
 
 
 def predict(tree: DecisionTree, values: Mapping[str, str]) -> tuple[str, ClassDistribution]:
-    """Route one example to a leaf; returns (label, distribution there)."""
-    node = tree.root
-    while isinstance(node, Internal):
+    """Route one example to a leaf of the flat form, as ``_route`` does; returns (label, distribution there)."""
+    nodes, positions, children = tree._flat
+    i = 0
+    while (p := positions[i]) >= 0:
+        attribute = tree.schema.attributes[p]
         try:
-            value = values[node.attribute]
+            value = values[attribute.name]
         except KeyError:
             raise KeyError(
-                f"prediction input is missing attribute {node.attribute!r}"
+                f"prediction input is missing attribute {attribute.name!r}"
             ) from None
-        if value not in tree.schema.domain(node.attribute):
+        if value not in attribute.domain:
             raise ValidationError(
-                f"column {node.attribute!r}: value {value!r} not in domain "
-                f"{sorted(tree.schema.domain(node.attribute))}",
-                column=node.attribute,
+                f"column {attribute.name!r}: value {value!r} not in domain {sorted(attribute.domain)}",
+                column=attribute.name,
                 value=value,
             )
-        node = node.branches[value]
-    return node.label, node.distribution
+        i = children[i][attribute.domain.index(value)]
+    return nodes[i].label, nodes[i].distribution
 
 
 def _depth(flat: _Flat) -> int:

@@ -29,6 +29,13 @@ def make_dataset(schema: AttributeSchema, rows) -> Dataset:
     return Dataset(schema, records)
 
 
+def encode(dataset: Dataset, names) -> tuple[list, tuple]:
+    """The code columns ``names`` and the label codes of a dataset, read from its ``_codes``."""
+    *columns, labels = dataset._codes
+    position = dataset.schema.attribute_names.index
+    return [columns[position(name)] for name in names], labels
+
+
 def random_dataset(rng: random.Random, max_attributes=6, max_records=200,
                    contradiction_free=True) -> Dataset:
     """Random categorical dataset; duplicate predictor tuples share a label

@@ -1,4 +1,5 @@
 import copy
+import csv
 import pickle
 import random
 import re
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_dataset as ref
-from conftest import make_dataset, random_dataset, tiny_schema
+from conftest import encode, make_dataset, random_dataset, tiny_schema
 from gradetree.dataset import (
     Attribute,
     AttributeSchema,
@@ -31,7 +32,6 @@ from gradetree.dataset import (
     load_unlabeled_csv,
     partition,
 )
-from gradetree.metrics import encode
 
 FIXTURE_COUNTS = {"First": 14, "Second": 15, "Third": 13, "Fail": 8}
 
@@ -310,9 +310,39 @@ FAULTS = st.lists(
 )
 
 
+@pytest.fixture(scope="module")
+def csv_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("row_scan")
+
+
+def raised(call, *args):
+    """The ValidationError ``call(*args)`` raises, as (message, row, column, value), or None."""
+    try:
+        call(*args)
+    except ValidationError as exc:
+        return str(exc), exc.row, exc.column, exc.value
+    return None
+
+
+def check_file_readers(directory, schema, records):
+    """``records`` written by ``csv.writer`` as a labeled and a predictor-only CSV: ``load_csv``
+    raises what the row scan raises on them, and ``load_unlabeled_csv`` what it raises on
+    them with every label valid, each message after the file's name."""
+    names = schema.attribute_names
+    rows = [[*map(rec.values.__getitem__, names), rec.label] for rec in records]
+    labeled, unlabeled = directory / "labeled.csv", directory / "unlabeled.csv"
+    for path, lines in [(labeled, [[*names, schema.class_name], *rows]), (unlabeled, [names, *(r[:-1] for r in rows)])]:
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows(lines)
+    valid = [Record(rec.values, schema.class_domain[0]) for rec in records]
+    for load, path, scan in [(load_csv, labeled, raised(ref.check, schema, records)),
+                             (load_unlabeled_csv, unlabeled, raised(ref.check, schema, valid))]:
+        assert raised(load, path, schema) == (scan and (f"{path}: {scan[0]}", *scan[1:]))
+
+
 @settings(max_examples=300, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), contradiction_free=st.booleans(), faults=FAULTS)
-def test_dataset_raises_as_the_row_scan_does_or_keeps_the_naive_encoding(seed, contradiction_free, faults):
+def test_dataset_raises_as_the_row_scan_does_or_keeps_the_naive_encoding(csv_dir, seed, contradiction_free, faults):
     base = random_dataset(random.Random(seed), max_records=40, contradiction_free=contradiction_free)
     schema = base.schema
     names = schema.attribute_names
@@ -330,6 +360,8 @@ def test_dataset_raises_as_the_row_scan_does_or_keeps_the_naive_encoding(seed, c
         else:
             values["EXTRA"] = "v0"
         records[row] = Record(values, label)
+    if {kind for kind, _, _ in faults} <= {"cell", "label"}:
+        check_file_readers(csv_dir, schema, records)
     try:
         ref.check(schema, records)
     except ValidationError as exc:

@@ -23,7 +23,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_dataset as ref
-from conftest import random_dataset
+from conftest import encode, random_dataset
 from gradetree.cli import main
 from gradetree.dataset import (
     Dataset,
@@ -37,7 +37,7 @@ from gradetree.dataset import (
     load_schema,
 )
 from gradetree.evaluate import accuracy, confusion, leave_one_out
-from gradetree.metrics import encode, score_all
+from gradetree.metrics import score_all
 from gradetree.rules import extract_rules
 from gradetree.tree import TreeConfig, id3_build
 
@@ -102,7 +102,7 @@ def test_a_loaded_dataset_builds_its_records_once_and_stays_frozen(seeded_table)
     assert dataset.records is dataset.records
     assert dataset.records == expected.records
     assert list(dataset) == list(expected.records)
-    for name in ("schema", "records", "_columns"):
+    for name in ("schema", "records", "_codes"):
         with pytest.raises(FrozenInstanceError):
             setattr(dataset, name, None)
         with pytest.raises(FrozenInstanceError):

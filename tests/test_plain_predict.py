@@ -11,7 +11,7 @@ import re
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import gradetree.cli
 import gradetree.dataset
@@ -167,8 +167,17 @@ def workdir(tmp_path_factory):
     return tmp_path_factory.mktemp("plain")
 
 
+# a chunk of three plain lines echoed, then a CRLF line: the restart from the header, exit 0
+RESTART_AFTER_A_CHUNK = (
+    AttributeSchema((Attribute("A0", ("a", "b")),), Attribute("Y", ("p", "q"))),
+    [Record({"A0": "a"}, "p"), Record({"A0": "b"}, "q")],
+    b"A0\na\nb\na\nb\r\n",
+)
+
+
 @settings(max_examples=150, deadline=None)
 @given(case=predict_cases())
+@example(case=RESTART_AFTER_A_CHUNK)
 def test_the_plain_path_and_the_csv_path_give_the_same_result(workdir, case):
     schema, records, data = case
     model, inputs, out = workdir / "model.json", workdir / "in.csv", workdir / "out.csv"

@@ -192,6 +192,30 @@ def test_predict_requires_requested_attributes(fixture_tree):
         predict(fixture_tree, {})
 
 
+def test_predict_routes_a_loaded_model_on_its_flat_form_and_builds_no_root_view(tmp_path, students):
+    path = tmp_path / "model.json"
+    save_model(id3_build(students, TreeConfig(criterion=Criterion.GAIN_RATIO)), path)
+    tree = load_model(path)
+    predicted = [predict(tree, rec.values) for rec in students.records]
+    root = tree.schema.attributes[tree._flat.positions[0]]
+    with pytest.raises(KeyError) as missing:
+        predict(tree, {})
+    with pytest.raises(ValidationError) as outside:
+        predict(tree, {**students.records[0].values, root.name: "Stupendous"})
+    assert "_root" not in vars(tree)
+    assert missing.value.args == (f"prediction input is missing attribute {root.name!r}",)
+    err = outside.value
+    assert (str(err), err.column, err.value) == (
+        f"column {root.name!r}: value 'Stupendous' not in domain {sorted(root.domain)}", root.name, "Stupendous")
+    walked = []
+    for rec in students.records:  # the nested view, walked from its root
+        node = tree.root
+        while isinstance(node, Internal):
+            node = node.branches[rec.values[node.attribute]]
+        walked.append((node.label, node.distribution))
+    assert predicted == walked
+
+
 # --- stats ---------------------------------------------------------------------
 
 
