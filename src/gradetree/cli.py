@@ -216,13 +216,11 @@ _INPUT_BYTES_PER_DOMAIN_CHAR = 512
 
 def _line_pattern(schema, input_bytes: int) -> re.Pattern | None:
     """The pattern of a plain input line: a value of each attribute's domain, in schema order,
-    each in a group of its own, separated by commas, then an optional newline. None when a
-    domain value or attribute name is not plain, the pattern is too deep to compile, or the
-    input, of ``input_bytes``, is too short to repay compiling it."""
+    each in a group of its own, separated by commas, then an optional newline. None when the
+    schema has no predictor, a domain value or attribute name is not plain, the pattern is too
+    deep to compile, or the input, of ``input_bytes``, is too short to repay compiling it."""
     domains = [a.domain for a in schema.attributes]
-    # a value has a character at least, so the count of values rules a short input out first
-    if (sum(map(len, domains)) * _INPUT_BYTES_PER_DOMAIN_CHAR > input_bytes
-            or sum(map(len, chain(*domains))) * _INPUT_BYTES_PER_DOMAIN_CHAR > input_bytes):
+    if not domains or sum(map(len, chain(*domains))) * _INPUT_BYTES_PER_DOMAIN_CHAR > input_bytes:
         return None
     if not all(map(_plain, chain(schema.attribute_names, *domains))):
         return None

@@ -111,5 +111,5 @@ def leave_one_out(dataset: Dataset, config: TreeConfig | None = None) -> LooResu
         while p >= 0:
             node, p, items = expand(items[columns[p][i]])
         predicted.append(node.label)
-    actual = _class_labels(dataset)
-    return LooResult(sum(map(eq, predicted, actual)) / n, _confusion(schema.class_domain, actual, predicted))
+    matrix = _confusion(schema.class_domain, _class_labels(dataset), predicted)
+    return LooResult(matrix.accuracy, matrix)

@@ -140,7 +140,7 @@ class DecisionTree:
         if "_root" not in vars(self):  # one view, however many threads build it
             attributes = self.schema.attributes
             vars(self).setdefault("_root", _bottom_up(self._flat, lambda leaf: leaf, lambda p, nodes: Internal(
-                attributes[p].name, dict(zip(attributes[p].domain, nodes)))))
+                attributes[p].name, dict(zip(attributes[p].domain, nodes))))[0])
         return vars(self)["_root"]
 
 
@@ -187,15 +187,15 @@ def _preorder(root, expand) -> _Flat:
     return flat
 
 
-def _bottom_up(flat: _Flat, leaf, internal):
-    """Combine a flat tree from its leaves up: ``leaf(node)`` at a leaf, and
-    ``internal(position, results of its children in domain order)`` elsewhere."""
+def _bottom_up(flat: _Flat, leaf, internal) -> list:
+    """Every node's value by node id, the root's first, combined from the leaves up:
+    ``leaf(node)`` at a leaf, and ``internal(position, its children's values in domain order)`` elsewhere."""
     nodes, positions, children = flat
     results = [None] * len(nodes)
     for i in reversed(range(len(nodes))):
         p = positions[i]
         results[i] = leaf(nodes[i]) if p < 0 else internal(p, [results[c] for c in children[i]])
-    return results[0]
+    return results
 
 
 def _flatten(root: DecisionNode, schema: AttributeSchema) -> _Flat:
@@ -347,7 +347,7 @@ def predict(tree: DecisionTree, values: Mapping[str, str]) -> tuple[str, ClassDi
 
 def _depth(flat: _Flat) -> int:
     """The levels below the root of a flat tree; a lone leaf has depth 0."""
-    return _bottom_up(flat, lambda leaf: 0, lambda p, depths: 1 + max(depths))
+    return _bottom_up(flat, lambda leaf: 0, lambda p, depths: 1 + max(depths))[0]
 
 
 def tree_stats(tree: DecisionTree) -> TreeStats:
@@ -360,14 +360,12 @@ def prune(tree: DecisionTree, min_support: int) -> DecisionTree:
     majority leaf over that subtree's own distribution. Idempotent."""
     if min_support < 1:
         raise ValueError("min_support must be >= 1")
-    nodes, positions, children = tree._flat
-    own = [None] * len(nodes)  # each node's support and own distribution, from the leaves up
-    for i in reversed(range(len(nodes))):
-        subs = [own[c] for c in children[i]] or [(nodes[i].support, _own_distribution(nodes[i]))]
-        own[i] = sum(s for s, _ in subs), reduce(ClassDistribution.merged, (d for _, d in subs))
+    nodes, positions, children = flat = tree._flat
+    own = _bottom_up(flat, lambda leaf: (leaf.support, _own_distribution(leaf)), lambda p, subs: (
+        sum(s for s, _ in subs), reduce(ClassDistribution.merged, (d for _, d in subs))))
 
     def expand(i):  # a subtree routed too few records becomes a leaf
-        support, dist = own[i]
+        support, dist = own[i]  # the records routed through node i, and their own distribution
         if positions[i] >= 0 and support < min_support:
             return Leaf(dist.majority(), support, dist), -1, ()
         return nodes[i], positions[i], children[i]
@@ -387,7 +385,7 @@ def _node_to_dict(flat: _Flat, schema: AttributeSchema) -> dict:
     }, lambda p, docs: {
         "kind": "internal", "attribute": attributes[p].name,
         "branches": dict(zip(attributes[p].domain, docs)),
-    })
+    })[0]
 
 
 _JSON_TYPE_NAMES = {Mapping: "an object", str: "a string", int: "an integer", type(None): "null"}

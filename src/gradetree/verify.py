@@ -21,8 +21,7 @@ from typing import Mapping, Sequence
 
 from .dataset import Dataset, class_distribution, load_students
 from .metrics import entropy, gain_ratio, information_gain, score_all, split_information
-from .rules import extract_rules
-from .tree import id3_build
+from .tree import id3_build, tree_stats
 
 __all__ = [
     "PublishedResults",
@@ -271,8 +270,7 @@ def consistency_check(dataset: Dataset) -> list[ConsistencyRow]:
 
 
 def _rule_summary(dataset: Dataset, published: PublishedResults) -> tuple[str, ...]:
-    tree = id3_build(dataset)
-    generated = extract_rules(tree, dataset)
+    leaves = tree_stats(id3_build(dataset)).leaves
     class_name = dataset.schema.class_name
     typo_lines = [
         i
@@ -281,7 +279,7 @@ def _rule_summary(dataset: Dataset, published: PublishedResults) -> tuple[str, .
     ]
     or_lines = sum(" OR " in line or " or " in line for line in published.rule_lines)
     return (
-        f"rule set: {len(generated)} rules generated (one per leaf, unpruned tree), "
+        f"rule set: {leaves} rules generated (one per leaf, unpruned tree), "
         f"{len(published.rule_lines)} published",
         f"published lines with OR-ed value lists (never produced by single-value "
         f"branching): {or_lines}",

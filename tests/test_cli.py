@@ -639,6 +639,14 @@ MALFORMED_MODELS = {
         lambda doc: with_first_leaf(doc, distribution={"Third": 5, "Fail": -3}),
         "model distribution counts must be integers >= 0: {'Third': 5, 'Fail': -3}",
     ),
+    "a leaf label outside the class domain": (
+        lambda doc: with_first_leaf(doc, label="Pass"),
+        "model leaf label 'Pass' not in class domain",
+    ),
+    "a leaf distribution naming an unknown class": (
+        lambda doc: with_first_leaf(doc, distribution={"Third": 5, "Pass": 1, "Absent": 0}),
+        "model distribution names unknown classes ['Absent', 'Pass']",
+    ),
 }
 
 

@@ -53,6 +53,8 @@ def test_schema_rejects_class_name_collision():
 
 
 def test_attribute_rejects_empty_domain_and_duplicate_labels():
+    with pytest.raises(SchemaError, match="^attribute name must be non-empty$"):
+        Attribute("", ("a",))
     with pytest.raises(SchemaError):
         Attribute("A", ())
     with pytest.raises(SchemaError):
@@ -598,3 +600,7 @@ def test_grade_bands_must_cover_0_to_100_without_gaps():
         GradeBands((GradeBand("low", 10, 100),))
     with pytest.raises(SchemaError):
         GradeBands((GradeBand("low", 0, 50),))
+    with pytest.raises(SchemaError, match="^grade bands must be non-empty$"):
+        GradeBands(())
+    with pytest.raises(SchemaError, match=r"^band 'none' is empty: \[0, 0\)$"):
+        GradeBands((GradeBand("none", 0, 0), GradeBand("all", 0, 100)))

@@ -160,6 +160,8 @@ def test_published_tables_internal_ratio_identity():
 def test_unknown_attribute_and_empty_dataset_are_rejected(students):
     with pytest.raises(KeyError):
         information_gain(students, "AGE")
+    with pytest.raises(ValueError, match="^unknown impurity kind: 'gini'$"):
+        impurity(class_distribution(students), "gini")  # a kind's value, not the kind
     empty = Dataset(students.schema, ())
     for fn in (information_gain, split_information, gain_ratio):
         with pytest.raises(ValueError):

@@ -17,8 +17,8 @@ import gradetree.cli
 import gradetree.dataset
 from conftest import random_dataset, tiny_schema
 from gradetree.cli import _alternation, _line_pattern, _plain, main
-from gradetree.dataset import Attribute, AttributeSchema, Dataset, Record, dump_csv
-from gradetree.tree import id3_build, save_model
+from gradetree.dataset import Attribute, AttributeSchema, ClassDistribution, Dataset, Record, dump_csv
+from gradetree.tree import DecisionTree, Leaf, TreeConfig, id3_build, save_model
 
 # prefix pairs, regular-expression metacharacters and non-ASCII letters
 value_chars = st.sampled_from(["a", "b", ".", "*", "(", "\\", "|", "é", "字"])
@@ -186,6 +186,18 @@ def test_the_plain_path_and_the_csv_path_give_the_same_result(workdir, case):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(gradetree.dataset, "_CHUNK_ROWS", 3)
         both_paths(["predict", "--model", str(model), "--data", str(inputs), "--out", str(out)])
+
+
+def test_a_model_with_no_predictors_writes_a_label_and_confidence_per_line(tmp_path):
+    # every line of the input is empty, so a line pattern of no cells would match each one
+    schema = AttributeSchema((), Attribute("Y", ("c0", "c1")))
+    leaf = Leaf("c0", 3, ClassDistribution({"c0": 2, "c1": 1}, 3))
+    model, inputs, out = tmp_path / "model.json", tmp_path / "in.csv", tmp_path / "out.csv"
+    save_model(DecisionTree(leaf, schema, TreeConfig(), 3), model)
+    inputs.write_text("\n\n\n\n")
+    code, err, written = both_paths(["predict", "--model", str(model), "--data", str(inputs), "--out", str(out)])
+    assert (code, err) == (0, "")
+    assert list(csv.reader(io.StringIO(written.decode()))) == [["Y", "confidence"]] + [["c0", "0.6667"]] * 3
 
 
 # --- restart ----------------------------------------------------------------------

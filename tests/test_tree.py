@@ -244,6 +244,8 @@ def test_fixture_stats_and_support_conservation(students, fixture_tree):
 
 def test_prune_with_min_support_one_changes_nothing(fixture_tree):
     assert prune(fixture_tree, 1).root == fixture_tree.root
+    with pytest.raises(ValueError, match="^min_support must be >= 1$"):
+        prune(fixture_tree, 0)
 
 
 def test_prune_above_training_size_collapses_to_majority_leaf(students, fixture_tree):
