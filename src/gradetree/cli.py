@@ -24,7 +24,6 @@ from .evaluate import accuracy
 from .metrics import score_all
 from .rules import extract_rules, render_rules, rules_to_json
 from .tree import (
-    Criterion,
     Leaf,
     TreeConfig,
     _route,
@@ -139,7 +138,7 @@ def _load_dataset(args):
 def cmd_train(args) -> int:
     dataset = _load_dataset(args)
     config = TreeConfig(
-        criterion=Criterion(args.criterion),
+        criterion=args.criterion,
         min_leaf_support=args.min_support,
         max_depth=args.max_depth,
     )

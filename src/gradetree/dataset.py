@@ -555,7 +555,7 @@ def _read_json(path, error: type[Exception]):
         return json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise error(f"{path}: not valid JSON: {exc}") from exc
-    except UnicodeDecodeError as exc:
+    except ValueError as exc:  # undecodable bytes, or an integer past sys.get_int_max_str_digits()
         raise error(f"{path}: {exc}") from None
     except RecursionError:  # the parser recurses once per level of nesting
         raise error(f"{path}: JSON nested too deeply to read") from None

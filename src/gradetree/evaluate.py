@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from operator import eq
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .dataset import Dataset
@@ -56,20 +55,8 @@ class LooResult(NamedTuple):
     confusion: ConfusionMatrix
 
 
-def _check_evaluable(tree: DecisionTree, dataset: Dataset) -> None:
-    if len(dataset) == 0:
-        raise ValueError("cannot evaluate on an empty dataset")
-    if dataset.schema != tree.schema:
-        raise ValueError("dataset schema does not match the tree's schema")
-
-
-def _predicted(tree: DecisionTree, dataset: Dataset) -> list[str]:
-    """The label of the leaf each record reaches."""
-    return [tree._flat.nodes[i].label for i in _route(tree._flat, _code_rows(dataset))]
-
-
 def _confusion(classes: Sequence[str], actual: Iterable[str], predicted: Iterable[str]) -> ConfusionMatrix:
-    """The matrix of actual and predicted labels; a label outside ``classes`` raises KeyError."""
+    """The matrix of actual and predicted labels, each one of ``classes``."""
     counts = {(a, p): 0 for a in classes for p in classes}
     for pair, n in Counter(zip(actual, predicted)).items():
         counts[pair] += n
@@ -78,13 +65,17 @@ def _confusion(classes: Sequence[str], actual: Iterable[str], predicted: Iterabl
 
 def accuracy(tree: DecisionTree, dataset: Dataset) -> float:
     """Fraction of records whose prediction equals their label."""
-    _check_evaluable(tree, dataset)
-    return sum(map(eq, _predicted(tree, dataset), _class_labels(dataset))) / len(dataset)
+    return confusion(tree, dataset).accuracy
 
 
 def confusion(tree: DecisionTree, dataset: Dataset) -> ConfusionMatrix:
-    _check_evaluable(tree, dataset)
-    return _confusion(dataset.schema.class_domain, _class_labels(dataset), _predicted(tree, dataset))
+    """The matrix of each record's label and the label of the leaf it reaches."""
+    if len(dataset) == 0:
+        raise ValueError("cannot evaluate on an empty dataset")
+    if dataset.schema != tree.schema:
+        raise ValueError("dataset schema does not match the tree's schema")
+    predicted = [tree._flat.nodes[i].label for i in _route(tree._flat, _code_rows(dataset))]
+    return _confusion(dataset.schema.class_domain, _class_labels(dataset), predicted)
 
 
 def leave_one_out(dataset: Dataset, config: TreeConfig | None = None) -> LooResult:

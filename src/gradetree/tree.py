@@ -80,10 +80,16 @@ class TreeConfig:
     max_depth: int | None = None
 
     def __post_init__(self):
-        if self.min_leaf_support < 0:
-            raise ValueError("min_leaf_support must be >= 0")
-        if self.max_depth is not None and self.max_depth < 1:
-            raise ValueError("max_depth must be >= 1 when set")
+        object.__setattr__(self, "criterion", Criterion(self.criterion))  # "gain" reads as Criterion.GAIN
+        if not _is_count(self.min_leaf_support):
+            raise ValueError(f"min_leaf_support must be an integer >= 0, not {self.min_leaf_support!r}")
+        if self.max_depth is not None and not (_is_count(self.max_depth) and self.max_depth >= 1):
+            raise ValueError(f"max_depth must be None or an integer >= 1, not {self.max_depth!r}")
+
+
+def _is_count(n) -> bool:
+    """Whether ``n`` is an integer >= 0, and not a bool, as every count in a model file is."""
+    return isinstance(n, int) and not isinstance(n, bool) and n >= 0
 
 
 @dataclass(frozen=True)
@@ -119,8 +125,8 @@ DecisionNode = Union[Leaf, Internal]
 
 @dataclass(frozen=True, init=False)
 class DecisionTree:
-    """A tree over a schema, stored as its flat form; ``root`` may be passed as one.
-    A hand-made root is flattened once and not kept: ``root`` is always the flat form's view."""
+    """A tree over a schema, stored as its flat form; ``root`` may be passed as one. A hand-made root
+    is flattened once, its leaves read as a model file's are (``_flatten``), and not kept: ``root`` is a view."""
 
     schema: AttributeSchema
     config: TreeConfig
@@ -130,6 +136,7 @@ class DecisionTree:
     def __init__(self, root: DecisionNode, schema: AttributeSchema, config: TreeConfig, training_size: int):
         flat = root if isinstance(root, _Flat) else _flatten(root, schema)
         vars(self).update(schema=schema, config=config, training_size=training_size, _flat=flat)
+        _field(vars(self), "training_size", (int,), "model")  # as the model reader checks it
 
     def __reduce__(self):  # the flat form alone; a kept root view would pickle one frame per level
         return DecisionTree, (self._flat, self.schema, self.config, self.training_size)
@@ -199,15 +206,15 @@ def _bottom_up(flat: _Flat, leaf, internal) -> list:
 
 
 def _flatten(root: DecisionNode, schema: AttributeSchema) -> _Flat:
-    """The flat form of a tree. A branch that a hand-built tree lacks becomes a
-    leaf of the node's majority and its ``node_distribution``, with support 0. A node
-    naming an attribute outside the schema, or a branch value outside its domain, is a
-    ValueError."""
+    """The flat form of a tree, each leaf read as ``load_model`` reads its document. A branch that
+    a hand-built tree lacks becomes a leaf, with support 0, of the node's majority and distribution
+    over its leaves as read. A node naming an attribute outside the schema, a branch value outside
+    its domain, or a leaf that a model file could not hold, is a ValueError."""
     where = {a.name: (p, a.domain) for p, a in enumerate(schema.attributes)}
 
     def expand(node):
-        if isinstance(node, Leaf):
-            return node, -1, ()
+        if isinstance(node, Leaf):  # as save_model writes it and load_model reads it back
+            return _leaf_from_dict(_leaf_to_dict(node), schema.class_domain), -1, ()
         if node.attribute not in where:
             raise ValueError(f"unknown attribute {node.attribute!r}")
         (position, domain), branches = where[node.attribute], node.branches
@@ -217,7 +224,8 @@ def _flatten(root: DecisionNode, schema: AttributeSchema) -> _Flat:
         try:
             items = [branches[v] for v in domain]
         except KeyError:
-            dist = node_distribution(node)
+            dist = reduce(ClassDistribution.merged, (_own_distribution(expand(n)[0]) for n in _leaves(node)),
+                          ClassDistribution(dict.fromkeys(schema.class_domain, 0), 0))
             items = [branches.get(v) or Leaf(dist.majority(), 0, dist) for v in domain]
         return None, position, items
 
@@ -377,12 +385,14 @@ def prune(tree: DecisionTree, min_support: int) -> DecisionTree:
 # --- persistence ------------------------------------------------------------
 
 
+def _leaf_to_dict(leaf: Leaf) -> dict:
+    return {"kind": "leaf", "label": leaf.label, "support": leaf.support,
+            "distribution": dict(leaf.distribution.counts)}
+
+
 def _node_to_dict(flat: _Flat, schema: AttributeSchema) -> dict:
     attributes = schema.attributes
-    return _bottom_up(flat, lambda leaf: {
-        "kind": "leaf", "label": leaf.label, "support": leaf.support,
-        "distribution": dict(leaf.distribution.counts),
-    }, lambda p, docs: {
+    return _bottom_up(flat, _leaf_to_dict, lambda p, docs: {
         "kind": "internal", "attribute": attributes[p].name,
         "branches": dict(zip(attributes[p].domain, docs)),
     })[0]
@@ -405,6 +415,20 @@ def _field(doc: Mapping, key: str, kinds: tuple, where: str):
     return value
 
 
+def _leaf_from_dict(doc: Mapping, classes: Sequence[str]) -> Leaf:
+    """The leaf of a model document, its distribution listing every class in domain order."""
+    raw = _field(doc, "distribution", (Mapping,), "model leaf")
+    if unknown := set(raw) - set(classes):
+        raise ValueError(f"model distribution names unknown classes {sorted(unknown)}")
+    counts = {c: raw.get(c, 0) for c in classes}
+    if not all(map(_is_count, counts.values())):
+        raise ValueError(f"model distribution counts must be integers >= 0: {dict(raw)}")
+    dist = ClassDistribution(counts, sum(counts.values()))
+    if _field(doc, "label", (str,), "model leaf") not in classes:
+        raise ValueError(f"model leaf label {doc['label']!r} not in class domain")
+    return Leaf(doc["label"], _field(doc, "support", (int,), "model leaf"), dist)
+
+
 def _node_from_dict(parent: Mapping, key: str, where: str, schema: AttributeSchema) -> _Flat:
     """The flat form of the tree whose document is ``parent[key]``, each node checked in preorder."""
     position = {name: p for p, name in enumerate(schema.attribute_names)}
@@ -414,17 +438,7 @@ def _node_from_dict(parent: Mapping, key: str, where: str, schema: AttributeSche
         doc = _field(container, name, (Mapping,), place)
         kind = doc.get("kind")
         if kind == "leaf":
-            raw = _field(doc, "distribution", (Mapping,), "model leaf")
-            unknown = set(raw) - set(schema.class_domain)
-            if unknown:
-                raise ValueError(f"model distribution names unknown classes {sorted(unknown)}")
-            counts = {c: raw.get(c, 0) for c in schema.class_domain}
-            if any(isinstance(n, bool) or not isinstance(n, int) or n < 0 for n in counts.values()):
-                raise ValueError(f"model distribution counts must be integers >= 0: {dict(raw)}")
-            dist = ClassDistribution(counts, sum(counts.values()))
-            if _field(doc, "label", (str,), "model leaf") not in schema.class_domain:
-                raise ValueError(f"model leaf label {doc['label']!r} not in class domain")
-            return Leaf(doc["label"], _field(doc, "support", (int,), "model leaf"), dist), -1, ()
+            return _leaf_from_dict(doc, schema.class_domain), -1, ()
         if kind == "internal":
             attribute = _field(doc, "attribute", (str,), "model node")
             domain = schema.domain(attribute)  # raises KeyError on unknown attribute

@@ -743,6 +743,17 @@ def test_undecodable_model_or_schema_is_a_data_error_naming_the_file(tmp_path, c
     assert main(argv + [str(latin1)]) == 2
     assert capsys.readouterr().err.startswith(f"error: {latin1}: 'utf-8' codec can't decode byte 0xe9")
 
+
+@pytest.mark.parametrize("argv", JSON_FILE_ARGV)
+def test_an_integer_too_long_to_read_is_a_data_error_naming_the_file(tmp_path, capsys, students, argv):
+    huge = tmp_path / "huge.json"  # more digits than int() converts, so json.loads raises ValueError
+    huge.write_text('{"format": "gradetree.model", "training_size": 1' + "0" * 5000 + "}")
+    inputs = strip_labels(students, tmp_path / "inputs.csv")
+    argv = [arg.format(inputs=inputs, base=tmp_path) for arg in argv]
+    assert main(argv + [str(huge)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {huge}: ") and "digits" in err
+
 EXIT_CODES = {0, 1, 2, 3}
 
 json_values = st.recursive(

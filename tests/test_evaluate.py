@@ -216,16 +216,6 @@ def test_code_routed_evaluators_keep_predicts_fallback_for_a_missing_branch():
     assert accuracy(tree, dataset) == 0.5
 
 
-def test_a_leaf_label_outside_the_class_domain_never_matches():
-    schema = tiny_schema()
-    dist = class_distribution(make_dataset(schema, [(("a", "a"), "c0")]))
-    tree = DecisionTree(Leaf("c9", 1, dist), schema, TreeConfig(), 1)
-    dataset = make_dataset(schema, [(("a", "a"), "c0"), (("b", "a"), "c1")])
-    assert accuracy(tree, dataset) == 0.0
-    with pytest.raises(KeyError):
-        confusion(tree, dataset)
-
-
 def test_evaluators_reject_a_dataset_over_another_schema(fixture_tree):
     other = make_dataset(tiny_schema(), [(("a", "b"), "c0")])
     for evaluate in (accuracy, confusion):

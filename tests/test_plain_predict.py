@@ -230,6 +230,51 @@ def test_plain_input_never_reaches_the_csv_reader(monkeypatch, dumped, chunk_row
     assert run(argv) == expected
 
 
+def large_domains(rng, attributes=3, words=200):
+    """A schema of ``attributes`` domains of ``words`` words each, where every other word is
+    the one before it with letters added, so half the words are prefixes of others."""
+    letters = "abcdefghij.*"
+    attrs = []
+    for i in range(attributes):
+        domain = []
+        while len(domain) < words:
+            word = "".join(rng.choice(letters) for _ in range(rng.randint(1, 6)))
+            longer = word + "".join(rng.choice(letters) for _ in range(rng.randint(1, 4)))
+            if word not in domain and longer not in domain:
+                domain += [word, longer]
+        attrs.append(Attribute(f"A{i}", tuple(domain)))
+    return AttributeSchema(tuple(attrs), Attribute("Y", ("p", "q", "r")))
+
+
+def test_large_domains_of_prefixes_take_the_plain_path(tmp_path, monkeypatch):
+    rng = random.Random(11)
+    schema = large_domains(rng)
+    domains = [a.domain for a in schema.attributes]
+    records = [Record({a.name: rng.choice(a.domain) for a in schema.attributes}, rng.choice("pqr"))
+               for _ in range(400)]
+    model, inputs, out = tmp_path / "model.json", tmp_path / "in.csv", tmp_path / "out.csv"
+    save_model(id3_build(Dataset(schema, records)), model)
+    lines = [",".join(rng.choice(d) for d in domains) for _ in range(2000)]
+    inputs.write_text("\n".join(["A0,A1,A2", *lines]) + "\n")
+    argv = ["predict", "--model", str(model), "--data", str(inputs), "--out", str(out)]
+    expected = forced_csv_path(argv)
+    assert expected[:2] == (0, "") and expected[2].count(b"\n") == 2001
+
+    def refuse(*args):
+        raise AssertionError("the csv path read a plain file")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(gradetree.dataset, "_read_rows", refuse)
+        assert run(argv) == expected
+    # a word one letter short of a longer word, and one with a letter too many: each is refused
+    short = next(w[:-1] for w in domains[0] if len(w) > 1 and w[:-1] not in domains[0])
+    first = [d[0] for d in domains]
+    for bad in (f"{short},{first[1]},{first[2]}", f"{first[0]},{first[1]}z,{first[2]}"):
+        inputs.write_text("\n".join(["A0,A1,A2", *lines[:1500], bad, *lines[1500:]]) + "\n")
+        code, err, written = both_paths(argv)
+        assert (code, written) == (2, None) and "row 1501" in err, err
+
+
 def spy_on_read_rows(monkeypatch):
     """The rows that each ``_read_rows`` call yields, a list per call."""
     calls, read_rows = [], gradetree.dataset._read_rows

@@ -2,8 +2,10 @@ import copy
 import json
 import pickle
 import random
+import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import make_dataset, naive_gain, random_dataset, tiny_schema
 from gradetree.dataset import (
@@ -139,10 +141,27 @@ def test_max_depth_caps_the_tree(students):
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        TreeConfig(min_leaf_support=-1)
-    with pytest.raises(ValueError):
-        TreeConfig(max_depth=0)
+    for fields, message in [
+        ({"min_leaf_support": -1}, "min_leaf_support must be an integer >= 0, not -1"),
+        ({"max_depth": 0}, "max_depth must be None or an integer >= 1, not 0"),
+        # fields that save_model wrote and load_model refused
+        ({"min_leaf_support": True}, "min_leaf_support must be an integer >= 0, not True"),
+        ({"min_leaf_support": 1.0}, "min_leaf_support must be an integer >= 0, not 1.0"),
+        ({"max_depth": 2.5}, "max_depth must be None or an integer >= 1, not 2.5"),
+        ({"max_depth": True}, "max_depth must be None or an integer >= 1, not True"),
+        ({"criterion": "gini"}, "'gini' is not a valid Criterion"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            TreeConfig(**fields)
+
+
+def test_a_criterion_given_by_its_value_builds_as_its_member(tmp_path, students):
+    assert TreeConfig(criterion="gain") == TreeConfig()
+    assert TreeConfig(criterion="gain-ratio") == TreeConfig(Criterion.GAIN_RATIO)
+    tree = id3_build(students, TreeConfig(criterion="gain"))
+    assert tree == id3_build(students) and tree_stats(tree).leaves == 35
+    save_model(tree, tmp_path / "model.json")
+    assert load_model(tmp_path / "model.json") == tree
 
 
 # --- prediction ---------------------------------------------------------------
@@ -345,6 +364,89 @@ def test_a_hand_built_node_on_an_unknown_attribute_is_refused():
     leaf = Leaf("c0", 1, ClassDistribution({"c0": 1, "c1": 0}, 1))
     with pytest.raises(ValueError, match="^unknown attribute 'XYZ'$"):
         DecisionTree(Internal("XYZ", {"a": leaf}), tiny_schema(n_attrs=1), TreeConfig(), 1)
+
+
+# leaves that save_model could write and load_model would refuse, with the reader's message
+UNREADABLE_LEAVES = [
+    (Leaf("zz", 1, ClassDistribution({"c0": 1, "c1": 0}, 1)), "model leaf label 'zz' not in class domain"),
+    (Leaf("c0", 1, ClassDistribution({"c0": 1, "zz": 0}, 1)),
+     "model distribution names unknown classes ['zz']"),
+    (Leaf("c0", -1, ClassDistribution({"c0": 1, "c1": 0}, 1)),
+     "model leaf key 'support' must be >= 0, not -1"),
+    (Leaf("c0", 1, ClassDistribution({"c0": 1, "c1": -1}, 0)),
+     "model distribution counts must be integers >= 0: {'c0': 1, 'c1': -1}"),
+]
+
+
+def test_a_hand_built_leaf_that_a_model_file_could_not_hold_is_refused_as_the_reader_refuses_it(tmp_path):
+    schema = tiny_schema(n_attrs=1)
+    fine = Leaf("c0", 1, ClassDistribution({"c0": 1, "c1": 0}, 1))
+    doc = model_to_json_dict(DecisionTree(Internal("A0", {"a": fine, "b": fine}), schema, TreeConfig(), 2))
+    for leaf, message in UNREADABLE_LEAVES:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            DecisionTree(leaf, schema, TreeConfig(), 1)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):  # under a node, as in a file
+            DecisionTree(Internal("A0", {"a": fine, "b": leaf}), schema, TreeConfig(), 2)
+        doc["root"]["branches"]["b"] = {"kind": "leaf", "label": leaf.label, "support": leaf.support,
+                                        "distribution": dict(leaf.distribution.counts)}
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            load_model_write(tmp_path, doc)
+
+
+@pytest.mark.parametrize("size, message", [
+    (-1, "model key 'training_size' must be >= 0, not -1"),
+    (1.5, "model key 'training_size' must be an integer, not float"),
+    (True, "model key 'training_size' must be an integer, not bool"),
+])
+def test_a_training_size_that_a_model_file_could_not_hold_is_refused(size, message):
+    leaf = Leaf("c0", 1, ClassDistribution({"c0": 1, "c1": 0}, 1))
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        DecisionTree(leaf, tiny_schema(n_attrs=1), TreeConfig(), size)
+
+
+@st.composite
+def hand_built_trees(draw):
+    """A schema and a tree built by hand over it: leaves of any support, 0 included, whose
+    distributions may list only some classes, in any order, with any total; nodes that may
+    lack branches, and may test an attribute again below itself."""
+    classes = draw(st.permutations(["c0", "c1", "c2"]))
+    domains = draw(st.lists(st.lists(st.sampled_from("abcd"), min_size=1, max_size=4, unique=True),
+                            min_size=1, max_size=3))
+    schema = AttributeSchema(tuple(Attribute(f"A{i}", tuple(d)) for i, d in enumerate(domains)),
+                             Attribute("Y", tuple(classes)))
+    counts = st.dictionaries(st.sampled_from(classes), st.integers(0, 5), max_size=3)
+
+    def node(depth):
+        if depth >= 3 or draw(st.booleans()):
+            partial = draw(counts)
+            total = draw(st.sampled_from([sum(partial.values()), draw(st.integers(0, 9))]))
+            label, support = draw(st.sampled_from(classes)), draw(st.integers(0, 4))
+            return Leaf(label, support, ClassDistribution(partial, total))
+        p = draw(st.integers(0, len(domains) - 1))
+        present = draw(st.lists(st.sampled_from(domains[p]), unique=True))
+        return Internal(f"A{p}", {v: node(depth + 1) for v in present})
+
+    return schema, node(0)
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("hand")
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=hand_built_trees(), training_size=st.integers(0, 20))
+def test_a_hand_built_tree_reads_back_equal_and_saves_the_same_bytes(workdir, case, training_size):
+    schema, root = case
+    tree = DecisionTree(root, schema, TreeConfig(), training_size)
+    save_model(tree, workdir / "model.json")
+    loaded = load_model(workdir / "model.json")
+    assert loaded == tree
+    save_model(loaded, workdir / "again.json")
+    assert (workdir / "again.json").read_bytes() == (workdir / "model.json").read_bytes()
+    for leaf in filter(None, tree._flat.nodes):  # every class in domain order, and their sum
+        assert tuple(leaf.distribution.counts) == schema.class_domain and leaf.label in schema.class_domain
+        assert leaf.distribution.total == sum(leaf.distribution.counts.values())
 
 
 # --- persistence ----------------------------------------------------------------
