@@ -348,9 +348,6 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 1
     try:
         return args.func(args)
-    except KeyError as exc:
-        print(f"error: {exc.args[0] if exc.args else exc}", file=sys.stderr)
-        return 2
     except (OSError, ValueError) as exc:  # ValidationError and SchemaError included
         print(f"error: {exc}", file=sys.stderr)
         return 2

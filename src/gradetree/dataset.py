@@ -216,7 +216,8 @@ class ClassDistribution:
         return best
 
     def merged(self, other: "ClassDistribution") -> "ClassDistribution":
-        counts = {c: n + other.counts.get(c, 0) for c, n in self.counts.items()}
+        """The class-by-class sum, over ``self``'s classes in order, then ``other``'s new ones."""
+        counts = {c: self.counts.get(c, 0) + other.counts.get(c, 0) for c in {**self.counts, **other.counts}}
         return ClassDistribution(counts, self.total + other.total)
 
 

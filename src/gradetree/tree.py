@@ -126,7 +126,7 @@ DecisionNode = Union[Leaf, Internal]
 @dataclass(frozen=True, init=False)
 class DecisionTree:
     """A tree over a schema, stored as its flat form; ``root`` may be passed as one. A hand-made root
-    is flattened once, its leaves read as a model file's are (``_flatten``), and not kept: ``root`` is a view."""
+    is flattened once, its nodes read as a model file's are (``_flatten``), and not kept: ``root`` is a view."""
 
     schema: AttributeSchema
     config: TreeConfig
@@ -206,30 +206,40 @@ def _bottom_up(flat: _Flat, leaf, internal) -> list:
 
 
 def _flatten(root: DecisionNode, schema: AttributeSchema) -> _Flat:
-    """The flat form of a tree, each leaf read as ``load_model`` reads its document. A branch that
+    """The flat form of a tree, each node read as ``load_model`` reads its document. A branch that
     a hand-built tree lacks becomes a leaf, with support 0, of the node's majority and distribution
-    over its leaves as read. A node naming an attribute outside the schema, a branch value outside
-    its domain, or a leaf that a model file could not hold, is a ValueError."""
-    where = {a.name: (p, a.domain) for p, a in enumerate(schema.attributes)}
+    over its leaves as read. A node that a model file could not hold (``_internal``, or a leaf that
+    ``_leaf_from_dict`` refuses) is a ValueError."""
+    predictors = {a.name: (p, a.domain) for p, a in enumerate(schema.attributes)}
+    zero = ClassDistribution(dict.fromkeys(schema.class_domain, 0), 0)
+    filled = {}  # id(node) -> distribution over its leaves as read, for every node below one lacking a branch
+
+    def read(leaf):  # as save_model writes it and load_model reads it back
+        return _leaf_from_dict(_leaf_to_dict(leaf), schema.class_domain)
 
     def expand(node):
-        if isinstance(node, Leaf):  # as save_model writes it and load_model reads it back
-            return _leaf_from_dict(_leaf_to_dict(node), schema.class_domain), -1, ()
-        if node.attribute not in where:
-            raise ValueError(f"unknown attribute {node.attribute!r}")
-        (position, domain), branches = where[node.attribute], node.branches
-        outside = [v for v in branches if v not in domain]
-        if outside:
-            raise ValueError(f"branches for {node.attribute!r} name values outside its domain: {outside}")
-        try:
-            items = [branches[v] for v in domain]
-        except KeyError:
-            dist = reduce(ClassDistribution.merged, (_own_distribution(expand(n)[0]) for n in _leaves(node)),
-                          ClassDistribution(dict.fromkeys(schema.class_domain, 0), 0))
-            items = [branches.get(v) or Leaf(dist.majority(), 0, dist) for v in domain]
-        return None, position, items
+        if isinstance(node, Leaf):
+            return read(node), -1, ()
+        attribute = _field(vars(node), "attribute", (str,), "model node")  # as the model reader checks it
+        position, domain, branches = _internal(predictors, attribute, lambda: node.branches)
+        if len(branches) < len(domain) and id(node) not in filled:  # one pass for the whole subtree
+            flat = _subtree(node, read)  # its leaves read in preorder, so the first error is the same
+            dists = _bottom_up(flat, _own_distribution, lambda p, ds: reduce(ClassDistribution.merged, ds, zero))
+            filled.update((id(n), d) for n, p, d in zip(flat.nodes, flat.positions, dists) if p >= 0)
+        dist = filled.get(id(node))
+        return None, position, [branches.get(v) or Leaf(dist.majority(), 0, dist) for v in domain]
 
     return _preorder(root, expand)
+
+
+def _internal(predictors: Mapping, attribute, branches) -> tuple:
+    """Position, domain, ``branches()`` of a node on a predictor, every branch in its domain; else ValueError."""
+    if attribute not in predictors:
+        raise ValueError(f"unknown attribute {attribute!r}")
+    (position, domain), branches = predictors[attribute], branches()
+    if outside := [v for v in branches if v not in domain]:
+        raise ValueError(f"branches for {attribute!r} name values outside its domain: {outside}")
+    return position, domain, branches
 
 
 def _route(flat: _Flat, rows: Iterable[Sequence]) -> list[int]:
@@ -305,9 +315,16 @@ def _root_item(schema: AttributeSchema, rows: Sequence[int]) -> tuple:
     return rows, list(range(len(schema.attributes))), 0, None
 
 
+def _subtree(node: DecisionNode, read=lambda leaf: leaf) -> _Flat:
+    """The flat form of a subtree read without a schema, ``read(leaf)`` at each leaf in preorder: an
+    internal node is its own payload, at position 0, and a missing branch adds no node."""
+    return _preorder(node, lambda n: (read(n), -1, ()) if isinstance(n, Leaf)
+                     else (n, 0, [*n.branches.values()]))
+
+
 def _leaves(node: DecisionNode) -> list[Leaf]:
     """The leaves of a subtree, read without a schema: a missing branch adds none."""
-    flat = _preorder(node, lambda n: (n, -1, ()) if isinstance(n, Leaf) else (n, 0, [*n.branches.values()]))
+    flat = _subtree(node)
     return [n for n, p in zip(flat.nodes, flat.positions) if p < 0]
 
 
@@ -431,7 +448,7 @@ def _leaf_from_dict(doc: Mapping, classes: Sequence[str]) -> Leaf:
 
 def _node_from_dict(parent: Mapping, key: str, where: str, schema: AttributeSchema) -> _Flat:
     """The flat form of the tree whose document is ``parent[key]``, each node checked in preorder."""
-    position = {name: p for p, name in enumerate(schema.attribute_names)}
+    predictors = {a.name: (p, a.domain) for p, a in enumerate(schema.attributes)}
 
     def expand(item):  # the document holding a node, the node's key, and where that is
         container, name, place = item
@@ -441,14 +458,14 @@ def _node_from_dict(parent: Mapping, key: str, where: str, schema: AttributeSche
             return _leaf_from_dict(doc, schema.class_domain), -1, ()
         if kind == "internal":
             attribute = _field(doc, "attribute", (str,), "model node")
-            domain = schema.domain(attribute)  # raises KeyError on unknown attribute
-            branch_doc = _field(doc, "branches", (Mapping,), "model node")
-            if set(branch_doc) != set(domain):
+            position, domain, branch_doc = _internal(
+                predictors, attribute, lambda: _field(doc, "branches", (Mapping,), "model node"))
+            if len(branch_doc) < len(domain):
                 raise ValueError(
                     f"model branches for {attribute!r} do not cover its domain: "
                     f"{sorted(branch_doc)} vs {sorted(domain)}"
                 )
-            return None, position[attribute], [(branch_doc, v, "model branches") for v in domain]
+            return None, position, [(branch_doc, v, "model branches") for v in domain]
         raise ValueError(f"unknown model node kind {kind!r}")
 
     return _preorder((parent, key, where), expand)

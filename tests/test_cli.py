@@ -1,3 +1,4 @@
+import contextlib
 import copy
 import csv
 import functools
@@ -13,7 +14,7 @@ import sys
 import threading
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import gradetree.dataset
 from conftest import naive_gain, random_dataset
@@ -618,7 +619,7 @@ def with_first_leaf(doc, **fields):
 
 MALFORMED_MODELS = {
     "a list": (lambda doc: [doc], "model document must be an object, not list"),
-    "a list root": (lambda doc: {**doc, "root": []}, "'root' must be an object"),
+    "a list root": (lambda doc: {**doc, "root": []}, "model key 'root' must be an object, not list"),
     "a string max_depth": (
         lambda doc: {**doc, "config": {**doc["config"], "max_depth": "4"}},
         "'max_depth' must be an integer or null",
@@ -662,13 +663,14 @@ def test_malformed_model_document_is_a_data_error(tmp_path, capsys, model_path, 
 
 @pytest.mark.parametrize("command", ["export-dot", "rules", "predict"])
 def test_a_model_node_naming_an_unknown_attribute_is_a_data_error(tmp_path, capsys, students, model_path, command):
-    doc = json.loads(model_path.read_text())
-    doc["root"]["attribute"] = "XYZ"
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(doc))
     data = ["--data", str(strip_labels(students, tmp_path / "inputs.csv"))] if command == "predict" else []
-    assert main([command, "--model", str(bad), *data]) == 2
-    assert capsys.readouterr().err == "error: unknown attribute 'XYZ'\n"
+    for name in ("XYZ", "ESM"):  # the class attribute is no predictor, so no node may test it
+        doc = json.loads(model_path.read_text())
+        doc["root"]["attribute"] = name
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert main([command, "--model", str(bad), *data]) == 2
+        assert capsys.readouterr().err == f"error: unknown attribute {name!r}\n"
 
 
 @pytest.mark.parametrize("depth", [MAX_MODEL_DEPTH, MAX_MODEL_DEPTH + 1])
@@ -812,6 +814,57 @@ def test_any_model_file_gets_an_exit_code(contract, data):
     model.write_bytes(data.draw(st.binary(max_size=200) | damaged_documents(doc)))
     for argv in (["export-dot"], ["rules"], ["predict", "--data", str(inputs)]):
         assert main(argv + ["--model", str(model), "--out", str(base / "out")]) in EXIT_CODES
+
+
+# the bundled model's document, as a saved model file holds it
+BUNDLED_MODEL = json.loads(json.dumps(model_to_json_dict(id3_build(load_students()))))
+model_names = st.sampled_from(
+    sorted({k for path in json_paths(BUNDLED_MODEL) for k in path if isinstance(k, str)} | {"ESM", "XYZ"}))
+
+
+def with_root(**fields):
+    """The bundled model's document with ``fields`` set on its root node."""
+    return {**BUNDLED_MODEL, "root": {**BUNDLED_MODEL["root"], **fields}}
+
+
+@st.composite
+def mutated_models(draw):
+    """The bundled model's document with one to three keys replaced, deleted or renamed."""
+    doc = copy.deepcopy(BUNDLED_MODEL)
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(json_paths(doc))[1:]))
+        parent, key = functools.reduce(operator.getitem, path[:-1], doc), path[-1]
+        how = draw(st.sampled_from(["replace", "delete", "rename"] if isinstance(parent, dict) else ["replace"]))
+        if how == "replace":
+            parent[key] = draw(model_names | json_values)
+        elif how == "delete":
+            del parent[key]
+        else:
+            parent[draw(model_names)] = parent.pop(key)
+    return doc
+
+
+@settings(max_examples=150, deadline=None)
+@given(doc=mutated_models())
+@example(doc=with_root(attribute="ESM"))  # the class attribute
+@example(doc=with_root(attribute="XYZ"))
+@example(doc=with_root(attribute=7))
+@example(doc=with_root(attribute=None))
+def test_a_mutated_model_document_is_a_tree_or_a_one_line_data_error(contract, doc):
+    base, _, _, inputs = contract
+    model = base / "mutated.json"
+    model.write_text(json.dumps(doc))
+    try:
+        load_model(model)
+    except ValueError:
+        pass
+    for argv in (["export-dot"], ["predict", "--data", str(inputs)]):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(argv + ["--model", str(model), "--out", str(base / "out")])
+        assert code in (0, 2)
+        if code == 2:
+            assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
 
 
 @settings(max_examples=60, deadline=None)

@@ -13,6 +13,7 @@ from conftest import encode, make_dataset, random_dataset, tiny_schema
 from gradetree.dataset import (
     Attribute,
     AttributeSchema,
+    ClassDistribution,
     DEFAULT_GRADE_BANDS,
     Dataset,
     GradeBand,
@@ -403,6 +404,13 @@ def test_class_distribution_of_empty_dataset(students):
     dist = class_distribution(Dataset(students.schema, ()))
     assert dist.total == 0
     assert set(dist.counts.values()) == {0}
+
+
+def test_merged_distributions_add_class_by_class_over_both_classes():
+    merged = ClassDistribution({"c1": 2}, 2).merged(ClassDistribution({"c0": 3}, 3))
+    assert (list(merged.counts.items()), merged.total, merged.majority()) == ([("c1", 2), ("c0", 3)], 5, "c0")
+    full = ClassDistribution({"c0": 1, "c1": 0}, 1).merged(ClassDistribution({"c1": 4, "c0": 2}, 6))
+    assert (list(full.counts.items()), full.total) == ([("c0", 3), ("c1", 4)], 7)
 
 
 def test_partition_sizes_by_psm(students):

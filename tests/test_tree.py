@@ -7,6 +7,7 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import gradetree.tree
 from conftest import make_dataset, naive_gain, random_dataset, tiny_schema
 from gradetree.dataset import (
     Attribute,
@@ -364,6 +365,62 @@ def test_a_hand_built_node_on_an_unknown_attribute_is_refused():
     leaf = Leaf("c0", 1, ClassDistribution({"c0": 1, "c1": 0}, 1))
     with pytest.raises(ValueError, match="^unknown attribute 'XYZ'$"):
         DecisionTree(Internal("XYZ", {"a": leaf}), tiny_schema(n_attrs=1), TreeConfig(), 1)
+
+
+def node_doc(node) -> dict:
+    """A hand-built node's model document, as save_model would write it, whatever the node holds."""
+    if isinstance(node, Leaf):
+        return {"kind": "leaf", "label": node.label, "support": node.support,
+                "distribution": dict(node.distribution.counts)}
+    return {"kind": "internal", "attribute": node.attribute,
+            "branches": {v: node_doc(child) for v, child in node.branches.items()}}
+
+
+FINE = Leaf("c0", 1, ClassDistribution({"c0": 1, "c1": 0}, 1))
+# internal nodes over tiny_schema(n_attrs=1) that no model file may hold, with the one message both readers give
+BAD_NODES = {
+    "an unknown attribute": (Internal("XYZ", {"a": FINE, "b": FINE}), "unknown attribute 'XYZ'"),
+    "the class attribute": (Internal("Y", {"c0": FINE, "c1": FINE}), "unknown attribute 'Y'"),
+    "an attribute that is not a string": (Internal(0, {"a": FINE, "b": FINE}),
+                                          "model node key 'attribute' must be a string, not int"),
+    "a value outside the domain": (Internal("A0", {"a": FINE, "b": FINE, "zzz": FINE}),
+                                   "branches for 'A0' name values outside its domain: ['zzz']"),
+    "an outside value and a missing branch": (Internal("A0", {"zzz": FINE, "a": FINE}),
+                                              "branches for 'A0' name values outside its domain: ['zzz']"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_NODES))
+def test_a_bad_internal_node_is_refused_alike_built_by_hand_and_read_from_a_model_file(tmp_path, case):
+    node, message = BAD_NODES[case]
+    schema = tiny_schema(n_attrs=1)
+    doc = model_to_json_dict(DecisionTree(Internal("A0", {"a": FINE, "b": FINE}), schema, TreeConfig(), 2))
+    for root in (node, Internal("A0", {"a": FINE, "b": node})):  # at the root, and under a node
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            DecisionTree(root, schema, TreeConfig(), 2)
+        doc["root"] = node_doc(root)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            load_model_write(tmp_path, doc)
+
+
+def test_a_deep_chain_lacking_a_branch_at_every_level_reads_each_leaf_at_most_twice(monkeypatch):
+    levels = 400  # a chain: "a" is a leaf, "b" the chain below, "c" missing, or written out in the explicit twin
+    lacking = explicit = Leaf("c1", 1, ClassDistribution({"c1": 1}, 1))
+    counts = {"c0": 0, "c1": 1}  # the records routed through the chain below, level by level
+    for i in range(levels):
+        leaf = Leaf(f"c{i % 3 % 2}", 1, ClassDistribution({f"c{i % 3 % 2}": 1}, 1))
+        counts[leaf.label] += 1
+        dist = ClassDistribution(counts, sum(counts.values()))
+        lacking = Internal("A0", {"a": leaf, "b": lacking})
+        explicit = Internal("A0", {"a": leaf, "b": explicit, "c": Leaf(dist.majority(), 0, dist)})
+    reads = []
+    read = gradetree.tree._leaf_from_dict
+    monkeypatch.setattr(gradetree.tree, "_leaf_from_dict", lambda *args: reads.append(args) or read(*args))
+    schema = tiny_schema(n_attrs=1, domain=("a", "b", "c"))
+    tree = DecisionTree(lacking, schema, TreeConfig(), levels + 1)
+    assert tree_stats(tree).leaves == 2 * levels + 1
+    assert len(reads) <= 2 * tree_stats(tree).leaves
+    assert tree == DecisionTree(explicit, schema, TreeConfig(), levels + 1)
 
 
 # leaves that save_model could write and load_model would refuse, with the reader's message
