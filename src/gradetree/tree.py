@@ -206,30 +206,32 @@ def _bottom_up(flat: _Flat, leaf, internal) -> list:
 
 
 def _flatten(root: DecisionNode, schema: AttributeSchema) -> _Flat:
-    """The flat form of a tree, each node read as ``load_model`` reads its document. A branch that
-    a hand-built tree lacks becomes a leaf, with support 0, of the node's majority and distribution
-    over its leaves as read. A node that a model file could not hold (``_internal``, or a leaf that
-    ``_leaf_from_dict`` refuses) is a ValueError."""
+    """The flat form of a tree, read in one preorder pass as ``load_model`` reads its document, so the
+    first node a model file could not hold (``_field``, ``_internal``, ``_leaf_from_dict``) is the ValueError.
+    A branch that a hand-built tree lacks is a gap until the pass ends, then a leaf, with support 0, of
+    its node's own majority and distribution (``_own``)."""
     predictors = {a.name: (p, a.domain) for p, a in enumerate(schema.attributes)}
-    zero = ClassDistribution(dict.fromkeys(schema.class_domain, 0), 0)
-    filled = {}  # id(node) -> distribution over its leaves as read, for every node below one lacking a branch
+    gap = Leaf("", 0, ClassDistribution(dict.fromkeys(schema.class_domain, 0), 0))  # a missing branch, for now
 
-    def read(leaf):  # as save_model writes it and load_model reads it back
-        return _leaf_from_dict(_leaf_to_dict(leaf), schema.class_domain)
-
-    def expand(node):
-        if isinstance(node, Leaf):
-            return read(node), -1, ()
+    def expand(item):  # the mapping holding a node, the node's key, and where that is
+        container, name, place = item
+        if name not in container:
+            return gap, -1, ()
+        if isinstance(node := container[name], Leaf):  # as save_model writes it and load_model reads it back
+            if not isinstance(node.distribution, ClassDistribution):
+                _field(vars(node), "distribution", (ClassDistribution,), "model leaf")
+            return _leaf_from_dict(_leaf_to_dict(node), schema.class_domain), -1, ()
+        node = _field(container, name, (Internal,), place)  # any other part is no node: "must be an object"
         attribute = _field(vars(node), "attribute", (str,), "model node")  # as the model reader checks it
         position, domain, branches = _internal(predictors, attribute, lambda: node.branches)
-        if len(branches) < len(domain) and id(node) not in filled:  # one pass for the whole subtree
-            flat = _subtree(node, read)  # its leaves read in preorder, so the first error is the same
-            dists = _bottom_up(flat, _own_distribution, lambda p, ds: reduce(ClassDistribution.merged, ds, zero))
-            filled.update((id(n), d) for n, p, d in zip(flat.nodes, flat.positions, dists) if p >= 0)
-        dist = filled.get(id(node))
-        return None, position, [branches.get(v) or Leaf(dist.majority(), 0, dist) for v in domain]
+        return None, position, [(branches, v, "model branches") for v in domain]
 
-    return _preorder(root, expand)
+    nodes, _, children = flat = _preorder(({"root": root}, "root", "model"), expand)
+    if any(node is gap for node in nodes):  # no gap, no fold
+        for (_, dist), ids in zip(_own(flat), children):  # a gap takes its parent's own distribution
+            for i in (i for i in ids if nodes[i] is gap):
+                nodes[i] = Leaf(dist.majority(), 0, dist)
+    return flat
 
 
 def _internal(predictors: Mapping, attribute, branches) -> tuple:
@@ -315,11 +317,9 @@ def _root_item(schema: AttributeSchema, rows: Sequence[int]) -> tuple:
     return rows, list(range(len(schema.attributes))), 0, None
 
 
-def _subtree(node: DecisionNode, read=lambda leaf: leaf) -> _Flat:
-    """The flat form of a subtree read without a schema, ``read(leaf)`` at each leaf in preorder: an
-    internal node is its own payload, at position 0, and a missing branch adds no node."""
-    return _preorder(node, lambda n: (read(n), -1, ()) if isinstance(n, Leaf)
-                     else (n, 0, [*n.branches.values()]))
+def _subtree(node: DecisionNode) -> _Flat:
+    """The flat form of a subtree read without a schema: an internal node is its own payload, at position 0."""
+    return _preorder(node, lambda n: (n, -1, ()) if isinstance(n, Leaf) else (n, 0, [*n.branches.values()]))
 
 
 def _leaves(node: DecisionNode) -> list[Leaf]:
@@ -343,9 +343,15 @@ def node_distribution(node: DecisionNode) -> ClassDistribution:
     """Class distribution of the records routed through this subtree.
 
     Zero-support leaves are skipped: their stored distribution belongs to
-    the parent subset, not to records of their own.
+    the parent subset, not to records of their own; a node with no leaf counts no class.
     """
-    return reduce(ClassDistribution.merged, map(_own_distribution, _leaves(node)))
+    return reduce(ClassDistribution.merged, map(_own_distribution, _leaves(node)), ClassDistribution({}, 0))
+
+
+def _own(flat: _Flat) -> list[tuple[int, ClassDistribution]]:
+    """Each node's (support, own distribution) by node id, summed from its leaves; a support-0 leaf counts none."""
+    return _bottom_up(flat, lambda leaf: (leaf.support, _own_distribution(leaf)), lambda p, subs: (
+        sum(s for s, _ in subs), reduce(ClassDistribution.merged, (d for _, d in subs))))
 
 
 def predict(tree: DecisionTree, values: Mapping[str, str]) -> tuple[str, ClassDistribution]:
@@ -385,9 +391,8 @@ def prune(tree: DecisionTree, min_support: int) -> DecisionTree:
     majority leaf over that subtree's own distribution. Idempotent."""
     if min_support < 1:
         raise ValueError("min_support must be >= 1")
-    nodes, positions, children = flat = tree._flat
-    own = _bottom_up(flat, lambda leaf: (leaf.support, _own_distribution(leaf)), lambda p, subs: (
-        sum(s for s, _ in subs), reduce(ClassDistribution.merged, (d for _, d in subs))))
+    nodes, positions, children = tree._flat
+    own = _own(tree._flat)
 
     def expand(i):  # a subtree routed too few records becomes a leaf
         support, dist = own[i]  # the records routed through node i, and their own distribution
@@ -415,7 +420,8 @@ def _node_to_dict(flat: _Flat, schema: AttributeSchema) -> dict:
     })[0]
 
 
-_JSON_TYPE_NAMES = {Mapping: "an object", str: "a string", int: "an integer", type(None): "null"}
+_TYPE_NAMES = {Mapping: "an object", str: "a string", int: "an integer", type(None): "null",
+               Internal: "an object", ClassDistribution: "a ClassDistribution"}
 
 
 def _field(doc: Mapping, key: str, kinds: tuple, where: str):
@@ -425,7 +431,7 @@ def _field(doc: Mapping, key: str, kinds: tuple, where: str):
         raise ValueError(f"{where} is missing key {key!r}")
     value = doc[key]
     if isinstance(value, bool) or not isinstance(value, kinds):
-        expected = " or ".join(_JSON_TYPE_NAMES[k] for k in kinds)
+        expected = " or ".join(_TYPE_NAMES[k] for k in kinds)
         raise ValueError(f"{where} key {key!r} must be {expected}, not {type(value).__name__}")
     if isinstance(value, int) and value < 0:
         raise ValueError(f"{where} key {key!r} must be >= 0, not {value}")

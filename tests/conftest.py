@@ -3,6 +3,7 @@ import random
 import pytest
 
 from gradetree.dataset import Attribute, AttributeSchema, Dataset, Record, load_students
+from gradetree.tree import Internal, Leaf, node_support
 
 
 @pytest.fixture(scope="session")
@@ -57,6 +58,15 @@ def random_dataset(rng: random.Random, max_attributes=6, max_records=200,
             label = rng.choice(classes)
         records.append(Record(dict(zip(schema.attribute_names, key)), label))
     return Dataset(schema, tuple(records))
+
+
+def with_branches_dropped(node, rng):
+    """A copy of a subtree that leaves out some branches, more often empty ones; a node keeps one at least."""
+    if isinstance(node, Leaf):
+        return node
+    kept = {v: child for v, child in node.branches.items() if rng.random() > (0.1 if node_support(child) else 0.5)}
+    kept = kept or dict([next(iter(node.branches.items()))])
+    return Internal(node.attribute, {v: with_branches_dropped(child, rng) for v, child in kept.items()})
 
 
 # Naive scoring used as the in-test oracle; kept free of gradetree.metrics.

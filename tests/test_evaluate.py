@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import gradetree.evaluate
-from conftest import make_dataset, random_dataset, tiny_schema
+from conftest import make_dataset, random_dataset, tiny_schema, with_branches_dropped
 from gradetree.dataset import Attribute, AttributeSchema, Dataset, Record, class_distribution
 from gradetree.evaluate import ConfusionMatrix, accuracy, confusion, leave_one_out
 from gradetree.tree import (
@@ -16,7 +16,6 @@ from gradetree.tree import (
     TreeConfig,
     id3_build,
     model_to_json_dict,
-    node_support,
     predict,
     prune,
 )
@@ -172,15 +171,6 @@ def test_code_routed_evaluators_match_predict_on_random_trees():
             assert_evaluators_match_predict(tree, evaluated)
             empty_branch_rows += sum(leaf_of(tree, r.values).support == 0 for r in evaluated)
     assert empty_branch_rows > 0  # support-0 leaves were reached
-
-
-def with_branches_dropped(node, rng):
-    """A copy of a subtree that leaves out some branches, more often empty ones; a node keeps one at least."""
-    if isinstance(node, Leaf):
-        return node
-    kept = {v: child for v, child in node.branches.items() if rng.random() > (0.1 if node_support(child) else 0.5)}
-    kept = kept or dict([next(iter(node.branches.items()))])
-    return Internal(node.attribute, {v: with_branches_dropped(child, rng) for v, child in kept.items()})
 
 
 @settings(max_examples=100, deadline=None)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import gradetree.tree
-from conftest import make_dataset, naive_gain, random_dataset, tiny_schema
+from conftest import make_dataset, naive_gain, random_dataset, tiny_schema, with_branches_dropped
 from gradetree.dataset import (
     Attribute,
     AttributeSchema,
@@ -353,6 +353,44 @@ def test_a_missing_branch_equals_an_explicit_majority_leaf_of_its_node():
     assert first.root == second.root
 
 
+def explicit_twin(node, schema):
+    """A hand-built subtree with each missing branch written out: a leaf of support 0 with its node's
+    majority and distribution, summed over the node's leaves of support > 0; ties go to the first class."""
+    if isinstance(node, Leaf):
+        return node
+    counts = dict.fromkeys(schema.class_domain, 0)
+    for leaf in (leaf for leaf, _ in walk_leaves(node) if leaf.support > 0):
+        for c, n in leaf.distribution.counts.items():
+            counts[c] += n
+    dist = ClassDistribution(counts, sum(counts.values()))
+    filler = Leaf(max(counts, key=counts.get), 0, dist)
+    domain = next(a.domain for a in schema.attributes if a.name == node.attribute)
+    return Internal(node.attribute, {v: explicit_twin(node.branches[v], schema) if v in node.branches else filler
+                                     for v in domain})
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), drop=st.integers(0, 2**32 - 1))
+def test_a_grown_tree_lacking_branches_at_every_level_equals_its_explicit_twin(seed, drop):
+    rng = random.Random(seed)
+    train = random_dataset(rng, max_records=60, contradiction_free=seed % 2 == 0)
+    grown = id3_build(train, TreeConfig(max_depth=rng.choice((None, 3))))
+    lacking = with_branches_dropped(grown.root, random.Random(drop))
+    explicit = explicit_twin(lacking, train.schema)
+    tree = DecisionTree(lacking, train.schema, grown.config, len(train))
+    assert tree == DecisionTree(explicit, train.schema, grown.config, len(train))
+    assert tree.root == explicit
+
+
+def test_a_node_with_no_branches_routes_no_records_and_others_keep_their_class_order():
+    assert node_support(Internal("PSM", {})) == 0
+    assert node_distribution(Internal("PSM", {})) == ClassDistribution({}, 0)
+    node = Internal("A0", {"a": Leaf("c1", 2, ClassDistribution({"c1": 2, "c0": 0}, 2)),
+                           "b": Leaf("c0", 1, ClassDistribution({"c0": 1, "c1": 0}, 1))})
+    assert node_distribution(node) == ClassDistribution({"c1": 2, "c0": 1}, 3)
+    assert tuple(node_distribution(node).counts) == ("c1", "c0")
+
+
 def test_a_hand_built_branch_outside_its_domain_is_refused():
     leaf = Leaf("c0", 1, ClassDistribution({"c0": 1, "c1": 0}, 1))
     stray = Leaf("c1", 5, ClassDistribution({"c0": 0, "c1": 5}, 5))
@@ -395,15 +433,36 @@ def test_a_bad_internal_node_is_refused_alike_built_by_hand_and_read_from_a_mode
     node, message = BAD_NODES[case]
     schema = tiny_schema(n_attrs=1)
     doc = model_to_json_dict(DecisionTree(Internal("A0", {"a": FINE, "b": FINE}), schema, TreeConfig(), 2))
-    for root in (node, Internal("A0", {"a": FINE, "b": node})):  # at the root, and under a node
+    # under a root lacking "b", which its model file writes out, and before an unreadable leaf in preorder
+    above = Internal("A0", {"a": node, "b": Leaf("zz", 1, ClassDistribution({"c0": 1, "c1": 0}, 1))})
+    placements = [  # a hand-built root, and the root of its model file
+        (node, node),
+        (Internal("A0", {"a": FINE, "b": node}),) * 2,
+        (Internal("A0", {"a": above}), Internal("A0", {"a": above, "b": FINE})),
+    ]
+    for root, written in placements:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             DecisionTree(root, schema, TreeConfig(), 2)
-        doc["root"] = node_doc(root)
+        doc["root"] = node_doc(written)
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             load_model_write(tmp_path, doc)
 
 
-def test_a_deep_chain_lacking_a_branch_at_every_level_reads_each_leaf_at_most_twice(monkeypatch):
+@pytest.mark.parametrize("root, message", [
+    ("c0", "model key 'root' must be an object, not str"),
+    (node_doc(FINE), "model key 'root' must be an object, not dict"),
+    (Internal("A0", {"a": FINE, "b": None}), "model branches key 'b' must be an object, not NoneType"),
+    (Internal("A0", {"a": {"kind": "leaf"}}), "model branches key 'a' must be an object, not dict"),
+    (Leaf("c0", 1, {"c0": 1, "c1": 0}), "model leaf key 'distribution' must be a ClassDistribution, not dict"),
+    (Internal("A0", {"b": Leaf("c0", 1, None)}),
+     "model leaf key 'distribution' must be a ClassDistribution, not NoneType"),
+])
+def test_a_hand_built_part_of_the_wrong_type_is_refused_naming_its_key_and_type(root, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        DecisionTree(root, tiny_schema(n_attrs=1), TreeConfig(), 1)
+
+
+def test_a_deep_chain_lacking_a_branch_at_every_level_reads_each_given_leaf_once(monkeypatch):
     levels = 400  # a chain: "a" is a leaf, "b" the chain below, "c" missing, or written out in the explicit twin
     lacking = explicit = Leaf("c1", 1, ClassDistribution({"c1": 1}, 1))
     counts = {"c0": 0, "c1": 1}  # the records routed through the chain below, level by level
@@ -419,7 +478,7 @@ def test_a_deep_chain_lacking_a_branch_at_every_level_reads_each_leaf_at_most_tw
     schema = tiny_schema(n_attrs=1, domain=("a", "b", "c"))
     tree = DecisionTree(lacking, schema, TreeConfig(), levels + 1)
     assert tree_stats(tree).leaves == 2 * levels + 1
-    assert len(reads) <= 2 * tree_stats(tree).leaves
+    assert len(reads) == levels + 1
     assert tree == DecisionTree(explicit, schema, TreeConfig(), levels + 1)
 
 
