@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .dataset import Dataset
@@ -16,10 +17,16 @@ __all__ = ["ConfusionMatrix", "LooResult", "accuracy", "confusion", "leave_one_o
 
 @dataclass(frozen=True)
 class ConfusionMatrix:
-    """Counts keyed by (actual, predicted); class order follows the schema."""
+    """Counts keyed by (actual, predicted); class order follows the schema. ``counts`` is a read-only copy."""
 
     classes: tuple[str, ...]
     counts: Mapping[tuple[str, str], int]
+
+    def __post_init__(self):
+        object.__setattr__(self, "counts", MappingProxyType(dict(self.counts)))
+
+    def __reduce__(self):  # as Record's
+        return ConfusionMatrix, (self.classes, dict(self.counts))
 
     @property
     def total(self) -> int:

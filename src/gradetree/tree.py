@@ -21,7 +21,8 @@ order. Growth, model documents and pruning write it on an explicit stack
 (``_preorder``); a hand-made root is flattened once (``_flatten``). Stats,
 rules, model files, DOT, the router (``_route``), ``predict``, equality, ``repr``
 and pickling read it; ``root`` is a view built from it (``_bottom_up``). No walk
-of a tree recurses. ``json`` does, so model files hold ``MAX_MODEL_DEPTH`` levels.
+of a tree recurses, nor does the model writer (``_model_text``). Only ``json.loads``
+does, so model files hold ``MAX_MODEL_DEPTH`` levels.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from functools import reduce
 from itertools import repeat
+from json.encoder import encode_basestring_ascii
 from types import MappingProxyType
 from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 
@@ -61,8 +63,8 @@ __all__ = [
 
 MODEL_FORMAT = "gradetree.model"
 MODEL_VERSION = 1
-# the deepest tree a model file holds: json.dumps(indent=2) and json.loads recurse
-# about twice per level, and overflow near 485 levels at the default recursion limit
+# the deepest tree a model file holds: save_model writes on an explicit stack, but json.loads
+# recurses twice per level and overflows near 495 levels at the default recursion limit
 MAX_MODEL_DEPTH = 400
 
 
@@ -318,8 +320,17 @@ def _root_item(schema: AttributeSchema, rows: Sequence[int]) -> tuple:
 
 
 def _subtree(node: DecisionNode) -> _Flat:
-    """The flat form of a subtree read without a schema: an internal node is its own payload, at position 0."""
-    return _preorder(node, lambda n: (n, -1, ()) if isinstance(n, Leaf) else (n, 0, [*n.branches.values()]))
+    """The flat form of a subtree read without a schema: an internal node is its own payload, at position 0.
+    A part that is no node is the ValueError ``DecisionTree`` gives for it (``_field``)."""
+
+    def expand(item):  # the mapping holding a node, the node's key, and where that is
+        container, name, place = item
+        if isinstance(node := container[name], Leaf):
+            return node, -1, ()
+        node = _field(container, name, (Internal,), place)
+        return node, 0, [(node.branches, v, "model branches") for v in node.branches]
+
+    return _preorder(({"root": node}, "root", "model"), expand)
 
 
 def _leaves(node: DecisionNode) -> list[Leaf]:
@@ -389,6 +400,8 @@ def tree_stats(tree: DecisionTree) -> TreeStats:
 def prune(tree: DecisionTree, min_support: int) -> DecisionTree:
     """Replace every subtree routed fewer than ``min_support`` records by a
     majority leaf over that subtree's own distribution. Idempotent."""
+    if isinstance(min_support, bool) or not isinstance(min_support, int):
+        raise ValueError(f"min_support must be an integer >= 1, not {min_support!r}")
     if min_support < 1:
         raise ValueError("min_support must be >= 1")
     nodes, positions, children = tree._flat
@@ -439,7 +452,16 @@ def _field(doc: Mapping, key: str, kinds: tuple, where: str):
 
 
 def _leaf_from_dict(doc: Mapping, classes: Sequence[str]) -> Leaf:
-    """The leaf of a model document, its distribution listing every class in domain order."""
+    """The leaf of a model document, its distribution listing every class in domain order.
+    A leaf whose fields are what ``json`` reads from ``save_model``'s text (a dict of an int
+    per class, a str label, an int support) is taken at once; any other goes through the
+    ``_field`` checks, which accept it or word its error."""
+    raw, label, support = doc.get("distribution"), doc.get("label"), doc.get("support")
+    if (type(raw) is dict and len(raw) == len(classes) and type(label) is str and label in classes
+            and type(support) is int and support >= 0):
+        counts = {c: raw.get(c) for c in classes}  # a class it lacks reads None, and fails the next test
+        if {*map(type, counts.values())} == {int} and min(counts.values()) >= 0:
+            return Leaf(label, support, ClassDistribution(counts, sum(counts.values())))
     raw = _field(doc, "distribution", (Mapping,), "model leaf")
     if unknown := set(raw) - set(classes):
         raise ValueError(f"model distribution names unknown classes {sorted(unknown)}")
@@ -455,15 +477,18 @@ def _leaf_from_dict(doc: Mapping, classes: Sequence[str]) -> Leaf:
 def _node_from_dict(parent: Mapping, key: str, where: str, schema: AttributeSchema) -> _Flat:
     """The flat form of the tree whose document is ``parent[key]``, each node checked in preorder."""
     predictors = {a.name: (p, a.domain) for p, a in enumerate(schema.attributes)}
+    classes = schema.class_domain
 
     def expand(item):  # the document holding a node, the node's key, and where that is
         container, name, place = item
-        doc = _field(container, name, (Mapping,), place)
+        if type(doc := container.get(name)) is not dict:  # json reads every object as a dict
+            doc = _field(container, name, (Mapping,), place)
         kind = doc.get("kind")
         if kind == "leaf":
-            return _leaf_from_dict(doc, schema.class_domain), -1, ()
+            return _leaf_from_dict(doc, classes), -1, ()
         if kind == "internal":
-            attribute = _field(doc, "attribute", (str,), "model node")
+            if type(attribute := doc.get("attribute")) is not str:
+                attribute = _field(doc, "attribute", (str,), "model node")
             position, domain, branch_doc = _internal(
                 predictors, attribute, lambda: _field(doc, "branches", (Mapping,), "model node"))
             if len(branch_doc) < len(domain):
@@ -477,7 +502,8 @@ def _node_from_dict(parent: Mapping, key: str, where: str, schema: AttributeSche
     return _preorder((parent, key, where), expand)
 
 
-def model_to_json_dict(tree: DecisionTree) -> dict:
+def _header(tree: DecisionTree) -> dict:
+    """A model document's keys but ``root``."""
     return {
         "format": MODEL_FORMAT,
         "format_version": MODEL_VERSION,
@@ -489,8 +515,12 @@ def model_to_json_dict(tree: DecisionTree) -> dict:
             "max_depth": tree.config.max_depth,
         },
         "training_size": tree.training_size,
-        "root": _node_to_dict(tree._flat, tree.schema),
     }
+
+
+def model_to_json_dict(tree: DecisionTree) -> dict:
+    """The model document, nested as its file is; ``save_model`` writes its canonical text without building it."""
+    return {**_header(tree), "root": _node_to_dict(tree._flat, tree.schema)}
 
 
 def model_from_json_dict(doc: Mapping, schema: AttributeSchema | None = None) -> DecisionTree:
@@ -516,19 +546,54 @@ def model_from_json_dict(doc: Mapping, schema: AttributeSchema | None = None) ->
     return DecisionTree(flat, embedded, config, _field(doc, "training_size", (int,), "model"))
 
 
-def _within_depth(flat: _Flat, where: str = "") -> None:
+def _within_depth(flat: _Flat, where: str = "") -> int:
+    """The depth of a flat tree, which must be at most ``MAX_MODEL_DEPTH``; else ValueError."""
     if (depth := _depth(flat)) > MAX_MODEL_DEPTH:
         raise ValueError(f"{where}tree is {depth} levels deep; "
                          f"a model file holds at most {MAX_MODEL_DEPTH} levels")
+    return depth
+
+
+def _model_text(tree: DecisionTree, depth: int) -> str:
+    """``json.dumps(model_to_json_dict(tree), indent=2, sort_keys=True)`` and a newline, written
+    from the flat form on an explicit stack: each node's keys and branches in sorted order."""
+    head = json.dumps({**_header(tree), "root": None}, indent=2, sort_keys=True)
+    before, after = head.split('\n  "root": null')  # a raw newline ends a line, and no string holds one
+    nodes, positions, children = tree._flat
+    quote = encode_basestring_ascii
+    names = [quote(a.name) for a in tree.schema.attributes]
+    branches = [[(f"{quote(v)}: ", code) for v, code in sorted(zip(a.domain, range(len(a.domain))))]
+                for a in tree.schema.attributes]
+    pads = ["\n" + "  " * k for k in range(2 * depth + 4)]  # a node at depth d closes at pads[2d + 1]
+    out = [before, '\n  "root": ']
+    stack = [("", 0, 1)]  # text to write, then a node id (-1: none) and the pad its closing brace takes
+    while stack:
+        text, i, k = stack.pop()
+        out.append(text)
+        if i < 0:
+            continue
+        close, keys, inner = pads[k], pads[k + 1], pads[k + 2]
+        if (p := positions[i]) < 0:
+            leaf = nodes[i]
+            counts = ",".join([f"{inner}{quote(c)}: {int.__repr__(n)}"
+                               for c, n in sorted(leaf.distribution.counts.items())])
+            out.append(f'{{{keys}"distribution": {{{counts}{keys}}},{keys}"kind": "leaf",{keys}"label": '
+                       f'{quote(leaf.label)},{keys}"support": {int.__repr__(leaf.support)}{close}}}')
+        else:
+            out.append(f'{{{keys}"attribute": {names[p]},{keys}"branches": {{')
+            stack.append((f'{keys}}},{keys}"kind": "internal"{close}}}', -1, 0))
+            ids = children[i]
+            stack += reversed([(f"{',' * bool(j)}{inner}{key}", ids[code], k + 2)
+                               for j, (key, code) in enumerate(branches[p])])
+    out.append(after + "\n")
+    return "".join(out)
 
 
 def save_model(tree: DecisionTree, path) -> None:
     """Write the canonical JSON encoding (sorted keys, two-space indent), replacing ``path``
     only once it is complete (``dataset._atomic_output``); a tree deeper than
     ``MAX_MODEL_DEPTH`` raises ValueError, and nothing is written."""
-    _within_depth(tree._flat)
-    text = json.dumps(model_to_json_dict(tree), indent=2, sort_keys=True) + "\n"
-    _write_text(text, path)
+    _write_text(_model_text(tree, _within_depth(tree._flat)), path)
 
 
 def load_model(path, schema: AttributeSchema | None = None) -> DecisionTree:

@@ -16,6 +16,7 @@ import contextlib
 import copy
 import csv
 import io
+import json
 import pickle
 import sys
 import tempfile
@@ -37,6 +38,7 @@ from gradetree.tree import (
     Leaf,
     TreeConfig,
     id3_build,
+    load_model,
     model_from_json_dict,
     model_to_json_dict,
     node_distribution,
@@ -280,3 +282,18 @@ def test_a_model_at_the_depth_limit_reads_back_at_the_default_recursion_limit(tm
                                          f"{MAX_MODEL_DEPTH} levels"):
         save_model(chain(MAX_MODEL_DEPTH + 1), deeper)
     assert not deeper.exists()
+
+
+def test_a_model_at_the_depth_limit_is_written_without_recursion_and_reads_back_equal(tmp_path):
+    tree, model = chain(MAX_MODEL_DEPTH), tmp_path / "model.json"
+    with shallow_stack():
+        save_model(tree, model)
+    assert model.read_text(encoding="ascii") == json.dumps(model_to_json_dict(tree), indent=2, sort_keys=True) + "\n"
+    assert load_model(model) == tree
+
+    deeper = tmp_path / "deeper.json"
+    with pytest.raises(ValueError) as refused:
+        save_model(chain(MAX_MODEL_DEPTH + 1), deeper)
+    assert str(refused.value) == (f"tree is {MAX_MODEL_DEPTH + 1} levels deep; "
+                                  f"a model file holds at most {MAX_MODEL_DEPTH} levels")
+    assert not deeper.exists() and [*tmp_path.iterdir()] == [model]

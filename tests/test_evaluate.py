@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 import random
 
 import pytest
@@ -96,6 +98,19 @@ def test_confusion_render_is_deterministic(students, fixture_tree):
     m2 = confusion(fixture_tree, students)
     assert m1.render() == m2.render()
     assert m1.to_json_dict() == m2.to_json_dict()
+
+
+def test_confusion_counts_are_read_only_and_a_matrix_pickles_and_copies_equal(students, fixture_tree):
+    matrix = confusion(fixture_tree, students)
+    with pytest.raises(TypeError):
+        matrix.counts[("First", "First")] += 1000
+    passed = {("p", "p"): 1}
+    held = ConfusionMatrix(("p",), passed)
+    passed[("p", "p")] = 7  # the matrix holds a copy of the mapping passed in
+    assert held.total == 1 and matrix.total == 50
+    result = leave_one_out(students)
+    for value in (matrix, result):
+        assert pickle.loads(pickle.dumps(value)) == value and copy.deepcopy(value) == value
 
 
 def test_leave_one_out_on_identical_records_is_perfect():

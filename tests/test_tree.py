@@ -268,6 +268,14 @@ def test_prune_with_min_support_one_changes_nothing(fixture_tree):
         prune(fixture_tree, 0)
 
 
+def test_prune_refuses_a_min_support_that_is_no_integer_by_its_own_name(fixture_tree):
+    for bad in ("3", 1.5, True, None):
+        with pytest.raises(ValueError, match=f"^min_support must be an integer >= 1, not {re.escape(repr(bad))}$"):
+            prune(fixture_tree, bad)
+    with pytest.raises(ValueError, match="^min_support must be >= 1$"):
+        prune(fixture_tree, -2)
+
+
 def test_prune_above_training_size_collapses_to_majority_leaf(students, fixture_tree):
     pruned = prune(fixture_tree, 51)
     assert isinstance(pruned.root, Leaf)
@@ -389,6 +397,16 @@ def test_a_node_with_no_branches_routes_no_records_and_others_keep_their_class_o
                            "b": Leaf("c0", 1, ClassDistribution({"c0": 1, "c1": 0}, 1))})
     assert node_distribution(node) == ClassDistribution({"c1": 2, "c0": 1}, 3)
     assert tuple(node_distribution(node).counts) == ("c1", "c0")
+
+
+def test_support_and_distribution_of_a_part_that_is_no_node_raise_the_readers_value_error():
+    leaf = Leaf("c0", 1, ClassDistribution({"c0": 1, "c1": 0}, 1))
+    for part, message in (("c0", "model key 'root' must be an object, not str"),
+                          (Internal("A0", {"a": leaf, "b": None}), "model branches key 'b' must be an object, not NoneType"),
+                          (Internal("A0", {"a": Internal("A1", {"b": 3})}), "model branches key 'b' must be an object, not int")):
+        for read in (node_support, node_distribution):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                read(part)
 
 
 def test_a_hand_built_branch_outside_its_domain_is_refused():
