@@ -274,27 +274,23 @@ class Dataset:
 
 
 def _record_rows(schema: AttributeSchema, records: Iterable[Record]) -> list[tuple[str, ...]]:
-    """Each record as the row ``load_csv`` would read: its cells in schema order, then its
-    label. At the first record whose attribute names are not the schema's, the rows before
-    it are encoded first, so a bad cell or label among them is raised before the mismatch."""
+    """Each record as the row ``load_csv`` would read: its cells in schema order, then its label.
+    At the first record whose names (its key view) are not the schema's, the rows before it are
+    encoded first, so a bad cell or label among them is raised before the mismatch."""
     names = schema.attribute_names
-    # itemgetter is the fastest read of many keys, but of one key it returns the bare value
-    cells = itemgetter(*names) if len(names) > 1 else lambda values: tuple(map(values.__getitem__, names))
+    expected = set(names)
     rows = []
     for rec in records:
-        try:  # with every name present (a missing one raises KeyError), equal size means equal keys
-            if len(rec.values) == len(names):
-                rows.append((*cells(rec.values), rec.label))
-                continue
-        except KeyError:
-            pass
-        _encode(schema, rows)
-        keys, expected, n = rec.values.keys(), set(names), len(rows) + 1
-        raise ValidationError(
-            f"row {n}: record attributes do not match schema "
-            f"(missing={sorted(expected - keys)}, unexpected={sorted(keys - expected)})",
-            row=n,
-        )
+        values = rec.values
+        if values.keys() != expected:
+            _encode(schema, rows)
+            keys, n = values.keys(), len(rows) + 1
+            raise ValidationError(
+                f"row {n}: record attributes do not match schema "
+                f"(missing={sorted(expected - keys, key=str)}, unexpected={sorted(keys - expected, key=str)})",
+                row=n,
+            )
+        rows.append((*[values[name] for name in names], rec.label))
     return rows
 
 
@@ -321,7 +317,7 @@ def _decoded_rows(dataset: Dataset) -> Iterator[tuple[str, ...]]:
 def _codes(values: Sequence[str], domain: Sequence[str]) -> tuple[int, ...]:
     """Each value's index in ``domain``; KeyError at a value outside it."""
     index = {v: i for i, v in enumerate(domain)}
-    # as in _record_rows: itemgetter reads many keys fastest, but one key as a bare value
+    # itemgetter reads many keys fastest, but of one key it returns the bare value
     return itemgetter(*values)(index) if len(values) > 1 else tuple(map(index.__getitem__, values))
 
 

@@ -155,7 +155,7 @@ def score_all(dataset: Dataset, available: Sequence[str] | None = None) -> list[
         raise ValueError("no attributes to score")
     unknown = set(available) - set(schema.attribute_names)
     if unknown:
-        raise KeyError(f"unknown attribute(s) {sorted(unknown)}")
+        raise KeyError(f"unknown attribute(s) {sorted(unknown, key=str)}")
     if len(dataset) == 0:
         raise ValueError("cannot score attributes on an empty dataset")
     *columns, labels = dataset._codes

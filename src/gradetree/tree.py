@@ -333,15 +333,10 @@ def _subtree(node: DecisionNode) -> _Flat:
     return _preorder(({"root": node}, "root", "model"), expand)
 
 
-def _leaves(node: DecisionNode) -> list[Leaf]:
-    """The leaves of a subtree, read without a schema: a missing branch adds none."""
-    flat = _subtree(node)
-    return [n for n, p in zip(flat.nodes, flat.positions) if p < 0]
-
-
 def node_support(node: DecisionNode) -> int:
-    """Training records routed through this subtree."""
-    return sum(n.support for n in _leaves(node))
+    """Training records routed through this subtree: its leaves' supports, read as ``_subtree`` reads it."""
+    flat = _subtree(node)
+    return sum(n.support for n, p in zip(flat.nodes, flat.positions) if p < 0)
 
 
 def _own_distribution(leaf: Leaf) -> ClassDistribution:
@@ -351,18 +346,20 @@ def _own_distribution(leaf: Leaf) -> ClassDistribution:
 
 
 def node_distribution(node: DecisionNode) -> ClassDistribution:
-    """Class distribution of the records routed through this subtree.
+    """Class distribution of the records routed through this subtree, as ``_own`` sums it.
 
     Zero-support leaves are skipped: their stored distribution belongs to
     the parent subset, not to records of their own; a node with no leaf counts no class.
     """
-    return reduce(ClassDistribution.merged, map(_own_distribution, _leaves(node)), ClassDistribution({}, 0))
+    return _own(_subtree(node))[0][1]
 
 
 def _own(flat: _Flat) -> list[tuple[int, ClassDistribution]]:
-    """Each node's (support, own distribution) by node id, summed from its leaves; a support-0 leaf counts none."""
+    """Each node's (support, own distribution) by node id, summed from its leaves: a support-0 leaf
+    counts none, and an internal node merges its children's in order (a node with no branch, none)."""
     return _bottom_up(flat, lambda leaf: (leaf.support, _own_distribution(leaf)), lambda p, subs: (
-        sum(s for s, _ in subs), reduce(ClassDistribution.merged, (d for _, d in subs))))
+        sum(s for s, _ in subs),
+        reduce(ClassDistribution.merged, [d for _, d in subs] or [ClassDistribution({}, 0)])))
 
 
 def predict(tree: DecisionTree, values: Mapping[str, str]) -> tuple[str, ClassDistribution]:
@@ -400,7 +397,8 @@ def tree_stats(tree: DecisionTree) -> TreeStats:
 def prune(tree: DecisionTree, min_support: int) -> DecisionTree:
     """Replace every subtree routed fewer than ``min_support`` records by a
     majority leaf over that subtree's own distribution. Idempotent."""
-    if isinstance(min_support, bool) or not isinstance(min_support, int):
+    # a count passes, and so does a negative integer, for the next check to word
+    if not (_is_count(min_support) or isinstance(min_support, int) and min_support < 0):
         raise ValueError(f"min_support must be an integer >= 1, not {min_support!r}")
     if min_support < 1:
         raise ValueError("min_support must be >= 1")
@@ -452,26 +450,24 @@ def _field(doc: Mapping, key: str, kinds: tuple, where: str):
 
 
 def _leaf_from_dict(doc: Mapping, classes: Sequence[str]) -> Leaf:
-    """The leaf of a model document, its distribution listing every class in domain order.
-    A leaf whose fields are what ``json`` reads from ``save_model``'s text (a dict of an int
-    per class, a str label, an int support) is taken at once; any other goes through the
-    ``_field`` checks, which accept it or word its error."""
-    raw, label, support = doc.get("distribution"), doc.get("label"), doc.get("support")
-    if (type(raw) is dict and len(raw) == len(classes) and type(label) is str and label in classes
-            and type(support) is int and support >= 0):
-        counts = {c: raw.get(c) for c in classes}  # a class it lacks reads None, and fails the next test
-        if {*map(type, counts.values())} == {int} and min(counts.values()) >= 0:
-            return Leaf(label, support, ClassDistribution(counts, sum(counts.values())))
-    raw = _field(doc, "distribution", (Mapping,), "model leaf")
-    if unknown := set(raw) - set(classes):
-        raise ValueError(f"model distribution names unknown classes {sorted(unknown)}")
-    counts = {c: raw.get(c, 0) for c in classes}
-    if not all(map(_is_count, counts.values())):
+    """The leaf of a model document, its distribution listing every class in domain order (a class
+    it lacks reads 0). Each field is first tested as ``json`` reads it (a dict, exact ints >= 0, a str);
+    only another value goes on to ``_field`` or ``_is_count``, which accept a non-dict Mapping or an int
+    subclass, or word the error. The checks keep one order: distribution, classes, counts, label, support."""
+    if type(raw := doc.get("distribution")) is not dict:  # json reads every object as a dict
+        raw = _field(doc, "distribution", (Mapping,), "model leaf")
+    if len(counts := {**dict.fromkeys(classes, 0), **raw}) > len(classes):  # an unknown class adds a key
+        raise ValueError(f"model distribution names unknown classes {sorted({*counts} - {*classes}, key=str)}")
+    values = counts.values()
+    if not ({*map(type, values)} == {int} and min(values) >= 0 or all(map(_is_count, values))):
         raise ValueError(f"model distribution counts must be integers >= 0: {dict(raw)}")
-    dist = ClassDistribution(counts, sum(counts.values()))
-    if _field(doc, "label", (str,), "model leaf") not in classes:
-        raise ValueError(f"model leaf label {doc['label']!r} not in class domain")
-    return Leaf(doc["label"], _field(doc, "support", (int,), "model leaf"), dist)
+    if type(label := doc.get("label")) is not str:
+        label = _field(doc, "label", (str,), "model leaf")
+    if label not in classes:
+        raise ValueError(f"model leaf label {label!r} not in class domain")
+    if type(support := doc.get("support")) is not int or support < 0:
+        support = _field(doc, "support", (int,), "model leaf")
+    return Leaf(label, support, ClassDistribution(counts, sum(values)))
 
 
 def _node_from_dict(parent: Mapping, key: str, where: str, schema: AttributeSchema) -> _Flat:

@@ -301,6 +301,14 @@ def test_record_values_are_read_only_and_datasets_pickle_and_deepcopy():
     assert copy.deepcopy(ds) == ds
 
 
+def test_a_record_with_names_of_mixed_types_is_refused_with_the_mismatch_message():
+    record = Record({"A0": "a", 1: "b", "z": "a"}, "c0")
+    with pytest.raises(ValidationError) as exc_info:
+        Dataset(tiny_schema(), [Record({"A0": "a", "A1": "b"}, "c1"), record])
+    assert str(exc_info.value) == "row 2: record attributes do not match schema (missing=['A1'], unexpected=[1, 'z'])"
+    assert exc_info.value.row == 2
+
+
 
 def as_lists(encoded):
     columns, labels = encoded

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -193,6 +194,12 @@ def test_score_all_rejects_empty_or_unknown(students):
         score_all(students, [])
     with pytest.raises(KeyError):
         score_all(students, ["PSM", "AGE"])
+
+
+def test_unknown_names_of_mixed_types_are_listed_in_the_key_error():
+    ds = make_dataset(tiny_schema(), [(("a", "b"), "c0")])
+    with pytest.raises(KeyError, match=re.escape("unknown attribute(s) [1, 'z']")):
+        score_all(ds, ["A0", 1, "z"])
 
 
 # --- dataset-level properties -------------------------------------------------

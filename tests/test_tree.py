@@ -527,6 +527,12 @@ def test_a_hand_built_leaf_that_a_model_file_could_not_hold_is_refused_as_the_re
             load_model_write(tmp_path, doc)
 
 
+def test_a_hand_built_leaf_naming_classes_of_mixed_types_is_refused_with_them_listed():
+    leaf = Leaf("c0", 1, ClassDistribution({1: 1, "z": 0}, 1))  # no file holds a non-string name
+    with pytest.raises(ValueError, match=r"^model distribution names unknown classes \[1, 'z'\]$"):
+        DecisionTree(leaf, tiny_schema(n_attrs=1), TreeConfig(), 1)
+
+
 @pytest.mark.parametrize("size, message", [
     (-1, "model key 'training_size' must be >= 0, not -1"),
     (1.5, "model key 'training_size' must be an integer, not float"),
