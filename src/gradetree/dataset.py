@@ -32,7 +32,6 @@ from functools import cached_property
 from itertools import islice
 from operator import itemgetter
 from pathlib import Path
-from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
 __all__ = [
@@ -173,6 +172,23 @@ class AttributeSchema:
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
+class _FrozenDict(dict):
+    """The one read-only mapping of the package's frozen values: its mutators raise TypeError."""
+
+    __slots__ = ()
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError("the mapping of a frozen value is read-only")
+
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _refuse
+
+    def __hash__(self):  # as the frozenset of its items, so a value holding one hashes as it compares
+        return hash(frozenset(self.items()))
+
+    def __reduce__(self):  # pickle and deepcopy would fill a copy through the refused __setitem__
+        return _FrozenDict, (dict(self),)
+
+
 @dataclass(frozen=True)
 class Record:
     """One labeled example: predictor values plus the class label.
@@ -185,11 +201,7 @@ class Record:
     label: str
 
     def __post_init__(self):
-        object.__setattr__(self, "values", MappingProxyType(dict(self.values)))
-
-    def __reduce__(self):
-        # pickle and deepcopy cannot copy a mappingproxy; rebuild from a dict
-        return Record, (dict(self.values), self.label)
+        object.__setattr__(self, "values", _FrozenDict(self.values))
 
 
 @dataclass(frozen=True)
@@ -200,11 +212,8 @@ class ClassDistribution:
     total: int
 
     def __init__(self, counts: Mapping[str, int], total: int):  # one call per node grown, so no __post_init__
-        object.__setattr__(self, "counts", MappingProxyType(dict(counts)))
+        object.__setattr__(self, "counts", _FrozenDict(counts))
         object.__setattr__(self, "total", total)
-
-    def __reduce__(self):  # as Record's
-        return ClassDistribution, (dict(self.counts), self.total)
 
     def majority(self) -> str:
         """Most frequent class; ties broken by class-domain order."""

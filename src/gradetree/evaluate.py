@@ -4,10 +4,9 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .dataset import Dataset
+from .dataset import Dataset, _FrozenDict
 from .tree import (
     DecisionTree, TreeConfig, _class_labels, _code_rows, _expander, _root_item, _route,
 )
@@ -23,10 +22,7 @@ class ConfusionMatrix:
     counts: Mapping[tuple[str, str], int]
 
     def __post_init__(self):
-        object.__setattr__(self, "counts", MappingProxyType(dict(self.counts)))
-
-    def __reduce__(self):  # as Record's
-        return ConfusionMatrix, (self.classes, dict(self.counts))
+        object.__setattr__(self, "counts", _FrozenDict(self.counts))
 
     @property
     def total(self) -> int:

@@ -34,10 +34,9 @@ from enum import Enum
 from functools import reduce
 from itertools import repeat
 from json.encoder import encode_basestring_ascii
-from types import MappingProxyType
 from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 
-from .dataset import AttributeSchema, ClassDistribution, Dataset, ValidationError, _read_json, _write_text
+from .dataset import AttributeSchema, ClassDistribution, Dataset, ValidationError, _FrozenDict, _read_json, _write_text
 from .metrics import contingency, table_scores
 
 __all__ = [
@@ -116,10 +115,7 @@ class Internal:
     branches: Mapping[str, "DecisionNode"]
 
     def __post_init__(self):
-        object.__setattr__(self, "branches", MappingProxyType(dict(self.branches)))
-
-    def __reduce__(self):  # as Record's
-        return Internal, (self.attribute, dict(self.branches))
+        object.__setattr__(self, "branches", _FrozenDict(self.branches))
 
 
 DecisionNode = Union[Leaf, Internal]
@@ -134,6 +130,8 @@ class DecisionTree:
     config: TreeConfig
     training_size: int
     _flat: _Flat
+
+    __hash__ = None  # its flat form holds lists: a tree is unhashable on purpose
 
     def __init__(self, root: DecisionNode, schema: AttributeSchema, config: TreeConfig, training_size: int):
         flat = root if isinstance(root, _Flat) else _flatten(root, schema)
@@ -321,11 +319,15 @@ def _root_item(schema: AttributeSchema, rows: Sequence[int]) -> tuple:
 
 def _subtree(node: DecisionNode) -> _Flat:
     """The flat form of a subtree read without a schema: an internal node is its own payload, at position 0.
-    A part that is no node is the ValueError ``DecisionTree`` gives for it (``_field``)."""
+    A part that is no node, or a leaf whose distribution or support is not one, is the ValueError
+    ``DecisionTree`` gives for it (``_field``)."""
 
     def expand(item):  # the mapping holding a node, the node's key, and where that is
         container, name, place = item
-        if isinstance(node := container[name], Leaf):
+        if isinstance(node := container[name], Leaf):  # the fields read, in the order DecisionTree checks them
+            fields = {"distribution": node.distribution, "support": node.support}  # vars(node) would stay built
+            _field(fields, "distribution", (ClassDistribution,), "model leaf")
+            _field(fields, "support", (int,), "model leaf")
             return node, -1, ()
         node = _field(container, name, (Internal,), place)
         return node, 0, [(node.branches, v, "model branches") for v in node.branches]

@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .dataset import Dataset, class_distribution, load_students
+from .dataset import Dataset, _FrozenDict, class_distribution, load_students
 from .metrics import entropy, gain_ratio, information_gain, score_all, split_information
 from .tree import id3_build, tree_stats
 
@@ -37,7 +37,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PublishedResults:
-    """Reference values printed in the study the fixture was taken from."""
+    """Reference values printed in the study the fixture was taken from; each table is a read-only copy."""
 
     entropy: float
     gains: Mapping[str, float]
@@ -45,6 +45,11 @@ class PublishedResults:
     gain_ratios: Mapping[str, float]
     root_attribute: str
     rule_lines: tuple[str, ...]
+
+    def __post_init__(self):  # so no audit in a process reads a table someone changed
+        for name in ("gains", "split_infos", "gain_ratios"):
+            object.__setattr__(self, name, _FrozenDict(getattr(self, name)))
+        object.__setattr__(self, "rule_lines", tuple(self.rule_lines))
 
 
 PUBLISHED = PublishedResults(

@@ -403,8 +403,17 @@ def test_support_and_distribution_of_a_part_that_is_no_node_raise_the_readers_va
     leaf = Leaf("c0", 1, ClassDistribution({"c0": 1, "c1": 0}, 1))
     for part, message in (("c0", "model key 'root' must be an object, not str"),
                           (Internal("A0", {"a": leaf, "b": None}), "model branches key 'b' must be an object, not NoneType"),
-                          (Internal("A0", {"a": Internal("A1", {"b": 3})}), "model branches key 'b' must be an object, not int")):
-        for read in (node_support, node_distribution):
+                          (Internal("A0", {"a": Internal("A1", {"b": 3})}), "model branches key 'b' must be an object, not int"),
+                          # a bad leaf beside a good one, refused by its first bad field as DecisionTree refuses it
+                          (Internal("A0", {"a": Leaf("c0", "3", leaf.distribution), "b": leaf}),
+                           "model leaf key 'support' must be an integer, not str"),
+                          (Internal("A0", {"a": Leaf("c0", -1, leaf.distribution), "b": leaf}),
+                           "model leaf key 'support' must be >= 0, not -1"),
+                          (Internal("A0", {"a": Leaf("c0", 1, {"c0": 1}), "b": leaf}),
+                           "model leaf key 'distribution' must be a ClassDistribution, not dict"),
+                          (Internal("A0", {"a": Leaf("c0", "3", None), "b": leaf}),
+                           "model leaf key 'distribution' must be a ClassDistribution, not NoneType")):
+        for read in (node_support, node_distribution, lambda part: DecisionTree(part, tiny_schema(), TreeConfig(), 2)):
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 read(part)
 

@@ -9,7 +9,7 @@ from conftest import random_dataset
 from gradetree.cli import main
 from gradetree.dataset import DATA_DIR_ENV, Dataset
 from gradetree.metrics import information_gain, score_all
-from gradetree.verify import PUBLISHED, consistency_check, verify_published
+from gradetree.verify import PUBLISHED, PublishedResults, consistency_check, verify_published
 
 # Verdicts established by recomputing the published tables from the
 # bundled data: of the seven published gains only ASS, GP, and ATT agree
@@ -158,3 +158,15 @@ def test_a_broken_ratio_identity_is_a_hard_failure(students, monkeypatch):
     assert next(l for l in lines if l.startswith("gain_ratio * split_information")).endswith(
         ": FAILED"
     )
+
+
+def test_the_published_tables_cannot_be_changed_in_place():
+    for table in (PUBLISHED.gains, PUBLISHED.split_infos, PUBLISHED.gain_ratios):
+        with pytest.raises(TypeError):
+            table["PSM"] = table["PSM"]  # the same value, so a table that takes it is not altered
+    assert isinstance(PUBLISHED.rule_lines, tuple)
+    passed = {"PSM": 1.0}
+    held = PublishedResults(1.0, passed, passed, passed, "PSM", ["IF PSM = 'First' THEN ESM = First"])
+    passed["PSM"] = 2.0  # the results hold copies of the tables passed in
+    assert held.gains == held.split_infos == held.gain_ratios == {"PSM": 1.0}
+    assert held.rule_lines == ("IF PSM = 'First' THEN ESM = First",)
