@@ -256,7 +256,8 @@ def cmd_predict(args) -> int:
     so memory does not grow with the file. A regular file is copied while its
     lines are plain (the header names the attributes in schema order, and each
     line is a value of each domain, in that order, between commas, as
-    ``_line_pattern`` matches): each line is checked by its match alone, routed
+    ``_line_pattern`` matches; universal newlines end a line at LF, CRLF or CR,
+    as ``csv.reader`` does): each line is checked by its match alone, routed
     on it and echoed with its leaf's label and confidence (``_echo_plain``). At
     its first line that is not plain, the output so far is discarded and the
     file is read again from its header as CSV and checked by the row encoder
@@ -274,7 +275,7 @@ def cmd_predict(args) -> int:
         ids and dict(zip(schema.attributes[p].domain, ids)) for p, ids in zip(positions, children)])
     header = _csv_line([*schema.attribute_names, schema.class_name, "confidence"])
     # the input closes before the output is moved into place, which may be the same file
-    with _atomic_output(args.out) as fh, open(args.data, newline="", encoding="utf-8-sig") as source:
+    with _atomic_output(args.out) as fh, open(args.data, encoding="utf-8-sig") as source:
         fh.write(header)
         info = os.fstat(source.fileno())  # only a regular file can be read a second time
         pattern = _line_pattern(schema, info.st_size) if stat.S_ISREG(info.st_mode) else None

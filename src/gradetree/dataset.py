@@ -528,8 +528,8 @@ def _chunks(path, schema: AttributeSchema, columns: Sequence[str], missing_token
 
 
 def load_unlabeled_csv(path, schema: AttributeSchema) -> list[dict[str, str]]:
-    """Load predictor-only rows (no class column) for prediction, one dict per row, read
-    and checked as ``gradetree predict`` reads its input (``_chunks``)."""
+    """Load predictor-only rows (no class column) for prediction, one dict per row, read and checked
+    as ``gradetree predict``'s CSV path reads its input (``_chunks``), at LF, CRLF or CR line ends."""
     names = schema.attribute_names
     return [dict(zip(names, row)) for rows, _ in _chunks(path, schema, names, None) for row in rows]
 

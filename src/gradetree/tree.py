@@ -318,7 +318,7 @@ def _root_item(schema: AttributeSchema, rows: Sequence[int]) -> tuple:
 
 
 def _subtree(node: DecisionNode) -> _Flat:
-    """The flat form of a subtree read without a schema: an internal node is its own payload, at position 0.
+    """The flat form of a subtree read without a schema, every internal node at position 0.
     A part that is no node, or a leaf whose distribution or support is not one, is the ValueError
     ``DecisionTree`` gives for it (``_field``)."""
 
@@ -330,7 +330,7 @@ def _subtree(node: DecisionNode) -> _Flat:
             _field(fields, "support", (int,), "model leaf")
             return node, -1, ()
         node = _field(container, name, (Internal,), place)
-        return node, 0, [(node.branches, v, "model branches") for v in node.branches]
+        return None, 0, [(node.branches, v, "model branches") for v in node.branches]
 
     return _preorder(({"root": node}, "root", "model"), expand)
 

@@ -122,34 +122,19 @@ def _oracle_entropy(labels: Sequence[str]) -> float:
     return total
 
 
-def _oracle_groups(dataset: Dataset, attribute: str) -> dict[str, list[str]]:
+def _oracle_scores(dataset: Dataset, attribute: str) -> tuple[float, float, float]:
+    """Gain, split information and gain ratio of ``attribute``, from one grouping of the labels."""
     groups: dict[str, list[str]] = {}
     for rec in dataset.records:
         groups.setdefault(rec.values[attribute], []).append(rec.label)
-    return groups
-
-
-def _oracle_gain(dataset: Dataset, attribute: str) -> float:
-    labels = [r.label for r in dataset.records]
-    n = len(labels)
-    weighted = 0.0
-    for group in _oracle_groups(dataset, attribute).values():
-        weighted += len(group) / n * _oracle_entropy(group)
-    return _oracle_entropy(labels) - weighted
-
-
-def _oracle_split_info(dataset: Dataset, attribute: str) -> float:
     n = len(dataset)
-    total = 0.0
-    for group in _oracle_groups(dataset, attribute).values():
+    weighted = split = 0.0
+    for group in groups.values():
         frac = len(group) / n
-        total += -frac * math.log2(frac)
-    return total
-
-
-def _oracle_gain_ratio(dataset: Dataset, attribute: str) -> float:
-    info = _oracle_split_info(dataset, attribute)
-    return _oracle_gain(dataset, attribute) / info if info else 0.0
+        weighted += frac * _oracle_entropy(group)
+        split += -frac * math.log2(frac)
+    gain = _oracle_entropy([r.label for r in dataset.records]) - weighted
+    return gain, split, gain / split if split else 0.0
 
 
 # --- report structure -------------------------------------------------------
@@ -262,10 +247,11 @@ def consistency_check(dataset: Dataset) -> list[ConsistencyRow]:
     labels = [r.label for r in dataset.records]
     quantities = [("Entropy(S)", entropy(class_distribution(dataset)), _oracle_entropy(labels))]
     for a in dataset.schema.attribute_names:
+        gain, split, ratio = _oracle_scores(dataset, a)
         quantities += [
-            (f"Gain(S, {a})", information_gain(dataset, a), _oracle_gain(dataset, a)),
-            (f"SplitInfo(S, {a})", split_information(dataset, a), _oracle_split_info(dataset, a)),
-            (f"GainRatio(S, {a})", gain_ratio(dataset, a), _oracle_gain_ratio(dataset, a)),
+            (f"Gain(S, {a})", information_gain(dataset, a), gain),
+            (f"SplitInfo(S, {a})", split_information(dataset, a), split),
+            (f"GainRatio(S, {a})", gain_ratio(dataset, a), ratio),
         ]
     return [
         ConsistencyRow(name, implementation, oracle, delta, delta <= ORACLE_TOLERANCE)

@@ -82,6 +82,9 @@ def test_schema_sidecar_round_trip(tmp_path, students):
     dump_schema(students.schema, path)
     assert load_schema(path) == students.schema
     assert load_schema(path).digest() == students.schema.digest()
+    assert load_schema(path).domain("PSM") == students.schema.domain("PSM")
+    with pytest.raises(KeyError, match="^\"unknown attribute 'X'\"$"):
+        students.schema.domain("X")
 
 
 def test_schema_digest_changes_with_shape(students):

@@ -253,3 +253,10 @@ def test_negative_rounding_noise_is_clamped_to_zero():
         [(("a",), "c0"), (("a",), "c1"), (("b",), "c0"), (("b",), "c1")],
     )
     assert information_gain(ds, "A0") == 0.0
+    # value a: 1 x c0, 3 x c1; value b: 5 x c0, 15 x c1. Its unclamped gain is -1.1e-16
+    noisy = make_dataset(
+        schema,
+        [(("a",), "c0")] + [(("a",), "c1")] * 3 + [(("b",), "c0")] * 5 + [(("b",), "c1")] * 15,
+    )
+    assert information_gain(noisy, "A0") == 0.0
+    assert gain_ratio(noisy, "A0") == 0.0

@@ -114,7 +114,7 @@ plain_domains = st.lists(plain_values, min_size=1, max_size=4, unique=True)
 schema_domains = st.lists(plain_values | other_values, min_size=1, max_size=4, unique=True)
 BOM = "\ufeff".encode()
 # three lines in four are plain, so that many a chunk of three is plain throughout
-line_kinds = st.sampled_from(["plain"] * 27 + ["quoted", "crlf", "blank", "short", "long",
+line_kinds = st.sampled_from(["plain"] * 27 + ["quoted", "crlf", "cr", "blank", "short", "long",
                                               "empty cell", "bad value", "undecodable", "bom"])
 
 
@@ -134,7 +134,8 @@ def predict_cases(draw):
     order = draw(st.permutations(range(n))) if draw(st.booleans()) else list(range(n))
     header = [schema.attribute_names[i] for i in order]
     quoted = draw(st.lists(st.booleans(), min_size=n, max_size=n))  # a quoted name is read as it is
-    lines = [",".join(f'"{name}"' if q else name for q, name in zip(quoted, header)).encode() + b"\n"]
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))  # the file's line end, but on a "crlf" or "cr" line
+    lines = [(",".join(f'"{name}"' if q else name for q, name in zip(quoted, header)) + end).encode()]
     for kind in draw(st.lists(line_kinds, max_size=12)):
         cells = [draw(row)[i] for i in order]
         if kind == "empty cell":
@@ -147,16 +148,17 @@ def predict_cases(draw):
             cells.append(cells[0])
         text = io.StringIO()
         quoting = csv.QUOTE_ALL if kind == "quoted" else csv.QUOTE_MINIMAL
-        csv.writer(text, lineterminator="\r\n" if kind == "crlf" else "\n", quoting=quoting).writerow(cells)
-        line = b"\n" if kind == "blank" else text.getvalue().encode()
+        line_end = {"crlf": "\r\n", "cr": "\r"}.get(kind, end)
+        csv.writer(text, lineterminator=line_end, quoting=quoting).writerow(cells)
+        line = (line_end if kind == "blank" else text.getvalue()).encode()
         if kind == "undecodable":
-            line = line[:-1] + b"\xff\n"
+            line = line.removesuffix(line_end.encode()) + b"\xff" + line_end.encode()
         elif kind == "bom":
             line = BOM + line
         lines.append(line)
     data = b"".join(lines)
     if draw(st.booleans()):
-        data = data.removesuffix(b"\n")
+        data = data.removesuffix(end.encode())
     if draw(st.booleans()):
         data = BOM + data
     return schema, records, data
@@ -167,17 +169,19 @@ def workdir(tmp_path_factory):
     return tmp_path_factory.mktemp("plain")
 
 
-# a chunk of three plain lines echoed, then a CRLF line: the restart from the header, exit 0
-RESTART_AFTER_A_CHUNK = (
+ONE_ATTRIBUTE = (
     AttributeSchema((Attribute("A0", ("a", "b")),), Attribute("Y", ("p", "q"))),
     [Record({"A0": "a"}, "p"), Record({"A0": "b"}, "q")],
-    b"A0\na\nb\na\nb\r\n",
 )
+# a chunk of three plain lines echoed, then a quoted cell: the restart from the header, exit 0
+RESTART_AFTER_A_CHUNK = (*ONE_ATTRIBUTE, b'A0\na\nb\na\n"b"\n')
 
 
 @settings(max_examples=150, deadline=None)
 @given(case=predict_cases())
 @example(case=RESTART_AFTER_A_CHUNK)
+@example(case=(*ONE_ATTRIBUTE, b"A0\r\na\r\nb\r\na\r\nb\r\n"))  # a line end at the seam of two chunks
+@example(case=(*ONE_ATTRIBUTE, b"A0\ra\rb\ra\rb"))
 def test_the_plain_path_and_the_csv_path_give_the_same_result(workdir, case):
     schema, records, data = case
     model, inputs, out = workdir / "model.json", workdir / "in.csv", workdir / "out.csv"
@@ -203,6 +207,11 @@ def test_a_model_with_no_predictors_writes_a_label_and_confidence_per_line(tmp_p
 # --- restart ----------------------------------------------------------------------
 
 
+def refuse(*args):
+    """A ``_read_rows`` for an input that must not reach the csv path."""
+    raise AssertionError("the csv path read a plain file")
+
+
 @pytest.fixture()
 def dumped(tmp_path):
     """A model of a random table, and that table written by ``dump_csv`` without its class
@@ -222,12 +231,28 @@ def test_plain_input_never_reaches_the_csv_reader(monkeypatch, dumped, chunk_row
     monkeypatch.setattr(gradetree.dataset, "_CHUNK_ROWS", chunk_rows)
     expected = forced_csv_path(argv)
     assert expected[:2] == (0, "")
-
-    def refuse(*args):
-        raise AssertionError("the csv path read a plain file")
-
     monkeypatch.setattr(gradetree.dataset, "_read_rows", refuse)
     assert run(argv) == expected
+
+
+@pytest.mark.parametrize("chunk_rows", [3, 4096])
+def test_crlf_cr_and_mixed_line_ends_take_the_plain_path(monkeypatch, dumped, chunk_rows):
+    model, inputs, out = dumped
+    header, *lines = inputs.read_text().splitlines()
+    lines = [header, *lines * 20]  # many decoder blocks, so line ends meet their seams
+    argv = ["predict", "--model", str(model), "--data", str(inputs), "--out", str(out)]
+    monkeypatch.setattr(gradetree.dataset, "_CHUNK_ROWS", chunk_rows)
+    inputs.write_bytes("".join(line + "\n" for line in lines).encode())
+    expected = forced_csv_path(argv)
+    assert expected[:2] == (0, "")
+    rng = random.Random(3)
+    copies = {end: "".join(line + end for line in lines) for end in ("\r\n", "\r")}
+    mixed = "".join(line + rng.choice(["\n", "\r\n", "\r"]) for line in lines)
+    copies["mixed, last line unended"] = mixed.rstrip("\r\n")
+    monkeypatch.setattr(gradetree.dataset, "_read_rows", refuse)
+    for kind, text in copies.items():
+        inputs.write_bytes(text.encode())
+        assert run(argv) == expected, kind
 
 
 def large_domains(rng, attributes=3, words=200):
@@ -259,10 +284,6 @@ def test_large_domains_of_prefixes_take_the_plain_path(tmp_path, monkeypatch):
     argv = ["predict", "--model", str(model), "--data", str(inputs), "--out", str(out)]
     expected = forced_csv_path(argv)
     assert expected[:2] == (0, "") and expected[2].count(b"\n") == 2001
-
-    def refuse(*args):
-        raise AssertionError("the csv path read a plain file")
-
     with monkeypatch.context() as patch:
         patch.setattr(gradetree.dataset, "_read_rows", refuse)
         assert run(argv) == expected
