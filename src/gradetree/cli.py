@@ -15,7 +15,6 @@ import re
 import stat
 import sys
 from contextlib import closing
-from dataclasses import asdict
 from itertools import chain, islice, repeat
 
 from . import dataset as _dataset
@@ -309,7 +308,7 @@ def cmd_gains(args) -> int:
     dataset = _load_dataset(args)
     scores = score_all(dataset)
     if args.format == "json":
-        _write_text(json.dumps([asdict(s) for s in scores], indent=2) + "\n", args.out)
+        _write_text(json.dumps([vars(s) for s in scores], indent=2) + "\n", args.out)
     else:
         lines = [f"{'attribute':<12}{'gain':>12}{'split_info':>14}{'gain_ratio':>14}"]
         for s in scores:

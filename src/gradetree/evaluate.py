@@ -4,9 +4,11 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .dataset import Dataset, _FrozenDict
+from .metrics import contingency, table_scores
 from .tree import (
     DecisionTree, TreeConfig, _class_labels, _code_rows, _expander, _root_item, _route,
 )
@@ -90,6 +92,10 @@ def leave_one_out(dataset: Dataset, config: TreeConfig | None = None) -> LooResu
     while the nodes on its path are expanded, by the rule ``id3_build``
     uses, over the row indices of the other records in their order. The
     leaf it reaches is the one the whole fold tree would route it to.
+    A fold root's tables are not counted: each is the full table, counted
+    once per call, less the held-out row's cell. Folds repeat tables, so
+    one call scores each distinct table once and reuses its scores, which
+    are the same floats a fresh count would give.
     """
     if len(dataset) < 2:
         raise ValueError("leave-one-out needs at least 2 records")
@@ -97,11 +103,31 @@ def leave_one_out(dataset: Dataset, config: TreeConfig | None = None) -> LooResu
         config = TreeConfig()
     schema = dataset.schema
     *columns, labels = dataset._codes
-    expand = _expander(schema, columns, labels, config)
-    n = len(labels)
+    memo = {}  # a table's contents -> its scores: equal tables score the same floats
+
+    def scores(table):
+        key = tuple(map(tuple, table))
+        if (found := memo.get(key)) is None:
+            found = memo[key] = table_scores(table)
+        return found
+
+    expand = _expander(schema, columns, labels, config, scores)
+    n, k = len(labels), len(schema.class_domain)
+    full = [contingency(column, labels, range(n), len(a.domain), k)
+            for a, column in zip(schema.attributes, columns)]
+    roots = {}  # (position, value, class) -> the scores of that position's full table less that cell
+
+    def root_scores(i, p):  # the scores at fold i's root: row i's cell is the one it lacks
+        v, c = columns[p][i], labels[i]
+        if (p, v, c) not in roots:
+            table = [*map(list, full[p])]
+            table[v][c] -= 1
+            roots[p, v, c] = scores(table)
+        return roots[p, v, c]
+
     predicted = []
     for i in range(n):
-        node, p, items = expand(_root_item(schema, [r for r in range(n) if r != i]))
+        node, p, items = expand(_root_item(schema, [r for r in range(n) if r != i], partial(root_scores, i)))
         while p >= 0:
             node, p, items = expand(items[columns[p][i]])
         predicted.append(node.label)

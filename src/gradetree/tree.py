@@ -14,7 +14,11 @@ table for ``metrics.table_scores``, and one pass splits the winner's rows
 into its children's lists. One expander (``_expander``) holds that rule,
 and a node depends only on the nodes along its own path. So leave-one-out
 grows no whole fold: it expands only the held-out row's path, from the
-same codes less that row, until the row reaches a leaf.
+same codes less that row, until the row reaches a leaf. A fold root's
+tables are not counted: each is the full table less that row's cell, so
+its root item carries their scores (``scored``). Folds repeat tables, so
+leave-one-out's expander scores each distinct table once per call; a
+build's tables do not repeat, and ``id3_build`` scores each as counted.
 
 A tree is its flat form (``_Flat``): nodes in preorder, branches in domain
 order. Growth, model documents and pruning write it on an explicit stack
@@ -270,11 +274,13 @@ def _class_labels(dataset: Dataset) -> list[str]:
 
 
 def _expander(schema: AttributeSchema, columns: Sequence[Sequence[int]], labels: Sequence[int],
-              config: TreeConfig):
+              config: TreeConfig, scores=table_scores):
     """The growth rule, as an ``expand`` for ``_preorder``, given every attribute's code
-    column in schema order and the label codes. An item (see ``_root_item``) is a node's
-    rows, the schema positions still available on its path, its depth and its parent's
-    distribution, so the node it yields depends only on the nodes along its own path."""
+    column in schema order and the label codes; ``scores`` gives a value x class table's
+    ``table_scores`` (leave-one-out passes one that scores each distinct table once).
+    An item (see ``_root_item``) is a node's rows, the schema positions still available on
+    its path, its depth, its parent's distribution and its ``scored``, so the node it yields
+    depends only on the nodes along its own path."""
     if not schema.attributes:
         raise ValueError("schema declares no predictor attributes")
     sizes = [len(a.domain) for a in schema.attributes]
@@ -282,7 +288,7 @@ def _expander(schema: AttributeSchema, columns: Sequence[Sequence[int]], labels:
     score = 0 if config.criterion is Criterion.GAIN else 2  # index into table_scores
 
     def expand(item):
-        rows, available, depth, parent = item
+        rows, available, depth, parent, scored = item
         counts = [0] * len(classes)
         for r in rows:
             counts[labels[r]] += 1
@@ -298,7 +304,7 @@ def _expander(schema: AttributeSchema, columns: Sequence[Sequence[int]], labels:
             return Leaf(dist.majority(), n, dist), -1, ()
         best = max(  # the first maximum in schema order wins ties
             available,
-            key=lambda p: table_scores(
+            key=(lambda p: scored(p)[score]) if scored else lambda p: scores(
                 contingency(columns[p], labels, rows, sizes[p], len(classes))
             )[score],
         )
@@ -307,14 +313,16 @@ def _expander(schema: AttributeSchema, columns: Sequence[Sequence[int]], labels:
         for r in rows:
             parts[column[r]].append(r)
         remaining = [p for p in available if p != best]
-        return None, best, [(part, remaining, depth + 1, dist) for part in parts]
+        return None, best, [(part, remaining, depth + 1, dist, None) for part in parts]
 
     return expand
 
 
-def _root_item(schema: AttributeSchema, rows: Sequence[int]) -> tuple:
-    """The growth item of a tree's root over ``rows`` (non-empty), every attribute available."""
-    return rows, list(range(len(schema.attributes))), 0, None
+def _root_item(schema: AttributeSchema, rows: Sequence[int], scored=None) -> tuple:
+    """The growth item of a tree's root over ``rows`` (non-empty), every attribute available.
+    ``scored``, if given, maps a position to the ``table_scores`` of the root's table for that
+    attribute, a table counted elsewhere; a node without one counts its tables over its rows."""
+    return rows, list(range(len(schema.attributes))), 0, None, scored
 
 
 def _subtree(node: DecisionNode) -> _Flat:

@@ -15,7 +15,7 @@ means a bug on our side and is surfaced as a hard failure.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -122,8 +122,9 @@ def _oracle_entropy(labels: Sequence[str]) -> float:
     return total
 
 
-def _oracle_scores(dataset: Dataset, attribute: str) -> tuple[float, float, float]:
-    """Gain, split information and gain ratio of ``attribute``, from one grouping of the labels."""
+def _oracle_scores(dataset: Dataset, attribute: str, whole: float) -> tuple[float, float, float]:
+    """Gain, split information and gain ratio of ``attribute``, from one grouping of the labels;
+    ``whole`` is the oracle entropy of all the labels."""
     groups: dict[str, list[str]] = {}
     for rec in dataset.records:
         groups.setdefault(rec.values[attribute], []).append(rec.label)
@@ -133,7 +134,7 @@ def _oracle_scores(dataset: Dataset, attribute: str) -> tuple[float, float, floa
         frac = len(group) / n
         weighted += frac * _oracle_entropy(group)
         split += -frac * math.log2(frac)
-    gain = _oracle_entropy([r.label for r in dataset.records]) - weighted
+    gain = whole - weighted
     return gain, split, gain / split if split else 0.0
 
 
@@ -220,8 +221,8 @@ class VerifyReport:
 
     def to_json_dict(self) -> dict:
         return {
-            "rows": [asdict(r) for r in self.rows],  # each row's fields, in declaration order
-            "consistency": [asdict(r) for r in self.consistency],
+            "rows": [dict(vars(r)) for r in self.rows],  # each row's fields, in declaration order
+            "consistency": [dict(vars(r)) for r in self.consistency],
             "ratio_identity_residuals": [
                 {"attribute": a, "residual": res}
                 for a, res in self.ratio_identity_residuals
@@ -244,10 +245,10 @@ class VerifyReport:
 
 def consistency_check(dataset: Dataset) -> list[ConsistencyRow]:
     """Compare the metrics module against the naive oracle on any dataset."""
-    labels = [r.label for r in dataset.records]
-    quantities = [("Entropy(S)", entropy(class_distribution(dataset)), _oracle_entropy(labels))]
+    whole = _oracle_entropy([r.label for r in dataset.records])
+    quantities = [("Entropy(S)", entropy(class_distribution(dataset)), whole)]
     for a in dataset.schema.attribute_names:
-        gain, split, ratio = _oracle_scores(dataset, a)
+        gain, split, ratio = _oracle_scores(dataset, a, whole)
         quantities += [
             (f"Gain(S, {a})", information_gain(dataset, a), gain),
             (f"SplitInfo(S, {a})", split_information(dataset, a), split),

@@ -606,6 +606,39 @@ def test_module_entrypoint_runs_in_a_subprocess(tmp_path):
     assert result.stdout.splitlines()[1].startswith("PSM")
 
 
+def cli_session_under_hash_seed(directory, hash_seed, inputs):
+    """Standard output and written files of train (both criteria), rules, predict and verify in fresh
+    processes of the package under test, with ``PYTHONHASHSEED`` set, keyed by command and file name.
+    The processes run in ``directory`` and name the files they write relative to it, as train echoes the name."""
+    directory.mkdir()
+    env = {**os.environ, "PYTHONHASHSEED": str(hash_seed),
+           "PYTHONPATH": os.path.dirname(os.path.dirname(os.path.abspath(gradetree.dataset.__file__)))}
+    csv_path, schema_path = fixture_paths()
+    data = ["--data", str(csv_path), "--schema", str(schema_path)]
+    model = "gain.model.json"
+    session = {
+        "train gain": ["train", *data, "--out", model],
+        "train gain-ratio": ["train", *data, "--criterion", "gain-ratio",
+                             "--out", "gain-ratio.model.json"],
+        "rules": ["rules", "--model", model, *data],
+        "predict": ["predict", "--model", model, "--data", str(inputs)],
+        "verify": ["verify", *data, "--format", "json"],
+    }
+    outputs = {
+        command: subprocess.run([sys.executable, "-m", "gradetree", *argv], capture_output=True,
+                                cwd=directory, env=env, check=True).stdout
+        for command, argv in session.items()
+    }
+    return {**outputs, **{path.name: path.read_bytes() for path in directory.iterdir()}}
+
+
+def test_cli_output_is_byte_identical_under_two_hash_seeds(tmp_path, students):
+    inputs = strip_labels(students, tmp_path / "inputs.csv")
+    first, second = (cli_session_under_hash_seed(tmp_path / str(s), s, inputs) for s in (0, 12345))
+    assert sorted(first) == sorted(second) and len(first) == 7
+    assert all(first[name] and first[name] == second[name] for name in first)
+
+
 # --- model documents and the input contract ----------------------------------------
 
 def with_first_leaf(doc, **fields):

@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import gradetree.evaluate
+import gradetree.tree
 from conftest import make_dataset, random_dataset, tiny_schema, with_branches_dropped
 from gradetree.dataset import Attribute, AttributeSchema, Dataset, Record, class_distribution
 from gradetree.evaluate import ConfusionMatrix, accuracy, confusion, leave_one_out
+from gradetree.metrics import contingency, table_scores
 from gradetree.tree import (
     Criterion,
     DecisionTree,
@@ -261,6 +263,29 @@ def test_leave_one_out_matches_the_per_fold_dataset_path(contradiction_free):
             assert list(result.confusion.counts.items()) == list(expected_matrix.counts.items())
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    criterion=st.sampled_from(Criterion),
+    max_depth=st.sampled_from((None, 1, 2, 3)),
+    min_leaf_support=st.integers(0, 4),
+)
+def test_leave_one_out_matches_the_per_fold_dataset_path_on_tables_of_repeated_records(
+    seed, criterion, max_depth, min_leaf_support
+):
+    # a few distinct records, each drawn again and again, mostly with its own label: folds repeat tables
+    rng = random.Random(seed)
+    pool = random_dataset(rng, max_attributes=4, max_records=4, contradiction_free=False)
+    classes = pool.schema.class_domain
+    records = tuple(
+        Record(kept.values, kept.label if rng.random() < 0.75 else rng.choice(classes))
+        for kept in (rng.choice(pool.records) for _ in range(rng.randint(2, 30)))
+    )
+    dataset = Dataset(pool.schema, records)
+    config = TreeConfig(criterion, min_leaf_support, max_depth)
+    assert tuple(leave_one_out(dataset, config)) == leave_one_out_per_fold_dataset(dataset, config)
+
+
 def test_fixture_leave_one_out_is_exactly_the_baseline_with_the_same_matrix(students):
     result = leave_one_out(students)
     assert result.accuracy == FIXTURE_LOO_ACCURACY
@@ -310,3 +335,48 @@ def test_no_fold_expands_more_than_one_path(students, monkeypatch):
     assert len(folds) == len(students)
     assert max(folds) <= len(students.schema.attributes) + 1
     assert sum(folds) == 189  # the 50 whole fold trees hold 2,574 nodes
+
+
+@pytest.mark.parametrize("criterion, distinct", [(Criterion.GAIN, 305), (Criterion.GAIN_RATIO, 364)])
+def test_leave_one_out_scores_each_distinct_table_once(students, monkeypatch, criterion, distinct):
+    scored = []
+
+    def counted(table):
+        scored.append(tuple(map(tuple, table)))
+        return table_scores(table)
+
+    monkeypatch.setattr(gradetree.evaluate, "table_scores", counted)
+    config = TreeConfig(criterion)
+    assert tuple(leave_one_out(students, config)) == leave_one_out_per_fold_dataset(students, config)
+    # the fold paths hold 839 tables under gain and 948 under gain ratio
+    assert len(scored) == len(set(scored)) == distinct
+
+
+def test_no_fold_root_counts_a_table(students, monkeypatch):
+    depths = []  # the depth of the node being expanded at each count; None outside every node
+    expanding = [None]
+
+    def tracking_expander(*args):
+        expand = expander(*args)
+
+        def tracked(item):
+            expanding[0] = item[2]
+            try:
+                return expand(item)
+            finally:
+                expanding[0] = None
+
+        return tracked
+
+    def counted(*args):
+        depths.append(expanding[0])
+        return contingency(*args)
+
+    expander = gradetree.evaluate._expander
+    monkeypatch.setattr(gradetree.evaluate, "_expander", tracking_expander)
+    for module in (gradetree.evaluate, gradetree.tree):
+        monkeypatch.setattr(module, "contingency", counted)
+    assert leave_one_out(students).accuracy == FIXTURE_LOO_ACCURACY
+    assert 0 not in depths
+    assert depths.count(None) == len(students.schema.attributes)  # the full tables, once per call
+    assert len(depths) == len(students.schema.attributes) + 839 - 350  # every table but the 50 roots' 350
