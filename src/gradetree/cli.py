@@ -19,7 +19,6 @@ from itertools import chain, islice, repeat
 
 from . import dataset as _dataset
 from .dataset import _atomic_output, _chunks, _write_text, fixture_paths, load_csv, load_schema
-from .evaluate import accuracy
 from .metrics import score_all
 from .rules import extract_rules, render_rules, rules_to_json
 from .tree import (
@@ -134,6 +133,14 @@ def _load_dataset(args):
     return load_csv(args.data if args.data else default_csv, schema)
 
 
+def _training_accuracy(tree) -> float:
+    """``accuracy(tree, dataset)`` of a tree grown from ``dataset``, read from its leaves: each training
+    row reaches the leaf whose support counted it. A support-0 leaf holds its parent's counts, not its own."""
+    nodes, positions, _ = tree._flat
+    correct = sum(leaf.distribution.counts[leaf.label] for leaf, p in zip(nodes, positions) if p < 0 and leaf.support)
+    return correct / tree.training_size
+
+
 def cmd_train(args) -> int:
     dataset = _load_dataset(args)
     config = TreeConfig(
@@ -149,7 +156,7 @@ def cmd_train(args) -> int:
         root_line = f"root attribute: {tree.schema.attributes[positions[0]].name}"
     else:
         root_line = f"tree is a single leaf predicting {nodes[0].label!r}"
-    acc = accuracy(tree, dataset)
+    acc = _training_accuracy(tree)
     print(f"trained on {len(dataset)} records (criterion={args.criterion}, "
           f"min_support={args.min_support})")
     print(root_line)

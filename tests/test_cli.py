@@ -18,7 +18,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import gradetree.dataset
 from conftest import naive_gain, random_dataset
-from gradetree.cli import main
+from gradetree.cli import _training_accuracy, main
 from gradetree.dataset import (
     Attribute,
     AttributeSchema,
@@ -32,8 +32,10 @@ from gradetree.dataset import (
     load_students,
     load_unlabeled_csv,
 )
+from gradetree.evaluate import accuracy
 from gradetree.tree import (
     MAX_MODEL_DEPTH,
+    Criterion,
     DecisionTree,
     Internal,
     Leaf,
@@ -132,6 +134,19 @@ def test_train_summary_names_the_argmax_root(tmp_path, capsys, students):
     assert "training accuracy: 1.000" in out
     tree = load_model(path)
     assert tree.root.attribute == expected_root
+
+
+def test_training_accuracy_read_from_the_leaves_equals_routing_the_training_rows():
+    rng = random.Random(61)
+    empty_branches = 0
+    for _ in range(60):
+        dataset = random_dataset(rng, max_records=120, contradiction_free=False)
+        for criterion in Criterion:
+            config = TreeConfig(criterion, rng.choice([0, 0, 2, 5]), rng.choice([None, 1, 2, 3]))
+            tree = id3_build(dataset, config)
+            empty_branches += sum(1 for n, p in zip(*tree._flat[:2]) if p < 0 and n.support == 0)
+            assert _training_accuracy(tree) == accuracy(tree, dataset)
+    assert empty_branches > 50  # a support-0 leaf holds its parent's counts, which must not count
 
 
 def test_train_min_support_above_training_size_gives_majority_leaf(tmp_path, capsys):

@@ -11,7 +11,7 @@ import gradetree.tree
 from conftest import make_dataset, random_dataset, tiny_schema, with_branches_dropped
 from gradetree.dataset import Attribute, AttributeSchema, Dataset, Record, class_distribution
 from gradetree.evaluate import ConfusionMatrix, accuracy, confusion, leave_one_out
-from gradetree.metrics import contingency, table_scores
+from gradetree.metrics import contingency, lane_counter, table_scores
 from gradetree.tree import (
     Criterion,
     DecisionTree,
@@ -352,7 +352,10 @@ def test_leave_one_out_scores_each_distinct_table_once(students, monkeypatch, cr
     assert len(scored) == len(set(scored)) == distinct
 
 
-def test_no_fold_root_counts_a_table(students, monkeypatch):
+@pytest.mark.parametrize("least", [None, 16, 1])  # the row count from which nodes count by lanes
+def test_no_fold_root_counts_a_table(students, monkeypatch, least):
+    if least is not None:
+        monkeypatch.setattr(gradetree.tree, "_LANE_MIN_ROWS", least)
     depths = []  # the depth of the node being expanded at each count; None outside every node
     expanding = [None]
 
@@ -372,8 +375,19 @@ def test_no_fold_root_counts_a_table(students, monkeypatch):
         depths.append(expanding[0])
         return contingency(*args)
 
+    def lanes_counted(*args):  # a node of many rows counts all its tables in one call
+        count = lane_counter(*args)
+
+        def tracked(by_class, positions):
+            tables = count(by_class, positions)
+            depths.extend([expanding[0]] * len(tables))
+            return tables
+
+        return tracked
+
     expander = gradetree.evaluate._expander
     monkeypatch.setattr(gradetree.evaluate, "_expander", tracking_expander)
+    monkeypatch.setattr(gradetree.tree, "lane_counter", lanes_counted)
     for module in (gradetree.evaluate, gradetree.tree):
         monkeypatch.setattr(module, "contingency", counted)
     assert leave_one_out(students).accuracy == FIXTURE_LOO_ACCURACY

@@ -1,0 +1,100 @@
+"""The lane counter gives ``contingency``'s tables, and growth gives the same model by either path.
+
+A node of at least ``tree._LANE_MIN_ROWS`` rows counts its tables with ``metrics.lane_counter``,
+a smaller one with ``metrics.contingency``; which one runs must never show in a model file."""
+
+import random
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import gradetree.tree
+from gradetree.dataset import Attribute, AttributeSchema, Dataset, Record
+from gradetree.evaluate import leave_one_out
+from gradetree.metrics import contingency, lane_counter
+from gradetree.tree import Criterion, TreeConfig, id3_build, save_model
+
+
+def by_class(labels, rows, n_classes):
+    """The rows of each class, in the order given."""
+    split = [[] for _ in range(n_classes)]
+    for r in rows:
+        split[labels[r]].append(r)
+    return split
+
+
+def assert_counts_as_contingency(columns, sizes, labels, n_classes, rows, positions):
+    count = lane_counter(columns, sizes, len(labels))
+    tables = count(by_class(labels, rows, n_classes), positions)
+    assert [[*map(list, table)] for table in tables] == [
+        contingency(columns[p], labels, rows, sizes[p], n_classes) for p in positions
+    ]
+
+
+@st.composite
+def counted_tables(draw):
+    """A table of codes (a one-value domain and one over 256 values among the sizes drawn), a subset
+    of its rows that may lack some classes, and the positions whose tables are asked for."""
+    sizes = draw(st.lists(st.sampled_from([1, 2, 3, 5, 257, 300]), min_size=1, max_size=4))
+    n_classes = draw(st.integers(1, 5))
+    n_rows = draw(st.integers(1, 300))
+    columns = [draw(st.lists(st.integers(0, size - 1), min_size=n_rows, max_size=n_rows)) for size in sizes]
+    labels = draw(st.lists(st.integers(0, n_classes - 1), min_size=n_rows, max_size=n_rows))
+    rows = sorted(draw(st.sets(st.integers(0, n_rows - 1), min_size=1)))
+    positions = sorted(draw(st.sets(st.integers(0, len(sizes) - 1), min_size=1)))
+    return columns, sizes, labels, n_classes, rows, positions
+
+
+@settings(max_examples=150, deadline=None)
+@given(counted_tables())
+def test_lane_tables_equal_contingency_tables(drawn):
+    assert_counts_as_contingency(*drawn)
+
+
+@pytest.mark.parametrize("n_rows", [255, 256])
+def test_one_value_holding_every_row_fills_its_lane_where_the_width_grows_to_two_bytes(n_rows):
+    # 256 rows of one value and class overflow a one-byte lane into the next value's
+    sizes = [3, 2, 4]
+    columns = [[1] * n_rows, [0] * n_rows, [r % 4 for r in range(n_rows)]]
+    labels = [0] * n_rows
+    assert_counts_as_contingency(columns, sizes, labels, 2, range(n_rows), [0, 1, 2])
+    assert_counts_as_contingency(columns, sizes, labels, 2, range(0, n_rows, 3), [0, 2])
+
+
+@pytest.mark.parametrize("n_rows", [65_535, 65_536])
+def test_one_attribute_counts_every_row_where_the_width_grows_to_four_bytes(n_rows):
+    columns, labels = [[0] * n_rows], [1] * n_rows
+    assert_counts_as_contingency(columns, [2], labels, 2, range(n_rows), [0])
+
+
+def wide_dataset(seed, n_rows=5000, n_attributes=20):
+    """A seeded table whose label is a noisy function of three attributes, domains of 3 to 5 values."""
+    rng = random.Random(seed)
+    attributes = tuple(Attribute(f"A{i:02d}", tuple(f"v{j}" for j in range(3 + i % 3))) for i in range(n_attributes))
+    classes = ("k0", "k1", "k2", "k3")
+    relevant = rng.sample(range(n_attributes), 3)
+    label_of = {}
+    records = []
+    for _ in range(n_rows):
+        values = [rng.choice(a.domain) for a in attributes]
+        label = label_of.setdefault(tuple(values[i] for i in relevant), rng.choice(classes))
+        if rng.random() < 0.2:
+            label = rng.choice(classes)
+        records.append(Record(dict(zip((a.name for a in attributes), values)), label))
+    return Dataset(AttributeSchema(attributes, Attribute("CLASS", classes)), tuple(records))
+
+
+def test_lanes_and_contingency_grow_the_same_model_files_and_leave_one_out(students, monkeypatch, tmp_path):
+    wide = wide_dataset(11)
+    configs = [TreeConfig(c, max_depth=d) for c in Criterion for d in (4, None)]
+    results = []
+    for least in (1, len(wide) + 1):  # every non-empty node by lanes, then none
+        monkeypatch.setattr(gradetree.tree, "_LANE_MIN_ROWS", least)
+        files = []
+        for k, config in enumerate(configs):
+            path = tmp_path / f"{least}.{k}.json"
+            save_model(id3_build(wide, config), path)
+            files.append(path.read_bytes())
+        results.append((files, [leave_one_out(students, TreeConfig(c)) for c in Criterion]))
+    assert results[0] == results[1]
+    assert results[0][1][0].accuracy == 0.52
