@@ -15,13 +15,16 @@ import re
 import stat
 import sys
 from contextlib import closing
+from dataclasses import replace
 from itertools import chain, islice, repeat
 
 from . import dataset as _dataset
+from . import tree as _tree
 from .dataset import _atomic_output, _chunks, _write_text, fixture_paths, load_csv, load_schema
 from .metrics import score_all
 from .rules import extract_rules, render_rules, rules_to_json
 from .tree import (
+    DecisionTree,
     Leaf,
     TreeConfig,
     _route,
@@ -148,7 +151,11 @@ def cmd_train(args) -> int:
         min_leaf_support=args.min_support,
         max_depth=args.max_depth,
     )
-    tree = id3_build(dataset, config)
+    # save_model refuses a tree deeper than a model file holds, so growth stops one level past that;
+    # a tree within the limit never reached the cap, and is saved with the config asked for
+    cap = _tree.MAX_MODEL_DEPTH + 1
+    grown = id3_build(dataset, replace(config, max_depth=min(config.max_depth or cap, cap)))
+    tree = DecisionTree(grown._flat, grown.schema, config, grown.training_size)
     save_model(tree, args.out)
     stats = tree_stats(tree)
     nodes, positions, _ = tree._flat  # node 0 is the root

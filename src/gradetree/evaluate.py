@@ -10,7 +10,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 from .dataset import Dataset, _FrozenDict
 from .metrics import contingency, table_scores
 from .tree import (
-    DecisionTree, TreeConfig, _class_labels, _code_rows, _expander, _root_item, _route,
+    DecisionTree, TreeConfig, _by_class, _class_labels, _code_rows, _expander, _root_item, _route,
 )
 
 __all__ = ["ConfusionMatrix", "LooResult", "accuracy", "confusion", "leave_one_out"]
@@ -90,12 +90,15 @@ def leave_one_out(dataset: Dataset, config: TreeConfig | None = None) -> LooResu
     accuracy is this repo's documented baseline for the bundled fixture.
     No fold grows a whole tree: the held-out row descends by its codes
     while the nodes on its path are expanded, by the rule ``id3_build``
-    uses, over the row indices of the other records in their order. The
+    uses, over the row indices of the other records grouped by class. The
     leaf it reaches is the one the whole fold tree would route it to.
-    A fold root's tables are not counted: each is the full table, counted
-    once per call, less the held-out row's cell. Folds repeat tables, so
-    one call scores each distinct table once and reuses its scores, which
-    are the same floats a fresh count would give.
+    A fold root's rows are the full grouping less the held-out row, which
+    changes only that row's class list; the others are shared by every
+    fold, as no expansion changes a list. A fold root's tables are not
+    counted: each is the full table, counted once per call, less the
+    held-out row's cell. Folds repeat tables, so one call scores each
+    distinct table once through ``table_scores`` and reuses its scores,
+    which are the floats ``node_scores`` would give.
     """
     if len(dataset) < 2:
         raise ValueError("leave-one-out needs at least 2 records")
@@ -111,7 +114,11 @@ def leave_one_out(dataset: Dataset, config: TreeConfig | None = None) -> LooResu
             found = memo[key] = table_scores(table)
         return found
 
-    expand = _expander(schema, columns, labels, config, scores)
+    def score_node(tables, counts, total, ratio):  # the keys node_scores gives, each table scored once
+        at = 2 if ratio else 0  # gain ratio, or gain, in table_scores
+        return [scores(table)[at] for table in tables]
+
+    expand = _expander(schema, columns, labels, config, score_node)
     n, k = len(labels), len(schema.class_domain)
     full = [contingency(column, labels, range(n), len(a.domain), k)
             for a, column in zip(schema.attributes, columns)]
@@ -125,9 +132,12 @@ def leave_one_out(dataset: Dataset, config: TreeConfig | None = None) -> LooResu
             roots[p, v, c] = scores(table)
         return roots[p, v, c]
 
+    grouped = _by_class(labels, k)  # fold i's rows are these less row i, whose class list alone changes
     predicted = []
     for i in range(n):
-        node, p, items = expand(_root_item(schema, [r for r in range(n) if r != i], partial(root_scores, i)))
+        by_class = [*grouped]
+        by_class[labels[i]] = [r for r in grouped[labels[i]] if r != i]
+        node, p, items = expand(_root_item(schema, by_class, partial(root_scores, i)))
         while p >= 0:
             node, p, items = expand(items[columns[p][i]])
         predicted.append(node.label)

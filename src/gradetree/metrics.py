@@ -11,13 +11,16 @@ reads the domain-index codes a dataset built when it was validated, its
 over some rows, one pass over the rows per table; ``lane_counter`` packs
 each row into one int and tallies every attribute's table at once, one
 C-level sum per class, which repays its set-up on large nodes. Both give
-the same integers, and ``table_scores`` derives gain, split information
-and gain ratio from them. Every entropy, split information included,
-goes through one primitive, ``count_entropy``, which sums in the order
-given: class-domain order within an entropy, attribute-domain order
-across parts. That order is fixed because builds break ties between
-attributes on exact float equality: the same terms summed in another
-order can differ in the last bit, and so choose another split.
+the same integers. ``node_scores`` scores a node's candidate tables in
+one call: the node's class entropy once, then each table's gain, or its
+gain ratio. ``table_scores`` gives one table's gain, split information
+and gain ratio by the same arithmetic (``_gain``), so both give the same
+floats. Every entropy, split information included, goes through one
+primitive, ``count_entropy``, which sums in the order given:
+class-domain order within an entropy, attribute-domain order across
+parts. That order is fixed because builds break ties between attributes
+on exact float equality: the same terms summed in another order can
+differ in the last bit, and so choose another split.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ import sys
 from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate, repeat
+from operator import itemgetter
 from typing import Callable, Iterable, Sequence
 
 from .dataset import ClassDistribution, Dataset
@@ -125,8 +129,10 @@ def lane_counter(
     form = next(f for f in "BHILQ" if struct.calcsize(f) == width)
     one = (1).to_bytes(width, order)
     blocks = [[bytes(v * width) + one + bytes((size - v - 1) * width) for v in range(size)] for size in sizes]
-    # per row, a C-level join of each attribute's block for its value; no Python loop per cell
-    row_blocks = zip(*map(map, [b.__getitem__ for b in blocks], columns))
+    # per row, a C-level join of each attribute's block for its value; no Python loop per cell.
+    # itemgetter reads many keys fastest, but of one key it returns the bare value
+    row_blocks = zip(*[itemgetter(*column)(block) if len(column) > 1 else tuple(map(block.__getitem__, column))
+                       for block, column in zip(blocks, columns)])
     ints = [*map(int.from_bytes, map(b"".join, row_blocks), repeat(order))]
     lanes = sum(sizes)
     ends = [*accumulate(sizes)]
@@ -141,25 +147,54 @@ def lane_counter(
     return count
 
 
+def node_scores(
+    tables: Iterable[Sequence[Sequence[int]]], counts: Sequence[int], total: int, ratio: bool = False
+) -> list[float]:
+    """Each candidate's gain at a node, or its gain ratio when ``ratio``, from its value x class
+    table; ``counts`` are the node's class counts and ``total`` its size, which is every table's sum.
+
+    The node's class entropy is computed once, and split information only for the ratio. Each
+    float is the one ``table_scores`` gives for the same table: the same terms, in the same order.
+    """
+    base = count_entropy(counts, total)
+    keys = []
+    for table in tables:
+        sizes = [*map(sum, table)]
+        gain = _gain(table, sizes, total, base)
+        if ratio:
+            split = count_entropy(sizes, total)
+            gain = gain / split if split else 0.0
+        keys.append(gain)
+    return keys
+
+
 def table_scores(table: Sequence[Sequence[int]]) -> tuple[float, float, float]:
-    """Gain, split information and gain ratio of a non-empty value x class table.
+    """Gain, split information and gain ratio of a non-empty value x class table,
+    by ``node_scores``' arithmetic: its class entropy is that of its column sums.
 
     The gain is clamped to 0 from below; a gain more negative than rounding
     slack cannot occur for a true entropy difference. The ratio is 0 on a
     zero split, which keeps an attribute with a single represented value
     out of argmax contention.
     """
-    sizes = [sum(row) for row in table]
+    sizes = [*map(sum, table)]
     total = sum(sizes)
+    gain = _gain(table, sizes, total, count_entropy([*map(sum, zip(*table))], total))
+    split = count_entropy(sizes, total)
+    return gain, split, gain / split if split else 0.0
+
+
+def _gain(table: Sequence[Sequence[int]], sizes: Sequence[int], total: int, base: float) -> float:
+    """The gain of a table whose rows sum to ``sizes`` and ``total``, its class entropy ``base``,
+    clamped as ``table_scores`` says."""
     weighted = 0.0
     for row, size in zip(table, sizes):
         if size:
             weighted += size / total * count_entropy(row, size)
-    gain = count_entropy([sum(col) for col in zip(*table)], total) - weighted
+    gain = base - weighted
     if -_SLACK < gain < 0:
         gain = 0.0
-    split = count_entropy(sizes, total)
-    return gain, split, gain / split if split else 0.0
+    return gain
 
 
 def information_gain(dataset: Dataset, attribute: str) -> float:

@@ -8,15 +8,18 @@ distribution, so prediction is total and can always report a confidence.
 
 Growth reads the codes a ``Dataset`` built when it was validated, its
 ``_codes``: a column of domain-index codes per attribute and one of
-label codes. A node is the list of row indices that reach it. One pass
-splits its rows by class; the lists' lengths are its class counts. At a
-node of ``_LANE_MIN_ROWS`` rows or more, ``metrics.lane_counter`` sums
-each class's rows once for every candidate's value x class table; a
-smaller node fills each candidate's table in a pass of its own
-(``metrics.contingency``). Either way the tables are the same integers,
-so ``metrics.table_scores`` gives the same floats. One pass splits the
-winner's rows into its children's lists. One expander (``_expander``) holds that rule,
-and a node depends only on the nodes along its own path. So leave-one-out
+label codes. A node is the row indices that reach it, grouped by class;
+the lists' lengths are its class counts. ``id3_build`` groups the root's
+rows once, and each node's split hands its children their rows already
+grouped. At a node of ``_LANE_MIN_ROWS`` rows or more,
+``metrics.lane_counter`` sums each class's rows once for every
+candidate's value x class table; a smaller node fills each candidate's
+table in a pass of its own (``metrics.contingency``). Either way the
+tables are the same integers, and one ``metrics.node_scores`` call per
+node scores them all, from the node's class entropy computed once. One
+pass over each class's rows splits the winner's rows into its children's
+class lists. One expander (``_expander``) holds that rule, and a node
+depends only on the nodes along its own path. So leave-one-out
 grows no whole fold: it expands only the held-out row's path, from the
 same codes less that row, until the row reaches a leaf. A fold root's
 tables are not counted: each is the full table less that row's cell, so
@@ -40,12 +43,12 @@ from collections.abc import Mapping
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import reduce
-from itertools import repeat
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 
 from .dataset import AttributeSchema, ClassDistribution, Dataset, ValidationError, _FrozenDict, _read_json, _write_text
-from .metrics import contingency, lane_counter, table_scores
+from .metrics import contingency, lane_counter, node_scores
 
 __all__ = [
     "Criterion",
@@ -174,7 +177,8 @@ def id3_build(dataset: Dataset, config: TreeConfig | None = None) -> DecisionTre
     schema = dataset.schema
     *columns, labels = dataset._codes
     expand = _expander(schema, columns, labels, config)
-    return DecisionTree(_preorder(_root_item(schema, range(len(dataset))), expand), schema, config, len(dataset))
+    root = _root_item(schema, _by_class(labels, len(schema.class_domain)))
+    return DecisionTree(_preorder(root, expand), schema, config, len(dataset))
 
 
 class _Flat(NamedTuple):
@@ -288,28 +292,27 @@ _LANE_MIN_ROWS = 64
 
 
 def _expander(schema: AttributeSchema, columns: Sequence[Sequence[int]], labels: Sequence[int],
-              config: TreeConfig, scores=table_scores):
+              config: TreeConfig, score_node=node_scores):
     """The growth rule, as an ``expand`` for ``_preorder``, given every attribute's code
-    column in schema order and the label codes; ``scores`` gives a value x class table's
-    ``table_scores`` (leave-one-out passes one that scores each distinct table once).
-    An item (see ``_root_item``) is a node's rows, the schema positions still available on
-    its path, its depth, its parent's distribution and its ``scored``, so the node it yields
-    depends only on the nodes along its own path."""
+    column in schema order and the label codes; ``score_node`` takes a node's candidate
+    tables, class counts, size and whether to score by ratio, and gives each candidate's
+    key as ``node_scores`` does (leave-one-out passes one that scores each distinct table once).
+    An item (see ``_root_item``) is a node's rows grouped by class, the schema positions still
+    available on its path, its depth, its parent's distribution and its ``scored``, so the node
+    it yields depends only on the nodes along its own path. Items never change their lists."""
     if not schema.attributes:
         raise ValueError("schema declares no predictor attributes")
     sizes = [len(a.domain) for a in schema.attributes]
     classes = schema.class_domain
-    score = 0 if config.criterion is Criterion.GAIN else 2  # index into table_scores
+    ratio = config.criterion is Criterion.GAIN_RATIO
+    score = 2 if ratio else 0  # index into table_scores
     least = _LANE_MIN_ROWS  # no node reaches it when the table does not, and no counter is built
     count = lane_counter(columns, sizes, len(labels)) if len(labels) >= least else None
 
     def expand(item):
-        rows, available, depth, parent, scored = item
-        by_class = [[] for _ in classes]  # the rows of each class, which the lane counter sums
-        for r in rows:
-            by_class[labels[r]].append(r)
+        by_class, available, depth, parent, scored = item
         counts = [*map(len, by_class)]
-        n = len(rows)
+        n = sum(counts)
         # an empty branch becomes a leaf of its parent's majority and distribution
         dist = ClassDistribution(dict(zip(classes, counts)), n) if n else parent
         if (
@@ -322,25 +325,38 @@ def _expander(schema: AttributeSchema, columns: Sequence[Sequence[int]], labels:
         if scored:
             keys = [scored(p)[score] for p in available]
         else:
-            tables = count(by_class, available) if n >= least else [
-                contingency(columns[p], labels, rows, sizes[p], len(classes)) for p in available]
-            keys = [scores(table)[score] for table in tables]
+            if n >= least:
+                tables = count(by_class, available)
+            else:
+                rows = [*chain.from_iterable(by_class)]
+                tables = [contingency(columns[p], labels, rows, sizes[p], len(classes)) for p in available]
+            keys = score_node(tables, counts, n, ratio)
         best = available[keys.index(max(keys))]  # the first maximum in schema order wins ties
         column = columns[best]
-        parts = [[] for _ in range(sizes[best])]
-        for r in rows:
-            parts[column[r]].append(r)
+        parts = [[[] for _ in classes] for _ in range(sizes[best])]  # each child's rows, by class
+        for c, rows in enumerate(by_class):
+            for r in rows:
+                parts[column[r]][c].append(r)
         remaining = [p for p in available if p != best]
         return None, best, [(part, remaining, depth + 1, dist, None) for part in parts]
 
     return expand
 
 
-def _root_item(schema: AttributeSchema, rows: Sequence[int], scored=None) -> tuple:
-    """The growth item of a tree's root over ``rows`` (non-empty), every attribute available.
-    ``scored``, if given, maps a position to the ``table_scores`` of the root's table for that
-    attribute, a table counted elsewhere; a node without one counts its tables over its rows."""
-    return rows, list(range(len(schema.attributes))), 0, None, scored
+def _by_class(labels: Sequence[int], n_classes: int) -> list[list[int]]:
+    """Row indices ``0 .. len(labels) - 1`` grouped by their class code, each group in row order."""
+    groups = [[] for _ in range(n_classes)]
+    for r, c in enumerate(labels):
+        groups[c].append(r)
+    return groups
+
+
+def _root_item(schema: AttributeSchema, by_class: Sequence[Sequence[int]], scored=None) -> tuple:
+    """The growth item of a tree's root over rows grouped by class (not all empty), every
+    attribute available. ``scored``, if given, maps a position to the ``table_scores`` of the
+    root's table for that attribute, a table counted elsewhere; a node without one counts its
+    tables over its rows."""
+    return by_class, list(range(len(schema.attributes))), 0, None, scored
 
 
 def _subtree(node: DecisionNode) -> _Flat:

@@ -7,9 +7,9 @@ on a tree of depth 201 with the recursion limit lowered to the current
 stack depth plus 100 frames: a walk that recursed once per level would
 raise ``RecursionError``. That holds for equality, ``repr``, pickling
 and deepcopy too, which read a tree's flat form. Model files stay
-depth-bound because ``json`` recurses; ``train`` refuses a tree deeper
-than ``MAX_MODEL_DEPTH`` before it writes, and every model it does write
-reads back.
+depth-bound because ``json`` recurses; ``train`` stops growing one level
+past ``MAX_MODEL_DEPTH``, refuses a tree deeper than that limit before it
+writes, and every model it does write reads back.
 """
 
 import contextlib
@@ -233,9 +233,10 @@ def test_train_exits_cleanly_and_what_it_writes_reads_back(labels, limit):
         code, _, err = run(["train", "--data", str(labeled), "--schema", str(schema), "--out", str(model)])
         assert code in (0, 1, 2, 3)
         depth = tree_stats(id3_build(dataset)).depth
-        if depth > limit:
+        if depth > limit:  # train stops growing one level past the limit
             assert code == 2 and not model.exists()
-            assert err == f"error: tree is {depth} levels deep; a model file holds at most {limit} levels\n"
+            assert err == (f"error: tree is {min(depth, limit + 1)} levels deep; "
+                           f"a model file holds at most {limit} levels\n")
         else:
             assert code == 0
             reads_back(model, labeled, schema, unlabeled)
@@ -253,6 +254,34 @@ def test_a_tree_deeper_than_the_limit_is_refused_before_anything_is_written(tmp_
         with mock.patch.object(tree_module, "MAX_MODEL_DEPTH", 3):
             save_model(id3_build(dataset), model)
     assert not model.exists()
+
+
+@pytest.mark.parametrize("limit", [1, 3, 19, 20])
+def test_train_grows_no_node_deeper_than_one_level_past_the_limit(tmp_path, monkeypatch, limit):
+    dataset = one_hot(40, ["pq"[r % 2] for r in range(41)])  # a chain 20 levels deep
+    labeled, schema, _ = write_table(tmp_path, dataset)
+    depths = []
+
+    def recording_expander(*args):
+        expand = expander(*args)
+
+        def recorded(item):
+            depths.append(item[2])
+            return expand(item)
+
+        return recorded
+
+    expander = tree_module._expander
+    monkeypatch.setattr(tree_module, "_expander", recording_expander)
+    monkeypatch.setattr(tree_module, "MAX_MODEL_DEPTH", limit)
+    model = tmp_path / "model.json"
+    code, out, err = run(["train", "--data", str(labeled), "--schema", str(schema), "--out", str(model)])
+    assert max(depths) == min(20, limit + 1)
+    if limit < 20:
+        assert (code, out) == (2, "") and not model.exists()
+        assert err == f"error: tree is {limit + 1} levels deep; a model file holds at most {limit} levels\n"
+    else:  # the cap was never reached, and the model keeps the config asked for: max_depth None
+        assert code == 0 and load_model(model) == id3_build(dataset)
 
 
 def chain(depth: int) -> DecisionTree:

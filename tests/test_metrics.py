@@ -3,7 +3,7 @@ import random
 import re
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from conftest import make_dataset, naive_gain, naive_split_info, random_dataset, tiny_schema
 from gradetree.dataset import Attribute, AttributeSchema, ClassDistribution, Dataset, class_distribution
@@ -15,8 +15,10 @@ from gradetree.metrics import (
     gini,
     impurity,
     information_gain,
+    node_scores,
     score_all,
     split_information,
+    table_scores,
 )
 
 # Values recomputed from the bundled table with an independent tally
@@ -260,3 +262,31 @@ def test_negative_rounding_noise_is_clamped_to_zero():
     )
     assert information_gain(noisy, "A0") == 0.0
     assert gain_ratio(noisy, "A0") == 0.0
+
+
+@st.composite
+def node_tables(draw):
+    """A node's class counts and its candidates' value x class tables: each table spreads every
+    class's rows over its values, so its column sums are the counts; a value may get no row."""
+    counts = draw(st.lists(st.integers(0, 12), min_size=1, max_size=4).filter(any))
+    tables = []
+    for n_values in draw(st.lists(st.integers(1, 4), min_size=1, max_size=5)):
+        table = [[0] * len(counts) for _ in range(n_values)]
+        for c, count in enumerate(counts):
+            for v in draw(st.lists(st.integers(0, n_values - 1), min_size=count, max_size=count)):
+                table[v][c] += 1
+        tables.append(table)
+    return counts, tables
+
+
+@given(node_tables())
+@example(([6, 18], [[[1, 3], [5, 15]]]))  # the clamp test's table, whose unclamped gain is -1.1e-16
+@example(([3, 4], [[[2, 1], [0, 0], [1, 3]]]))  # a zero row
+@example(([4, 3], [[[0, 0], [4, 3]], [(4, 3), (0, 0)]]))  # one represented value, as lists and as tuples
+@example(([5], [[[3], [2]], [[5], [0]]]))  # one class
+def test_node_scores_equal_table_scores(drawn):
+    counts, tables = drawn
+    scores = [table_scores(table) for table in tables]
+    assert node_scores(tables, counts, sum(counts)) == [gain for gain, _, _ in scores]
+    assert node_scores(tables, counts, sum(counts), ratio=True) == [ratio for _, _, ratio in scores]
+

@@ -3,10 +3,12 @@ import json
 import pickle
 import random
 import re
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import gradetree.metrics
 import gradetree.tree
 from conftest import make_dataset, naive_gain, random_dataset, tiny_schema, with_branches_dropped
 from gradetree.dataset import (
@@ -139,6 +141,35 @@ def test_max_depth_caps_the_tree(students):
     assert isinstance(tree.root, Internal)
     for child in tree.root.branches.values():
         assert isinstance(child, Leaf)
+
+
+def python_calls(functions, run):
+    """``run()``'s result, and how many times each of ``functions`` was entered while it ran, however bound."""
+    calls = {f.__code__: 0 for f in functions}
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in calls:
+            calls[frame.f_code] += 1
+
+    sys.setprofile(profile)
+    try:
+        result = run()
+    finally:
+        sys.setprofile(None)
+    return result, [calls[f.__code__] for f in functions]
+
+
+@pytest.mark.parametrize("least", [None, 1])  # the row count from which nodes count by lanes
+@pytest.mark.parametrize("criterion", list(Criterion))
+def test_growth_scores_each_node_in_one_call_and_never_a_table_alone(students, monkeypatch, least, criterion):
+    # a node's candidates share its class entropy: scoring tables one by one recomputed it for each
+    if least is not None:
+        monkeypatch.setattr(gradetree.tree, "_LANE_MIN_ROWS", least)
+    rng = random.Random(7)
+    for dataset in [students] + [random_dataset(rng, contradiction_free=False) for _ in range(10)]:
+        tree, calls = python_calls([gradetree.metrics.node_scores, gradetree.metrics.table_scores],
+                                   lambda: id3_build(dataset, TreeConfig(criterion)))
+        assert calls == [sum(p >= 0 for p in tree._flat.positions), 0]
 
 
 def test_config_validation():
