@@ -8,10 +8,8 @@ from functools import partial
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .dataset import Dataset, _FrozenDict
-from .metrics import contingency, table_scores
-from .tree import (
-    DecisionTree, TreeConfig, _by_class, _class_labels, _code_rows, _expander, _root_item, _route,
-)
+from .metrics import _by_class, contingency, node_scores
+from .tree import Criterion, DecisionTree, TreeConfig, _class_labels, _code_rows, _expander, _root_item, _route
 
 __all__ = ["ConfusionMatrix", "LooResult", "accuracy", "confusion", "leave_one_out"]
 
@@ -96,9 +94,10 @@ def leave_one_out(dataset: Dataset, config: TreeConfig | None = None) -> LooResu
     changes only that row's class list; the others are shared by every
     fold, as no expansion changes a list. A fold root's tables are not
     counted: each is the full table, counted once per call, less the
-    held-out row's cell. Folds repeat tables, so one call scores each
-    distinct table once through ``table_scores`` and reuses its scores,
-    which are the floats ``node_scores`` would give.
+    held-out row's cell, scored with the class counts less that row. Folds
+    repeat tables, so one call scores each distinct table once, alone, by
+    ``node_scores``, and reuses its key: a table's key depends only on its
+    contents, so it is the float it gets among its node's candidates.
     """
     if len(dataset) < 2:
         raise ValueError("leave-one-out needs at least 2 records")
@@ -106,38 +105,39 @@ def leave_one_out(dataset: Dataset, config: TreeConfig | None = None) -> LooResu
         config = TreeConfig()
     schema = dataset.schema
     *columns, labels = dataset._codes
-    memo = {}  # a table's contents -> its scores: equal tables score the same floats
-
-    def scores(table):
-        key = tuple(map(tuple, table))
-        if (found := memo.get(key)) is None:
-            found = memo[key] = table_scores(table)
-        return found
+    memo = {}  # a table's contents -> its key: equal tables score the same float
 
     def score_node(tables, counts, total, ratio):  # the keys node_scores gives, each table scored once
-        at = 2 if ratio else 0  # gain ratio, or gain, in table_scores
-        return [scores(table)[at] for table in tables]
+        keys = []
+        for table in tables:
+            contents = tuple(map(tuple, table))
+            if (key := memo.get(contents)) is None:
+                key = memo[contents] = node_scores([table], counts, total, ratio)[0]
+            keys.append(key)
+        return keys
 
     expand = _expander(schema, columns, labels, config, score_node)
-    n, k = len(labels), len(schema.class_domain)
-    full = [contingency(column, labels, range(n), len(a.domain), k)
-            for a, column in zip(schema.attributes, columns)]
-    roots = {}  # (position, value, class) -> the scores of that position's full table less that cell
+    ratio = config.criterion is Criterion.GAIN_RATIO
+    n = len(labels)
+    grouped = _by_class(labels, len(schema.class_domain))  # fold i's rows are these less row i
+    full = [contingency(column, grouped, len(a.domain)) for a, column in zip(schema.attributes, columns)]
+    roots = {}  # (position, value, class) -> the key of that position's full table less that cell
 
-    def root_scores(i, p):  # the scores at fold i's root: row i's cell is the one it lacks
+    def root_key(i, p):  # the key at fold i's root: row i's cell and class count are the ones it lacks
         v, c = columns[p][i], labels[i]
         if (p, v, c) not in roots:
             table = [*map(list, full[p])]
             table[v][c] -= 1
-            roots[p, v, c] = scores(table)
+            counts = [*map(len, grouped)]
+            counts[c] -= 1
+            roots[p, v, c] = score_node([table], counts, n - 1, ratio)[0]
         return roots[p, v, c]
 
-    grouped = _by_class(labels, k)  # fold i's rows are these less row i, whose class list alone changes
     predicted = []
     for i in range(n):
         by_class = [*grouped]
         by_class[labels[i]] = [r for r in grouped[labels[i]] if r != i]
-        node, p, items = expand(_root_item(schema, by_class, partial(root_scores, i)))
+        node, p, items = expand(_root_item(schema, by_class, partial(root_key, i)))
         while p >= 0:
             node, p, items = expand(items[columns[p][i]])
         predicted.append(node.label)

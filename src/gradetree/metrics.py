@@ -7,16 +7,17 @@ with empty parts well-formed.
 
 Attribute scores come from counts, as in ID3 (Quinlan 1986): scoring
 reads the domain-index codes a dataset built when it was validated, its
-``_codes``. ``contingency`` tallies one attribute's value x class table
-over some rows, one pass over the rows per table; ``lane_counter`` packs
-each row into one int and tallies every attribute's table at once, one
-C-level sum per class, which repays its set-up on large nodes. Both give
-the same integers. ``node_scores`` scores a node's candidate tables in
-one call: the node's class entropy once, then each table's gain, or its
-gain ratio. ``table_scores`` gives one table's gain, split information
-and gain ratio by the same arithmetic (``_gain``), so both give the same
-floats. Every entropy, split information included, goes through one
-primitive, ``count_entropy``, which sums in the order given:
+``_codes``, over rows given as one list per class (``_by_class``).
+``contingency`` tallies one attribute's value x class table over such
+lists, one pass over the rows per table; ``lane_counter`` packs each row
+into one int and tallies every attribute's table at once, one C-level
+sum per class, which repays its set-up on large nodes. Both give the
+same integers. ``node_scores`` is the one scorer: it scores a node's
+candidate tables in one call, from the node's class entropy computed
+once, and gives each table's gain, or its gain ratio. A table's float
+depends only on its contents, so it is the same scored alone or among
+other candidates. Every entropy, split information included, goes
+through one primitive, ``count_entropy``, which sums in the order given:
 class-domain order within an entropy, attribute-domain order across
 parts. That order is fixed because builds break ties between attributes
 on exact float equality: the same terms summed in another order can
@@ -102,14 +103,21 @@ def count_entropy(counts: Iterable[int], total: int) -> float:
     return h
 
 
-def contingency(
-    column: Sequence[int], labels: Sequence[int], rows: Iterable[int], n_values: int, n_classes: int
-) -> list[list[int]]:
-    """Value x class counts over the given rows, in domain and class order."""
-    table = [[0] * n_classes for _ in range(n_values)]
-    for r in rows:
-        table[column[r]][labels[r]] += 1
+def contingency(column: Sequence[int], by_class: Sequence[Iterable[int]], n_values: int) -> list[list[int]]:
+    """Value x class counts over rows given as one list per class, in domain and class order."""
+    table = [[0] * len(by_class) for _ in range(n_values)]
+    for c, rows in enumerate(by_class):
+        for r in rows:
+            table[column[r]][c] += 1
     return table
+
+
+def _by_class(labels: Sequence[int], n_classes: int) -> list[list[int]]:
+    """Row indices ``0 .. len(labels) - 1`` grouped by their class code, each group in row order."""
+    groups = [[] for _ in range(n_classes)]
+    for r, c in enumerate(labels):
+        groups[c].append(r)
+    return groups
 
 
 def lane_counter(
@@ -153,48 +161,27 @@ def node_scores(
     """Each candidate's gain at a node, or its gain ratio when ``ratio``, from its value x class
     table; ``counts`` are the node's class counts and ``total`` its size, which is every table's sum.
 
-    The node's class entropy is computed once, and split information only for the ratio. Each
-    float is the one ``table_scores`` gives for the same table: the same terms, in the same order.
+    The node's class entropy is computed once, and split information only for the ratio. The
+    gain is clamped to 0 from below; a gain more negative than rounding slack cannot occur for
+    a true entropy difference. The ratio is 0 on a zero split, which keeps an attribute with a
+    single represented value out of argmax contention.
     """
     base = count_entropy(counts, total)
     keys = []
     for table in tables:
         sizes = [*map(sum, table)]
-        gain = _gain(table, sizes, total, base)
+        weighted = 0.0
+        for row, size in zip(table, sizes):
+            if size:
+                weighted += size / total * count_entropy(row, size)
+        gain = base - weighted
+        if -_SLACK < gain < 0:
+            gain = 0.0
         if ratio:
             split = count_entropy(sizes, total)
             gain = gain / split if split else 0.0
         keys.append(gain)
     return keys
-
-
-def table_scores(table: Sequence[Sequence[int]]) -> tuple[float, float, float]:
-    """Gain, split information and gain ratio of a non-empty value x class table,
-    by ``node_scores``' arithmetic: its class entropy is that of its column sums.
-
-    The gain is clamped to 0 from below; a gain more negative than rounding
-    slack cannot occur for a true entropy difference. The ratio is 0 on a
-    zero split, which keeps an attribute with a single represented value
-    out of argmax contention.
-    """
-    sizes = [*map(sum, table)]
-    total = sum(sizes)
-    gain = _gain(table, sizes, total, count_entropy([*map(sum, zip(*table))], total))
-    split = count_entropy(sizes, total)
-    return gain, split, gain / split if split else 0.0
-
-
-def _gain(table: Sequence[Sequence[int]], sizes: Sequence[int], total: int, base: float) -> float:
-    """The gain of a table whose rows sum to ``sizes`` and ``total``, its class entropy ``base``,
-    clamped as ``table_scores`` says."""
-    weighted = 0.0
-    for row, size in zip(table, sizes):
-        if size:
-            weighted += size / total * count_entropy(row, size)
-    gain = base - weighted
-    if -_SLACK < gain < 0:
-        gain = 0.0
-    return gain
 
 
 def information_gain(dataset: Dataset, attribute: str) -> float:
@@ -221,7 +208,10 @@ class AttributeScore:
 
 
 def score_all(dataset: Dataset, available: Sequence[str] | None = None) -> list[AttributeScore]:
-    """Score attributes (schema order): gain, split information, gain ratio."""
+    """Score attributes (schema order): gain, split information, gain ratio.
+
+    The tables are counted over every row, grouped by class, and scored by ``node_scores``;
+    so each gain and ratio is the key a build compares at a root over these rows."""
     schema = dataset.schema
     if available is None:
         available = schema.attribute_names
@@ -233,10 +223,11 @@ def score_all(dataset: Dataset, available: Sequence[str] | None = None) -> list[
     if len(dataset) == 0:
         raise ValueError("cannot score attributes on an empty dataset")
     *columns, labels = dataset._codes
-    rows = range(len(labels))
-    scores = []
-    for attribute, column in zip(schema.attributes, columns):
-        if attribute.name in available:
-            table = contingency(column, labels, rows, len(attribute.domain), len(schema.class_domain))
-            scores.append(AttributeScore(attribute.name, *table_scores(table)))
-    return scores
+    n = len(labels)
+    by_class = _by_class(labels, len(schema.class_domain))
+    names, tables = zip(*[(attribute.name, contingency(column, by_class, len(attribute.domain)))
+                          for attribute, column in zip(schema.attributes, columns) if attribute.name in available])
+    counts = [*map(len, by_class)]
+    gains, ratios = node_scores(tables, counts, n), node_scores(tables, counts, n, ratio=True)
+    splits = [count_entropy([*map(sum, table)], n) for table in tables]
+    return [*map(AttributeScore, names, gains, splits, ratios)]

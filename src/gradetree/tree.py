@@ -10,22 +10,24 @@ Growth reads the codes a ``Dataset`` built when it was validated, its
 ``_codes``: a column of domain-index codes per attribute and one of
 label codes. A node is the row indices that reach it, grouped by class;
 the lists' lengths are its class counts. ``id3_build`` groups the root's
-rows once, and each node's split hands its children their rows already
-grouped. At a node of ``_LANE_MIN_ROWS`` rows or more,
-``metrics.lane_counter`` sums each class's rows once for every
-candidate's value x class table; a smaller node fills each candidate's
-table in a pass of its own (``metrics.contingency``). Either way the
-tables are the same integers, and one ``metrics.node_scores`` call per
-node scores them all, from the node's class entropy computed once. One
-pass over each class's rows splits the winner's rows into its children's
-class lists. One expander (``_expander``) holds that rule, and a node
-depends only on the nodes along its own path. So leave-one-out
-grows no whole fold: it expands only the held-out row's path, from the
-same codes less that row, until the row reaches a leaf. A fold root's
-tables are not counted: each is the full table less that row's cell, so
-its root item carries their scores (``scored``). Folds repeat tables, so
-leave-one-out's expander scores each distinct table once per call; a
-build's tables do not repeat, and ``id3_build`` scores each as counted.
+rows once (``metrics._by_class``), and each node's split hands its
+children their rows already grouped. At a node of ``_LANE_MIN_ROWS``
+rows or more, ``metrics.lane_counter`` sums each class's rows once for
+every candidate's value x class table; a smaller node fills each
+candidate's table from its class lists in a pass of its own
+(``metrics.contingency``). Either way the tables are the same integers,
+and one ``metrics.node_scores`` call per node scores them all, from the
+node's class entropy computed once. One pass over each class's rows
+splits the winner's rows into its children's class lists. One expander
+(``_expander``) holds that rule, and a node depends only on the nodes
+along its own path. So leave-one-out grows no whole fold: it expands
+only the held-out row's path, from the same codes less that row, until
+the row reaches a leaf. A fold root's tables are not counted: each is
+the full table less that row's cell, so its root item carries their keys
+(``scored``). Folds repeat tables, so leave-one-out's expander scores
+each distinct table once per call, alone, which gives the float it gets
+among its node's candidates; a build's tables do not repeat, and
+``id3_build`` scores each as counted.
 
 A tree is its flat form (``_Flat``): nodes in preorder, branches in domain
 order. Growth, model documents and pruning write it on an explicit stack
@@ -43,12 +45,12 @@ from collections.abc import Mapping
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import reduce
-from itertools import chain, repeat
+from itertools import repeat
 from json.encoder import encode_basestring_ascii
 from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 
 from .dataset import AttributeSchema, ClassDistribution, Dataset, ValidationError, _FrozenDict, _read_json, _write_text
-from .metrics import contingency, lane_counter, node_scores
+from .metrics import _by_class, contingency, lane_counter, node_scores
 
 __all__ = [
     "Criterion",
@@ -299,13 +301,13 @@ def _expander(schema: AttributeSchema, columns: Sequence[Sequence[int]], labels:
     key as ``node_scores`` does (leave-one-out passes one that scores each distinct table once).
     An item (see ``_root_item``) is a node's rows grouped by class, the schema positions still
     available on its path, its depth, its parent's distribution and its ``scored``, so the node
-    it yields depends only on the nodes along its own path. Items never change their lists."""
+    it yields depends only on the nodes along its own path. Items never change their lists: a
+    node's class lists are what both counters take, and its split fills its children's."""
     if not schema.attributes:
         raise ValueError("schema declares no predictor attributes")
     sizes = [len(a.domain) for a in schema.attributes]
     classes = schema.class_domain
     ratio = config.criterion is Criterion.GAIN_RATIO
-    score = 2 if ratio else 0  # index into table_scores
     least = _LANE_MIN_ROWS  # no node reaches it when the table does not, and no counter is built
     count = lane_counter(columns, sizes, len(labels)) if len(labels) >= least else None
 
@@ -323,13 +325,12 @@ def _expander(schema: AttributeSchema, columns: Sequence[Sequence[int]], labels:
         ):
             return Leaf(dist.majority(), n, dist), -1, ()
         if scored:
-            keys = [scored(p)[score] for p in available]
+            keys = [*map(scored, available)]
         else:
             if n >= least:
                 tables = count(by_class, available)
             else:
-                rows = [*chain.from_iterable(by_class)]
-                tables = [contingency(columns[p], labels, rows, sizes[p], len(classes)) for p in available]
+                tables = [contingency(columns[p], by_class, sizes[p]) for p in available]
             keys = score_node(tables, counts, n, ratio)
         best = available[keys.index(max(keys))]  # the first maximum in schema order wins ties
         column = columns[best]
@@ -343,19 +344,11 @@ def _expander(schema: AttributeSchema, columns: Sequence[Sequence[int]], labels:
     return expand
 
 
-def _by_class(labels: Sequence[int], n_classes: int) -> list[list[int]]:
-    """Row indices ``0 .. len(labels) - 1`` grouped by their class code, each group in row order."""
-    groups = [[] for _ in range(n_classes)]
-    for r, c in enumerate(labels):
-        groups[c].append(r)
-    return groups
-
-
 def _root_item(schema: AttributeSchema, by_class: Sequence[Sequence[int]], scored=None) -> tuple:
     """The growth item of a tree's root over rows grouped by class (not all empty), every
-    attribute available. ``scored``, if given, maps a position to the ``table_scores`` of the
-    root's table for that attribute, a table counted elsewhere; a node without one counts its
-    tables over its rows."""
+    attribute available. ``scored``, if given, maps a position to the key of the root's table
+    for that attribute, as ``node_scores`` gives it, from a table counted elsewhere; a node
+    without one counts its tables over its rows."""
     return by_class, list(range(len(schema.attributes))), 0, None, scored
 
 

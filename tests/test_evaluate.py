@@ -11,7 +11,7 @@ import gradetree.tree
 from conftest import make_dataset, random_dataset, tiny_schema, with_branches_dropped
 from gradetree.dataset import Attribute, AttributeSchema, Dataset, Record, class_distribution
 from gradetree.evaluate import ConfusionMatrix, accuracy, confusion, leave_one_out
-from gradetree.metrics import contingency, lane_counter, table_scores
+from gradetree.metrics import contingency, lane_counter, node_scores
 from gradetree.tree import (
     Criterion,
     DecisionTree,
@@ -341,11 +341,12 @@ def test_no_fold_expands_more_than_one_path(students, monkeypatch):
 def test_leave_one_out_scores_each_distinct_table_once(students, monkeypatch, criterion, distinct):
     scored = []
 
-    def counted(table):
-        scored.append(tuple(map(tuple, table)))
-        return table_scores(table)
+    def counted(tables, *args):
+        tables = [*tables]
+        scored.extend(tuple(map(tuple, table)) for table in tables)
+        return node_scores(tables, *args)
 
-    monkeypatch.setattr(gradetree.evaluate, "table_scores", counted)
+    monkeypatch.setattr(gradetree.evaluate, "node_scores", counted)
     config = TreeConfig(criterion)
     assert tuple(leave_one_out(students, config)) == leave_one_out_per_fold_dataset(students, config)
     # the fold paths hold 839 tables under gain and 948 under gain ratio

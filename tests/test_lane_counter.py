@@ -24,11 +24,9 @@ def by_class(labels, rows, n_classes):
 
 
 def assert_counts_as_contingency(columns, sizes, labels, n_classes, rows, positions):
-    count = lane_counter(columns, sizes, len(labels))
-    tables = count(by_class(labels, rows, n_classes), positions)
-    assert [[*map(list, table)] for table in tables] == [
-        contingency(columns[p], labels, rows, sizes[p], n_classes) for p in positions
-    ]
+    split = by_class(labels, rows, n_classes)
+    tables = lane_counter(columns, sizes, len(labels))(split, positions)
+    assert [[*map(list, table)] for table in tables] == [contingency(columns[p], split, sizes[p]) for p in positions]
 
 
 @st.composite

@@ -18,7 +18,6 @@ from gradetree.metrics import (
     node_scores,
     score_all,
     split_information,
-    table_scores,
 )
 
 # Values recomputed from the bundled table with an independent tally
@@ -285,8 +284,13 @@ def node_tables(draw):
 @example(([4, 3], [[[0, 0], [4, 3]], [(4, 3), (0, 0)]]))  # one represented value, as lists and as tuples
 @example(([5], [[[3], [2]], [[5], [0]]]))  # one class
 def test_node_scores_equal_table_scores(drawn):
+    # leave-one-out's memo keys a table's score by its contents: scored alone, with its node's
+    # counts (its own column sums), a table must give the float it gets among the node's candidates
     counts, tables = drawn
-    scores = [table_scores(table) for table in tables]
-    assert node_scores(tables, counts, sum(counts)) == [gain for gain, _, _ in scores]
-    assert node_scores(tables, counts, sum(counts), ratio=True) == [ratio for _, _, ratio in scores]
+    total = sum(counts)
+    for table in tables:
+        assert [*map(sum, zip(*table))] == counts
+    for ratio in (False, True):
+        alone = [node_scores([table], counts, total, ratio)[0] for table in tables]
+        assert alone == node_scores(tables, counts, total, ratio)
 

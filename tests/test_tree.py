@@ -22,6 +22,7 @@ from gradetree.dataset import (
     load_students,
 )
 from gradetree.evaluate import accuracy
+from gradetree.metrics import score_all
 from gradetree.rules import extract_rules
 from gradetree.tree import (
     Criterion,
@@ -143,20 +144,21 @@ def test_max_depth_caps_the_tree(students):
         assert isinstance(child, Leaf)
 
 
-def python_calls(functions, run):
-    """``run()``'s result, and how many times each of ``functions`` was entered while it ran, however bound."""
-    calls = {f.__code__: 0 for f in functions}
+def returned(function, run):
+    """``run()``'s result, and what each call of ``function`` returned while it ran, in call order,
+    however the function is bound (a default argument bound at definition is seen too)."""
+    values = []
 
     def profile(frame, event, arg):
-        if event == "call" and frame.f_code in calls:
-            calls[frame.f_code] += 1
+        if event == "return" and frame.f_code is function.__code__:
+            values.append(arg)
 
     sys.setprofile(profile)
     try:
         result = run()
     finally:
         sys.setprofile(None)
-    return result, [calls[f.__code__] for f in functions]
+    return result, values
 
 
 @pytest.mark.parametrize("least", [None, 1])  # the row count from which nodes count by lanes
@@ -167,9 +169,27 @@ def test_growth_scores_each_node_in_one_call_and_never_a_table_alone(students, m
         monkeypatch.setattr(gradetree.tree, "_LANE_MIN_ROWS", least)
     rng = random.Random(7)
     for dataset in [students] + [random_dataset(rng, contradiction_free=False) for _ in range(10)]:
-        tree, calls = python_calls([gradetree.metrics.node_scores, gradetree.metrics.table_scores],
-                                   lambda: id3_build(dataset, TreeConfig(criterion)))
-        assert calls == [sum(p >= 0 for p in tree._flat.positions), 0]
+        tree, keys = returned(gradetree.metrics.node_scores, lambda: id3_build(dataset, TreeConfig(criterion)))
+        assert len(keys) == sum(p >= 0 for p in tree._flat.positions)
+
+
+@pytest.mark.parametrize("criterion", list(Criterion))
+def test_gains_shows_the_keys_that_pick_the_root(students, criterion):
+    # ``gains`` prints score_all: its gain and gain ratio are the floats a build compares at the root
+    rng = random.Random(3)
+    internal = 0
+    for dataset in [students] + [random_dataset(rng, contradiction_free=False) for _ in range(10)]:
+        tree, keys = returned(gradetree.metrics.node_scores, lambda: id3_build(dataset, TreeConfig(criterion)))
+        scores = score_all(dataset)
+        shown = [s.gain_ratio if criterion is Criterion.GAIN_RATIO else s.gain for s in scores]
+        root = tree._flat.positions[0]
+        if root < 0:
+            assert keys == []
+            continue
+        internal += 1
+        assert keys[0] == shown  # the root is expanded first, over every attribute
+        assert root == shown.index(max(shown))  # the first maximum in schema order
+    assert internal > 5
 
 
 def test_config_validation():
