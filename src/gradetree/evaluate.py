@@ -4,12 +4,11 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import partial
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .dataset import Dataset, _FrozenDict
 from .metrics import _by_class, contingency, node_scores
-from .tree import Criterion, DecisionTree, TreeConfig, _class_labels, _code_rows, _expander, _root_item, _route
+from .tree import DecisionTree, TreeConfig, _class_labels, _code_rows, _expander, _root_item, _route
 
 __all__ = ["ConfusionMatrix", "LooResult", "accuracy", "confusion", "leave_one_out"]
 
@@ -93,11 +92,11 @@ def leave_one_out(dataset: Dataset, config: TreeConfig | None = None) -> LooResu
     A fold root's rows are the full grouping less the held-out row, which
     changes only that row's class list; the others are shared by every
     fold, as no expansion changes a list. A fold root's tables are not
-    counted: each is the full table, counted once per call, less the
-    held-out row's cell, scored with the class counts less that row. Folds
-    repeat tables, so one call scores each distinct table once, alone, by
-    ``node_scores``, and reuses its key: a table's key depends only on its
-    contents, so it is the float it gets among its node's candidates.
+    counted: its item carries the full tables, counted once per call, less
+    the held-out row's cell. Folds repeat tables, so one call scores each
+    distinct table once, alone, by ``node_scores``, and reuses its key: a
+    table's key depends only on its contents, so it is the float it gets
+    among its node's candidates.
     """
     if len(dataset) < 2:
         raise ValueError("leave-one-out needs at least 2 records")
@@ -117,27 +116,18 @@ def leave_one_out(dataset: Dataset, config: TreeConfig | None = None) -> LooResu
         return keys
 
     expand = _expander(schema, columns, labels, config, score_node)
-    ratio = config.criterion is Criterion.GAIN_RATIO
-    n = len(labels)
     grouped = _by_class(labels, len(schema.class_domain))  # fold i's rows are these less row i
     full = [contingency(column, grouped, len(a.domain)) for a, column in zip(schema.attributes, columns)]
-    roots = {}  # (position, value, class) -> the key of that position's full table less that cell
-
-    def root_key(i, p):  # the key at fold i's root: row i's cell and class count are the ones it lacks
-        v, c = columns[p][i], labels[i]
-        if (p, v, c) not in roots:
-            table = [*map(list, full[p])]
-            table[v][c] -= 1
-            counts = [*map(len, grouped)]
-            counts[c] -= 1
-            roots[p, v, c] = score_node([table], counts, n - 1, ratio)[0]
-        return roots[p, v, c]
-
     predicted = []
-    for i in range(n):
+    for i in range(len(labels)):
+        c = labels[i]
         by_class = [*grouped]
-        by_class[labels[i]] = [r for r in grouped[labels[i]] if r != i]
-        node, p, items = expand(_root_item(schema, by_class, partial(root_key, i)))
+        by_class[c] = [r for r in grouped[c] if r != i]
+        tables = [[*table] for table in full]  # each table less row i's cell; only that row is copied
+        for table, column in zip(tables, columns):
+            row = table[column[i]] = [*table[column[i]]]
+            row[c] -= 1
+        node, p, items = expand(_root_item(schema, by_class, tables))
         while p >= 0:
             node, p, items = expand(items[columns[p][i]])
         predicted.append(node.label)

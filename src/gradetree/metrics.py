@@ -9,19 +9,20 @@ Attribute scores come from counts, as in ID3 (Quinlan 1986): scoring
 reads the domain-index codes a dataset built when it was validated, its
 ``_codes``, over rows given as one list per class (``_by_class``).
 ``contingency`` tallies one attribute's value x class table over such
-lists, one pass over the rows per table; ``lane_counter`` packs each row
-into one int and tallies every attribute's table at once, one C-level
-sum per class, which repays its set-up on large nodes. Both give the
-same integers. ``node_scores`` is the one scorer: it scores a node's
-candidate tables in one call, from the node's class entropy computed
-once, and gives each table's gain, or its gain ratio. A table's float
-depends only on its contents, so it is the same scored alone or among
-other candidates. Every entropy, split information included, goes
-through one primitive, ``count_entropy``, which sums in the order given:
-class-domain order within an entropy, attribute-domain order across
-parts. That order is fixed because builds break ties between attributes
-on exact float equality: the same terms summed in another order can
-differ in the last bit, and so choose another split.
+lists, one pass over the rows per table; ``score_all`` and leave-one-out
+count their tables over all rows with it, once each. ``lane_counter``
+packs each row into one int and tallies every asked attribute's table at
+once, one C-level sum per class; growth counts every node's tables with
+it. Both give the same integers. ``node_scores`` is the one scorer: it
+scores a node's candidate tables in one call, from the node's class
+entropy computed once, and gives each table's gain, or its gain ratio. A
+table's float depends only on its contents, so it is the same scored
+alone or among other candidates. Every entropy, split information
+included, goes through one primitive, ``count_entropy``, which sums in
+the order given: class-domain order within an entropy, attribute-domain
+order across parts. That order is fixed because builds break ties
+between attributes on exact float equality: the same terms summed in
+another order can differ in the last bit, and so choose another split.
 """
 
 from __future__ import annotations
@@ -131,6 +132,8 @@ def lane_counter(
     ``n_rows``, so a sum of rows is every lane's count at once, none carrying into the
     next. ``count(by_class, positions)`` sums the rows listed per class, and returns the
     table of each position, as ``contingency`` counts it over those rows, rows as tuples.
+    The set-up is paid once per table of codes: growth builds one counter per build or
+    leave-one-out call, and every node it expands counts its candidates in one ``count``.
     """
     order = sys.byteorder  # so ``memoryview.cast`` reads each lane as a native integer
     width = next(w for w in (1, 2, 4, 8) if 256**w > n_rows)

@@ -11,20 +11,17 @@ Growth reads the codes a ``Dataset`` built when it was validated, its
 label codes. A node is the row indices that reach it, grouped by class;
 the lists' lengths are its class counts. ``id3_build`` groups the root's
 rows once (``metrics._by_class``), and each node's split hands its
-children their rows already grouped. At a node of ``_LANE_MIN_ROWS``
-rows or more, ``metrics.lane_counter`` sums each class's rows once for
-every candidate's value x class table; a smaller node fills each
-candidate's table from its class lists in a pass of its own
-(``metrics.contingency``). Either way the tables are the same integers,
-and one ``metrics.node_scores`` call per node scores them all, from the
-node's class entropy computed once. One pass over each class's rows
-splits the winner's rows into its children's class lists. One expander
-(``_expander``) holds that rule, and a node depends only on the nodes
-along its own path. So leave-one-out grows no whole fold: it expands
-only the held-out row's path, from the same codes less that row, until
-the row reaches a leaf. A fold root's tables are not counted: each is
-the full table less that row's cell, so its root item carries their keys
-(``scored``). Folds repeat tables, so leave-one-out's expander scores
+children their rows already grouped. Every node counts its candidates'
+value x class tables in one call of ``metrics.lane_counter``, one sum of
+each class's rows, and one ``metrics.node_scores`` call scores them all,
+from the node's class entropy computed once. One pass over each class's
+rows splits the winner's rows into its children's class lists. One
+expander (``_expander``) holds that rule, and a node depends only on the
+nodes along its own path. So leave-one-out grows no whole fold: it
+expands only the held-out row's path, from the same codes less that row,
+until the row reaches a leaf. A fold root's tables are not counted: each
+is the full table less that row's cell, and its root item carries them
+(``tables``). Folds repeat tables, so leave-one-out's expander scores
 each distinct table once per call, alone, which gives the float it gets
 among its node's candidates; a build's tables do not repeat, and
 ``id3_build`` scores each as counted.
@@ -50,7 +47,7 @@ from json.encoder import encode_basestring_ascii
 from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 
 from .dataset import AttributeSchema, ClassDistribution, Dataset, ValidationError, _FrozenDict, _read_json, _write_text
-from .metrics import _by_class, contingency, lane_counter, node_scores
+from .metrics import _by_class, lane_counter, node_scores
 
 __all__ = [
     "Criterion",
@@ -283,16 +280,6 @@ def _class_labels(dataset: Dataset) -> list[str]:
     return [classes[c] for c in dataset._codes[-1]]
 
 
-# A node of at least this many rows counts its tables with ``lane_counter``, and a smaller one
-# with ``contingency``. Per node, on a 5,000 x 20 table (2-vCPU VM, CPython 3.11), lanes cost 15
-# to 45 us from 8 to 128 rows, and ``contingency`` about 1.5 us plus 0.2 us per row for each
-# candidate: at 64 rows lanes pay from 4 candidates, at 16 rows only from 12. Setting the lanes
-# up costs about 1.7 us per row of the table, which a 50-row table of 7 attributes hardly repays:
-# its builds ran 3 to 8% slower with this constant at 50 or below. Depth-4 builds of the
-# 5,000 x 20 table took the same time with it anywhere from 16 to 64, and 30% longer at 128.
-_LANE_MIN_ROWS = 64
-
-
 def _expander(schema: AttributeSchema, columns: Sequence[Sequence[int]], labels: Sequence[int],
               config: TreeConfig, score_node=node_scores):
     """The growth rule, as an ``expand`` for ``_preorder``, given every attribute's code
@@ -300,19 +287,18 @@ def _expander(schema: AttributeSchema, columns: Sequence[Sequence[int]], labels:
     tables, class counts, size and whether to score by ratio, and gives each candidate's
     key as ``node_scores`` does (leave-one-out passes one that scores each distinct table once).
     An item (see ``_root_item``) is a node's rows grouped by class, the schema positions still
-    available on its path, its depth, its parent's distribution and its ``scored``, so the node
+    available on its path, its depth, its parent's distribution and its ``tables``, so the node
     it yields depends only on the nodes along its own path. Items never change their lists: a
-    node's class lists are what both counters take, and its split fills its children's."""
+    node's class lists are what the lane counter sums, and its split fills its children's."""
     if not schema.attributes:
         raise ValueError("schema declares no predictor attributes")
     sizes = [len(a.domain) for a in schema.attributes]
     classes = schema.class_domain
     ratio = config.criterion is Criterion.GAIN_RATIO
-    least = _LANE_MIN_ROWS  # no node reaches it when the table does not, and no counter is built
-    count = lane_counter(columns, sizes, len(labels)) if len(labels) >= least else None
+    count = lane_counter(columns, sizes, len(labels))
 
     def expand(item):
-        by_class, available, depth, parent, scored = item
+        by_class, available, depth, parent, tables = item
         counts = [*map(len, by_class)]
         n = sum(counts)
         # an empty branch becomes a leaf of its parent's majority and distribution
@@ -324,14 +310,7 @@ def _expander(schema: AttributeSchema, columns: Sequence[Sequence[int]], labels:
             or (config.max_depth is not None and depth >= config.max_depth)
         ):
             return Leaf(dist.majority(), n, dist), -1, ()
-        if scored:
-            keys = [*map(scored, available)]
-        else:
-            if n >= least:
-                tables = count(by_class, available)
-            else:
-                tables = [contingency(columns[p], by_class, sizes[p]) for p in available]
-            keys = score_node(tables, counts, n, ratio)
+        keys = score_node(tables or count(by_class, available), counts, n, ratio)
         best = available[keys.index(max(keys))]  # the first maximum in schema order wins ties
         column = columns[best]
         parts = [[[] for _ in classes] for _ in range(sizes[best])]  # each child's rows, by class
@@ -344,12 +323,11 @@ def _expander(schema: AttributeSchema, columns: Sequence[Sequence[int]], labels:
     return expand
 
 
-def _root_item(schema: AttributeSchema, by_class: Sequence[Sequence[int]], scored=None) -> tuple:
+def _root_item(schema: AttributeSchema, by_class: Sequence[Sequence[int]], tables=None) -> tuple:
     """The growth item of a tree's root over rows grouped by class (not all empty), every
-    attribute available. ``scored``, if given, maps a position to the key of the root's table
-    for that attribute, as ``node_scores`` gives it, from a table counted elsewhere; a node
-    without one counts its tables over its rows."""
-    return by_class, list(range(len(schema.attributes))), 0, None, scored
+    attribute available. ``tables``, if given, are the root's value x class tables in schema
+    order, counted elsewhere; a node without them counts its tables over its rows."""
+    return by_class, list(range(len(schema.attributes))), 0, None, tables
 
 
 def _subtree(node: DecisionNode) -> _Flat:

@@ -353,10 +353,7 @@ def test_leave_one_out_scores_each_distinct_table_once(students, monkeypatch, cr
     assert len(scored) == len(set(scored)) == distinct
 
 
-@pytest.mark.parametrize("least", [None, 16, 1])  # the row count from which nodes count by lanes
-def test_no_fold_root_counts_a_table(students, monkeypatch, least):
-    if least is not None:
-        monkeypatch.setattr(gradetree.tree, "_LANE_MIN_ROWS", least)
+def test_no_fold_root_counts_a_table(students, monkeypatch):
     depths = []  # the depth of the node being expanded at each count; None outside every node
     expanding = [None]
 
@@ -376,7 +373,7 @@ def test_no_fold_root_counts_a_table(students, monkeypatch, least):
         depths.append(expanding[0])
         return contingency(*args)
 
-    def lanes_counted(*args):  # a node of many rows counts all its tables in one call
+    def lanes_counted(*args):  # a node counts all its tables in one call
         count = lane_counter(*args)
 
         def tracked(by_class, positions):
@@ -389,8 +386,7 @@ def test_no_fold_root_counts_a_table(students, monkeypatch, least):
     expander = gradetree.evaluate._expander
     monkeypatch.setattr(gradetree.evaluate, "_expander", tracking_expander)
     monkeypatch.setattr(gradetree.tree, "lane_counter", lanes_counted)
-    for module in (gradetree.evaluate, gradetree.tree):
-        monkeypatch.setattr(module, "contingency", counted)
+    monkeypatch.setattr(gradetree.evaluate, "contingency", counted)
     assert leave_one_out(students).accuracy == FIXTURE_LOO_ACCURACY
     assert 0 not in depths
     assert depths.count(None) == len(students.schema.attributes)  # the full tables, once per call

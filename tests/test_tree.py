@@ -22,7 +22,7 @@ from gradetree.dataset import (
     load_students,
 )
 from gradetree.evaluate import accuracy
-from gradetree.metrics import score_all
+from gradetree.metrics import lane_counter, score_all
 from gradetree.rules import extract_rules
 from gradetree.tree import (
     Criterion,
@@ -144,33 +144,47 @@ def test_max_depth_caps_the_tree(students):
         assert isinstance(child, Leaf)
 
 
-def returned(function, run):
-    """``run()``'s result, and what each call of ``function`` returned while it ran, in call order,
-    however the function is bound (a default argument bound at definition is seen too)."""
-    values = []
+def returned(run, *functions):
+    """``run()``'s result, then for each function what each of its calls returned while it ran, in
+    call order, however the function is bound (a default argument bound at definition is seen too)."""
+    values = {function.__code__: [] for function in functions}
 
     def profile(frame, event, arg):
-        if event == "return" and frame.f_code is function.__code__:
-            values.append(arg)
+        if event == "return" and frame.f_code in values:
+            values[frame.f_code].append(arg)
 
     sys.setprofile(profile)
     try:
         result = run()
     finally:
         sys.setprofile(None)
-    return result, values
+    return result, *values.values()
 
 
-@pytest.mark.parametrize("least", [None, 1])  # the row count from which nodes count by lanes
 @pytest.mark.parametrize("criterion", list(Criterion))
-def test_growth_scores_each_node_in_one_call_and_never_a_table_alone(students, monkeypatch, least, criterion):
-    # a node's candidates share its class entropy: scoring tables one by one recomputed it for each
-    if least is not None:
-        monkeypatch.setattr(gradetree.tree, "_LANE_MIN_ROWS", least)
+def test_growth_scores_each_node_in_one_call_and_never_a_table_alone(students, monkeypatch, criterion):
+    # a node's candidates share its class entropy: scoring tables one by one recomputed it for each.
+    # Counting is one lane-counter sum per node too, never a pass per table
+    counted = []  # the positions each count call was asked for
+
+    def lanes_counted(*args):
+        count = lane_counter(*args)
+
+        def tracked(by_class, positions):
+            counted.append(len(positions))
+            return count(by_class, positions)
+
+        return tracked
+
+    monkeypatch.setattr(gradetree.tree, "lane_counter", lanes_counted)
     rng = random.Random(7)
     for dataset in [students] + [random_dataset(rng, contradiction_free=False) for _ in range(10)]:
-        tree, keys = returned(gradetree.metrics.node_scores, lambda: id3_build(dataset, TreeConfig(criterion)))
+        counted.clear()
+        tree, keys, tallied = returned(lambda: id3_build(dataset, TreeConfig(criterion)),
+                                       gradetree.metrics.node_scores, gradetree.metrics.contingency)
         assert len(keys) == sum(p >= 0 for p in tree._flat.positions)
+        assert counted == [*map(len, keys)]  # each node scores the tables of its one count call
+        assert tallied == []
 
 
 @pytest.mark.parametrize("criterion", list(Criterion))
@@ -179,7 +193,7 @@ def test_gains_shows_the_keys_that_pick_the_root(students, criterion):
     rng = random.Random(3)
     internal = 0
     for dataset in [students] + [random_dataset(rng, contradiction_free=False) for _ in range(10)]:
-        tree, keys = returned(gradetree.metrics.node_scores, lambda: id3_build(dataset, TreeConfig(criterion)))
+        tree, keys = returned(lambda: id3_build(dataset, TreeConfig(criterion)), gradetree.metrics.node_scores)
         scores = score_all(dataset)
         shown = [s.gain_ratio if criterion is Criterion.GAIN_RATIO else s.gain for s in scores]
         root = tree._flat.positions[0]
