@@ -391,3 +391,35 @@ def test_no_fold_root_counts_a_table(students, monkeypatch):
     assert 0 not in depths
     assert depths.count(None) == len(students.schema.attributes)  # the full tables, once per call
     assert len(depths) == len(students.schema.attributes) + 839 - 350  # every table but the 50 roots' 350
+
+
+@pytest.mark.parametrize("seed", [None, 1, 2, 3])  # the bundled table, then random ones
+def test_fold_roots_are_handed_the_tables_of_their_rows_sharing_every_unchanged_row(students, monkeypatch, seed):
+    dataset = students if seed is None else random_dataset(random.Random(seed), contradiction_free=False)
+    assert len(dataset) >= 2
+    *columns, _ = dataset._codes
+    sizes = [len(a.domain) for a in dataset.schema.attributes]
+    roots = []
+
+    def recording_expander(*args):
+        expand = expander(*args)
+
+        def recorded(item):
+            if item[2] == 0:
+                roots.append(item)
+            return expand(item)
+
+        return recorded
+
+    expander = gradetree.evaluate._expander
+    monkeypatch.setattr(gradetree.evaluate, "_expander", recording_expander)
+    assert tuple(leave_one_out(dataset)) == leave_one_out_per_fold_dataset(dataset, TreeConfig())
+    assert len(roots) == len(dataset)
+    rows = {}  # (attribute, value) -> the ids of that table row in the folds whose held-out row lacks the value
+    for i, (by_class, _, _, _, tables) in enumerate(roots):
+        assert [[*map(list, t)] for t in tables] == [contingency(c, by_class, n) for c, n in zip(columns, sizes)]
+        for a, table in enumerate(tables):
+            for v, row in enumerate(table):
+                if v != columns[a][i]:
+                    rows.setdefault((a, v), set()).add(id(row))
+    assert all(len(ids) == 1 for ids in rows.values())  # one row object, shared by every fold that keeps it

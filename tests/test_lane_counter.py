@@ -1,13 +1,19 @@
-"""The lane counter gives ``contingency``'s tables.
+"""The lane counter gives ``contingency``'s tables, and growth gives the same model when it counts by either.
 
 Every node of a build or of a leave-one-out fold path counts its tables with
 ``metrics.lane_counter``; ``metrics.contingency`` counts once over all rows, for ``score_all``
 and leave-one-out's full tables, and is the reference the lanes are held to here."""
 
+import random
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import gradetree.tree
+from gradetree.dataset import Attribute, AttributeSchema, Dataset, Record
+from gradetree.evaluate import leave_one_out
 from gradetree.metrics import contingency, lane_counter
+from gradetree.tree import Criterion, TreeConfig, id3_build, save_model
 
 
 def by_class(labels, rows, n_classes):
@@ -62,3 +68,41 @@ def test_one_value_holding_every_row_fills_its_lane_where_the_width_grows_to_two
 def test_one_attribute_counts_every_row_where_the_width_grows_to_four_bytes(n_rows):
     columns, labels = [[0] * n_rows], [1] * n_rows
     assert_counts_as_contingency(columns, [2], labels, 2, range(n_rows), [0])
+
+
+def wide_dataset(seed, n_rows=5000, n_attributes=20):
+    """A seeded table whose label is a noisy function of three attributes, domains of 3 to 5 values."""
+    rng = random.Random(seed)
+    attributes = tuple(Attribute(f"A{i:02d}", tuple(f"v{j}" for j in range(3 + i % 3))) for i in range(n_attributes))
+    classes = ("k0", "k1", "k2", "k3")
+    relevant = rng.sample(range(n_attributes), 3)
+    label_of = {}
+    records = []
+    for _ in range(n_rows):
+        values = [rng.choice(a.domain) for a in attributes]
+        label = label_of.setdefault(tuple(values[i] for i in relevant), rng.choice(classes))
+        if rng.random() < 0.2:
+            label = rng.choice(classes)
+        records.append(Record(dict(zip((a.name for a in attributes), values)), label))
+    return Dataset(AttributeSchema(attributes, Attribute("CLASS", classes)), tuple(records))
+
+
+def contingency_counter(columns, sizes, n_rows):
+    """A counter with ``lane_counter``'s signature that counts each table by ``contingency``."""
+    return lambda by_class, positions: [contingency(columns[p], by_class, sizes[p]) for p in positions]
+
+
+def test_lanes_and_contingency_grow_the_same_model_files_and_leave_one_out(students, monkeypatch, tmp_path):
+    wide = wide_dataset(11)
+    configs = [TreeConfig(c, max_depth=d) for c in Criterion for d in (4, None)]
+    results = []
+    for name, counter in (("lanes", lane_counter), ("contingency", contingency_counter)):
+        monkeypatch.setattr(gradetree.tree, "lane_counter", counter)
+        files = []
+        for k, config in enumerate(configs):
+            path = tmp_path / f"{name}.{k}.json"
+            save_model(id3_build(wide, config), path)
+            files.append(path.read_bytes())
+        results.append((files, [leave_one_out(students, TreeConfig(c)) for c in Criterion]))
+    assert results[0] == results[1]
+    assert results[0][1][0].accuracy == 0.52

@@ -22,7 +22,7 @@ from gradetree.dataset import (
     load_students,
 )
 from gradetree.evaluate import accuracy
-from gradetree.metrics import lane_counter, score_all
+from gradetree.metrics import contingency, lane_counter, score_all
 from gradetree.rules import extract_rules
 from gradetree.tree import (
     Criterion,
@@ -185,6 +185,35 @@ def test_growth_scores_each_node_in_one_call_and_never_a_table_alone(students, m
         assert len(keys) == sum(p >= 0 for p in tree._flat.positions)
         assert counted == [*map(len, keys)]  # each node scores the tables of its one count call
         assert tallied == []
+
+
+@pytest.mark.parametrize("criterion", list(Criterion))
+def test_a_node_handed_its_tables_splits_by_them_and_counts_none(students, monkeypatch, criterion):
+    counts = []  # the positions of each count call
+
+    def lanes_counted(*args):
+        count = lane_counter(*args)
+
+        def tracked(by_class, positions):
+            counts.append([*positions])
+            return count(by_class, positions)
+
+        return tracked
+
+    monkeypatch.setattr(gradetree.tree, "lane_counter", lanes_counted)
+    schema = students.schema
+    *columns, labels = students._codes
+    by_class = gradetree.metrics._by_class(labels, len(schema.class_domain))
+    expand = gradetree.tree._expander(schema, columns, labels, TreeConfig(criterion))
+    counted = expand(gradetree.tree._root_item(schema, by_class))
+    assert counts == [[*range(len(schema.attributes))]]
+    tables = [contingency(column, by_class, len(a.domain)) for a, column in zip(schema.attributes, columns)]
+    assert expand(gradetree.tree._root_item(schema, by_class, tables)) == counted
+    best = counted[1]
+    tables[best] = [[*map(len, by_class)]] + [[0] * len(by_class)] * (len(tables[best]) - 1)  # one value: no gain
+    _, other, _ = expand(gradetree.tree._root_item(schema, by_class, tables))
+    assert other != best
+    assert counts == [[*range(len(schema.attributes))]]  # a node handed its tables counts none
 
 
 @pytest.mark.parametrize("criterion", list(Criterion))
