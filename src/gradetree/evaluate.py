@@ -8,7 +8,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .dataset import Dataset, _FrozenDict
 from .metrics import _by_class, contingency, node_scores
-from .tree import DecisionTree, TreeConfig, _class_labels, _code_rows, _expander, _root_item, _route
+from .tree import DecisionTree, TreeConfig, _class_labels, _code_rows, _growth, _root_item, _route
 
 __all__ = ["ConfusionMatrix", "LooResult", "accuracy", "confusion", "leave_one_out"]
 
@@ -85,15 +85,16 @@ def leave_one_out(dataset: Dataset, config: TreeConfig | None = None) -> LooResu
 
     A desk-scale substitute for a held-out test set; the aggregate
     accuracy is this repo's documented baseline for the bundled fixture.
-    No fold grows a whole tree: the held-out row descends by its codes
-    while the nodes on its path are expanded, by the rule ``id3_build``
-    uses, over the row indices of the other records grouped by class. The
-    leaf it reaches is the one the whole fold tree would route it to.
+    No fold grows a whole tree, and no node is split: the held-out row
+    descends by its codes through only the children it reaches, each
+    decided by the step ``id3_build`` uses, over the row indices of the
+    other records grouped by class. The leaf it reaches is the one the
+    whole fold tree would route it to.
     A fold root's rows are the full grouping less the held-out row, which
     changes only that row's class list; the others are shared by every
-    fold, as no expansion changes a list. A fold root's tables are not
-    counted: its item carries the full tables, counted once per call, less
-    the held-out row's cell. Folds repeat tables, so one call scores each
+    fold, as no step changes a list. A fold root's tables are not
+    counted: ``decide`` is handed the full tables, counted once per call,
+    less the held-out row's cell. Folds repeat tables, so one call scores each
     distinct table once, alone, by ``node_scores``, and reuses its key: a
     table's key depends only on its contents, so it is the float it gets
     among its node's candidates.
@@ -115,7 +116,7 @@ def leave_one_out(dataset: Dataset, config: TreeConfig | None = None) -> LooResu
             keys.append(key)
         return keys
 
-    expand = _expander(schema, columns, labels, config, score_node)
+    decide, _ = _growth(schema, columns, labels, config, score_node)
     grouped = _by_class(labels, len(schema.class_domain))  # fold i's rows are these less row i
     full = [contingency(column, grouped, len(a.domain)) for a, column in zip(schema.attributes, columns)]
     predicted = []
@@ -127,9 +128,13 @@ def leave_one_out(dataset: Dataset, config: TreeConfig | None = None) -> LooResu
         for table, column in zip(tables, columns):
             row = table[column[i]] = [*table[column[i]]]
             row[c] -= 1
-        node, p, items = expand(_root_item(schema, by_class, tables))
-        while p >= 0:
-            node, p, items = expand(items[columns[p][i]])
+        node, best = decide(item := _root_item(schema, by_class), tables)
+        while best >= 0:  # build the child row i reaches, and no other
+            by_class, available, depth, _ = item
+            column = columns[best]
+            item = ([[r for r in rows if column[r] == column[i]] for rows in by_class],
+                    [p for p in available if p != best], depth + 1, node)
+            node, best = decide(item)
         predicted.append(node.label)
     matrix = _confusion(schema.class_domain, _class_labels(dataset), predicted)
     return LooResult(matrix.accuracy, matrix)

@@ -14,14 +14,15 @@ rows once (``metrics._by_class``), and each node's split hands its
 children their rows already grouped. Every node counts its candidates'
 value x class tables in one call of ``metrics.lane_counter``, one sum of
 each class's rows, and one ``metrics.node_scores`` call scores them all,
-from the node's class entropy computed once. One pass over each class's
-rows splits the winner's rows into its children's class lists. One
-expander (``_expander``) holds that rule, and a node depends only on the
-nodes along its own path. So leave-one-out grows no whole fold: it
-expands only the held-out row's path, from the same codes less that row,
-until the row reaches a leaf. A fold root's tables are not counted: each
-is the full table less that row's cell, and its root item carries them
-(``tables``). Folds repeat tables, so leave-one-out's expander scores
+from the node's class entropy computed once. Growth is two steps
+(``_growth``): ``decide`` applies the stop rules or names the winner, and
+``split`` fills every child's class lists in one pass over each class's
+rows; ``id3_build`` decides, then splits. A node depends only on the
+nodes along its own path, so leave-one-out grows no whole fold and never
+splits: it decides down the held-out row's path, from the same codes less
+that row, building only the child the row reaches. A fold root's tables
+are not counted: each is the full table less that row's cell, handed to
+``decide``. Folds repeat tables, so leave-one-out's ``decide`` scores
 each distinct table once per call, alone, which gives the float it gets
 among its node's candidates; a build's tables do not repeat, and
 ``id3_build`` scores each as counted.
@@ -175,7 +176,12 @@ def id3_build(dataset: Dataset, config: TreeConfig | None = None) -> DecisionTre
         raise ValueError("cannot build a tree from an empty dataset")
     schema = dataset.schema
     *columns, labels = dataset._codes
-    expand = _expander(schema, columns, labels, config)
+    decide, split = _growth(schema, columns, labels, config)
+
+    def expand(item):  # decide, then split
+        node, best = decide(item)
+        return (node, best, ()) if best < 0 else (None, best, split(item, node, best))
+
     root = _root_item(schema, _by_class(labels, len(schema.class_domain)))
     return DecisionTree(_preorder(root, expand), schema, config, len(dataset))
 
@@ -280,16 +286,17 @@ def _class_labels(dataset: Dataset) -> list[str]:
     return [classes[c] for c in dataset._codes[-1]]
 
 
-def _expander(schema: AttributeSchema, columns: Sequence[Sequence[int]], labels: Sequence[int],
-              config: TreeConfig, score_node=node_scores):
-    """The growth rule, as an ``expand`` for ``_preorder``, given every attribute's code
-    column in schema order and the label codes; ``score_node`` takes a node's candidate
-    tables, class counts, size and whether to score by ratio, and gives each candidate's
-    key as ``node_scores`` does (leave-one-out passes one that scores each distinct table once).
-    An item (see ``_root_item``) is a node's rows grouped by class, the schema positions still
-    available on its path, its depth, its parent's distribution and its ``tables``, so the node
-    it yields depends only on the nodes along its own path. Items never change their lists: a
-    node's class lists are what the lane counter sums, and its split fills its children's."""
+def _growth(schema: AttributeSchema, columns: Sequence[Sequence[int]], labels: Sequence[int],
+            config: TreeConfig, score_node=node_scores):
+    """The growth rule as two steps, given every attribute's code column in schema order and the
+    label codes. ``decide(item, tables=None)`` gives a node's ``Leaf`` and -1 where growth stops,
+    else its distribution and the winner's position; ``tables``, if given, are the node's tables
+    over its available positions, counted elsewhere. ``split(item, dist, best)`` gives every child's
+    item in domain order. ``score_node`` takes what ``node_scores`` takes and gives each candidate's
+    key as it does (leave-one-out passes one that scores each distinct table once).
+    An item (see ``_root_item``) is a node's rows grouped by class, the positions still available on
+    its path, its depth and its parent's distribution, so a node depends only on the nodes along its
+    own path. Items never change their lists: the lane counter sums a node's, and its split fills its children's."""
     if not schema.attributes:
         raise ValueError("schema declares no predictor attributes")
     sizes = [len(a.domain) for a in schema.attributes]
@@ -297,8 +304,8 @@ def _expander(schema: AttributeSchema, columns: Sequence[Sequence[int]], labels:
     ratio = config.criterion is Criterion.GAIN_RATIO
     count = lane_counter(columns, sizes, len(labels))
 
-    def expand(item):
-        by_class, available, depth, parent, tables = item
+    def decide(item, tables=None):
+        by_class, available, depth, parent = item
         counts = [*map(len, by_class)]
         n = sum(counts)
         # an empty branch becomes a leaf of its parent's majority and distribution
@@ -309,25 +316,26 @@ def _expander(schema: AttributeSchema, columns: Sequence[Sequence[int]], labels:
             or not available
             or (config.max_depth is not None and depth >= config.max_depth)
         ):
-            return Leaf(dist.majority(), n, dist), -1, ()
+            return Leaf(dist.majority(), n, dist), -1
         keys = score_node(tables or count(by_class, available), counts, n, ratio)
-        best = available[keys.index(max(keys))]  # the first maximum in schema order wins ties
+        return dist, available[keys.index(max(keys))]  # the first maximum in schema order wins ties
+
+    def split(item, dist, best):
+        by_class, available, depth, _ = item
         column = columns[best]
         parts = [[[] for _ in classes] for _ in range(sizes[best])]  # each child's rows, by class
         for c, rows in enumerate(by_class):
             for r in rows:
                 parts[column[r]][c].append(r)
         remaining = [p for p in available if p != best]
-        return None, best, [(part, remaining, depth + 1, dist, None) for part in parts]
+        return [(part, remaining, depth + 1, dist) for part in parts]
 
-    return expand
+    return decide, split
 
 
-def _root_item(schema: AttributeSchema, by_class: Sequence[Sequence[int]], tables=None) -> tuple:
-    """The growth item of a tree's root over rows grouped by class (not all empty), every
-    attribute available. ``tables``, if given, are the root's value x class tables in schema
-    order, counted elsewhere; a node without them counts its tables over its rows."""
-    return by_class, list(range(len(schema.attributes))), 0, None, tables
+def _root_item(schema: AttributeSchema, by_class: Sequence[Sequence[int]]) -> tuple:
+    """The growth item of a tree's root over rows grouped by class (not all empty), every attribute available."""
+    return by_class, list(range(len(schema.attributes))), 0, None
 
 
 def _subtree(node: DecisionNode) -> _Flat:

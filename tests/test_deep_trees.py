@@ -262,17 +262,17 @@ def test_train_grows_no_node_deeper_than_one_level_past_the_limit(tmp_path, monk
     labeled, schema, _ = write_table(tmp_path, dataset)
     depths = []
 
-    def recording_expander(*args):
-        expand = expander(*args)
+    def recording_growth(*args):
+        decide, split = growth(*args)
 
-        def recorded(item):
+        def recorded(item, *tables):
             depths.append(item[2])
-            return expand(item)
+            return decide(item, *tables)
 
-        return recorded
+        return recorded, split
 
-    expander = tree_module._expander
-    monkeypatch.setattr(tree_module, "_expander", recording_expander)
+    growth = tree_module._growth
+    monkeypatch.setattr(tree_module, "_growth", recording_growth)
     monkeypatch.setattr(tree_module, "MAX_MODEL_DEPTH", limit)
     model = tmp_path / "model.json"
     code, out, err = run(["train", "--data", str(labeled), "--schema", str(schema), "--out", str(model)])

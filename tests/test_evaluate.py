@@ -22,6 +22,7 @@ from gradetree.tree import (
     model_to_json_dict,
     predict,
     prune,
+    tree_stats,
 )
 
 # Baseline numbers for the bundled fixture, frozen from a run of the
@@ -318,23 +319,90 @@ def test_a_held_out_row_that_reaches_an_empty_branch_gets_the_fold_roots_majorit
 def test_no_fold_expands_more_than_one_path(students, monkeypatch):
     folds = []
 
-    def counting_expander(*args):
-        expand = expander(*args)
+    def counting_growth(*args):
+        decide, split = growth(*args)
 
-        def counted(item):
+        def counted(item, *tables):
             if item[2] == 0:  # a root item starts the next fold
                 folds.append(0)
             folds[-1] += 1
-            return expand(item)
+            return decide(item, *tables)
 
-        return counted
+        return counted, split
 
-    expander = gradetree.evaluate._expander
-    monkeypatch.setattr(gradetree.evaluate, "_expander", counting_expander)
+    growth = gradetree.evaluate._growth
+    monkeypatch.setattr(gradetree.evaluate, "_growth", counting_growth)
     assert leave_one_out(students).accuracy == FIXTURE_LOO_ACCURACY
     assert len(folds) == len(students)
     assert max(folds) <= len(students.schema.attributes) + 1
     assert sum(folds) == 189  # the 50 whole fold trees hold 2,574 nodes
+
+
+@pytest.mark.parametrize("criterion", list(Criterion))
+@pytest.mark.parametrize("support, depth", [(0, None), (3, None), (0, 2), (3, 2)])
+def test_leave_one_out_builds_only_the_child_its_row_reaches(students, monkeypatch, criterion, support, depth):
+    steps = []  # each decision: the item decided and what decide gave
+    splits, split_calls = [], []  # the split each call of leave_one_out got, and the calls of any
+
+    def recording_growth(*args):
+        decide, split = growth(*args)
+
+        def recorded(item, *tables):
+            steps.append((item, decided := decide(item, *tables)))
+            return decided
+
+        def counted(*args):
+            split_calls.append(args)
+            return split(*args)
+
+        splits.append(split)
+        return recorded, counted
+
+    growth = gradetree.evaluate._growth
+    monkeypatch.setattr(gradetree.evaluate, "_growth", recording_growth)
+    config = TreeConfig(criterion, support, depth)
+    rng = random.Random(5)
+    for dataset in [students] + [random_dataset(rng, contradiction_free=False) for _ in range(6)]:
+        if len(dataset) < 2:
+            continue
+        steps.clear()
+        splits.clear()
+        leave_one_out(dataset, config)
+        (split,) = splits
+        assert split_calls == []
+        *columns, _ = dataset._codes
+        starts = [k for k, (item, _) in enumerate(steps) if item[2] == 0]
+        assert len(starts) == len(dataset)
+        for i, (start, end) in enumerate(zip(starts, starts[1:] + [len(steps)])):
+            path = steps[start:end]
+            assert [best < 0 for _, (_, best) in path] == [False] * (len(path) - 1) + [True]
+            for (item, (dist, best)), (child, _) in zip(path, path[1:]):
+                assert child == split(item, dist, best)[columns[best][i]]
+
+
+@pytest.mark.parametrize("criterion, stats, loo", [(Criterion.GAIN, (35, 53, 5), 0.54),
+                                                   (Criterion.GAIN_RATIO, (36, 56, 6), 0.48)])
+def test_a_root_forced_onto_psm_grows_and_holds_out_as_pinned(students, monkeypatch, criterion, stats, loo):
+    psm = students.schema.attribute_names.index("PSM")
+
+    def forcing_growth(*args):  # every root that splits splits on PSM; every other node decides as before
+        decide, split = growth(*args)
+
+        def forced(item, *tables):
+            node, best = decide(item, *tables)
+            return (node, psm) if item[2] == 0 and best >= 0 else (node, best)
+
+        return forced, split
+
+    growth = gradetree.tree._growth
+    monkeypatch.setattr(gradetree.tree, "_growth", forcing_growth)
+    monkeypatch.setattr(gradetree.evaluate, "_growth", forcing_growth)
+    config = TreeConfig(criterion)
+    tree = id3_build(students, config)
+    assert tree.root.attribute == "PSM"
+    assert tuple(tree_stats(tree)) == stats
+    assert leave_one_out(students, config).accuracy == loo
+    assert tuple(leave_one_out(students, config)) == leave_one_out_per_fold_dataset(students, config)
 
 
 @pytest.mark.parametrize("criterion, distinct", [(Criterion.GAIN, 305), (Criterion.GAIN_RATIO, 364)])
@@ -357,17 +425,17 @@ def test_no_fold_root_counts_a_table(students, monkeypatch):
     depths = []  # the depth of the node being expanded at each count; None outside every node
     expanding = [None]
 
-    def tracking_expander(*args):
-        expand = expander(*args)
+    def tracking_growth(*args):
+        decide, split = growth(*args)
 
-        def tracked(item):
+        def tracked(item, *tables):
             expanding[0] = item[2]
             try:
-                return expand(item)
+                return decide(item, *tables)
             finally:
                 expanding[0] = None
 
-        return tracked
+        return tracked, split
 
     def counted(*args):
         depths.append(expanding[0])
@@ -383,8 +451,8 @@ def test_no_fold_root_counts_a_table(students, monkeypatch):
 
         return tracked
 
-    expander = gradetree.evaluate._expander
-    monkeypatch.setattr(gradetree.evaluate, "_expander", tracking_expander)
+    growth = gradetree.evaluate._growth
+    monkeypatch.setattr(gradetree.evaluate, "_growth", tracking_growth)
     monkeypatch.setattr(gradetree.tree, "lane_counter", lanes_counted)
     monkeypatch.setattr(gradetree.evaluate, "contingency", counted)
     assert leave_one_out(students).accuracy == FIXTURE_LOO_ACCURACY
@@ -401,22 +469,22 @@ def test_fold_roots_are_handed_the_tables_of_their_rows_sharing_every_unchanged_
     sizes = [len(a.domain) for a in dataset.schema.attributes]
     roots = []
 
-    def recording_expander(*args):
-        expand = expander(*args)
+    def recording_growth(*args):
+        decide, split = growth(*args)
 
-        def recorded(item):
+        def recorded(item, tables=None):
             if item[2] == 0:
-                roots.append(item)
-            return expand(item)
+                roots.append((item, tables))
+            return decide(item, tables)
 
-        return recorded
+        return recorded, split
 
-    expander = gradetree.evaluate._expander
-    monkeypatch.setattr(gradetree.evaluate, "_expander", recording_expander)
+    growth = gradetree.evaluate._growth
+    monkeypatch.setattr(gradetree.evaluate, "_growth", recording_growth)
     assert tuple(leave_one_out(dataset)) == leave_one_out_per_fold_dataset(dataset, TreeConfig())
     assert len(roots) == len(dataset)
     rows = {}  # (attribute, value) -> the ids of that table row in the folds whose held-out row lacks the value
-    for i, (by_class, _, _, _, tables) in enumerate(roots):
+    for i, ((by_class, _, _, _), tables) in enumerate(roots):
         assert [[*map(list, t)] for t in tables] == [contingency(c, by_class, n) for c, n in zip(columns, sizes)]
         for a, table in enumerate(tables):
             for v, row in enumerate(table):

@@ -204,16 +204,42 @@ def test_a_node_handed_its_tables_splits_by_them_and_counts_none(students, monke
     schema = students.schema
     *columns, labels = students._codes
     by_class = gradetree.metrics._by_class(labels, len(schema.class_domain))
-    expand = gradetree.tree._expander(schema, columns, labels, TreeConfig(criterion))
-    counted = expand(gradetree.tree._root_item(schema, by_class))
+    decide, _ = gradetree.tree._growth(schema, columns, labels, TreeConfig(criterion))
+    root = gradetree.tree._root_item(schema, by_class)
+    counted = decide(root)
     assert counts == [[*range(len(schema.attributes))]]
     tables = [contingency(column, by_class, len(a.domain)) for a, column in zip(schema.attributes, columns)]
-    assert expand(gradetree.tree._root_item(schema, by_class, tables)) == counted
+    assert decide(root, tables) == counted
     best = counted[1]
     tables[best] = [[*map(len, by_class)]] + [[0] * len(by_class)] * (len(tables[best]) - 1)  # one value: no gain
-    _, other, _ = expand(gradetree.tree._root_item(schema, by_class, tables))
+    _, other = decide(root, tables)
     assert other != best
     assert counts == [[*range(len(schema.attributes))]]  # a node handed its tables counts none
+
+
+def test_decide_stops_growth_for_each_reason_and_otherwise_names_the_winner():
+    schema = AttributeSchema(
+        (Attribute("A", ("a", "b", "c")), Attribute("B", ("x", "y"))), Attribute("Y", ("p", "q"))
+    )
+    rows = [(("a", "x"), "p"), (("a", "y"), "p"), (("b", "x"), "q"), (("b", "y"), "q"), (("c", "x"), "q")]
+    *columns, labels = make_dataset(schema, rows)._codes
+
+    def decide(item, **config):
+        return gradetree.tree._growth(schema, columns, labels, TreeConfig(**config))[0](item)
+
+    mixed = [[0, 1], [2, 3, 4]]  # every row, grouped by class
+    dist = ClassDistribution({"p": 2, "q": 3}, 5)
+    assert decide((mixed, [0, 1], 0, None)) == (dist, 0)  # A separates the classes, B does not
+    assert decide((mixed, [1], 0, None)) == (dist, 1)
+    pure = ClassDistribution({"p": 0, "q": 3}, 3)
+    assert decide(([[], [2, 3, 4]], [0, 1], 1, dist)) == (Leaf("q", 3, pure), -1)
+    assert decide((mixed, [], 2, None)) == (Leaf("q", 5, dist), -1)  # attributes exhausted
+    assert decide((mixed, [0, 1], 2, None), max_depth=2) == (Leaf("q", 5, dist), -1)
+    assert decide((mixed, [0, 1], 2, None), max_depth=3) == (dist, 0)
+    assert decide((mixed, [0, 1], 0, None), min_leaf_support=6) == (Leaf("q", 5, dist), -1)
+    assert decide((mixed, [0, 1], 0, None), min_leaf_support=5) == (dist, 0)
+    parent = ClassDistribution({"p": 2, "q": 1}, 3)  # an empty branch: support 0, its parent's distribution
+    assert decide(([[], []], [1], 1, parent)) == (Leaf("p", 0, parent), -1)
 
 
 @pytest.mark.parametrize("criterion", list(Criterion))
