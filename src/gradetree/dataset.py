@@ -6,10 +6,12 @@ as the class. A ``Dataset`` holds the table as one tuple of codes, a
 column of domain indices per attribute, then one of class indices; its
 ``records`` are a view built from them when first read. ``load_csv``
 encodes the rows it reads straight into those columns, so a table only
-trained on, scored or evaluated never builds a record. Every CSV is read
-from its header through one chunk loop (``_chunks``), and every row the
-package reads, from a record or a labeled or predictor-only CSV, is
-checked by one encoder (``_encode``). Every file the package writes goes
+trained on, scored or evaluated never builds a record. A plain labeled
+file is read by string splits (``_plain_codes``); every other CSV, and a
+labeled file found not plain, is read from its header by ``csv.reader``
+through one chunk loop (``_chunks``), the only source of a read error.
+Every row that loop reads, and every record, is checked by one encoder
+(``_encode``). Every file the package writes goes
 through one atomic writer (``_atomic_output``); ``dump_csv`` writes a row
 at a time. The bundled 50-student table ships with the package
 (``load_students``) together with its schema sidecar.
@@ -29,7 +31,7 @@ import tempfile
 from contextlib import closing, contextmanager, nullcontext
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice
+from itertools import chain, islice, repeat
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -284,22 +286,28 @@ class Dataset:
 
 def _record_rows(schema: AttributeSchema, records: Iterable[Record]) -> list[tuple[str, ...]]:
     """Each record as the row ``load_csv`` would read: its cells in schema order, then its label.
-    At the first record whose names (its key view) are not the schema's, the rows before it are
-    encoded first, so a bad cell or label among them is raised before the mismatch."""
+    At the first record whose names are not the schema's (it has as many, and each of the
+    schema's), the rows before it are encoded first, so a bad cell or label among them is raised
+    before the mismatch."""
     names = schema.attribute_names
-    expected = set(names)
+    # itemgetter reads many keys fastest, but of one key it returns the bare value
+    cells = itemgetter(*names) if len(names) > 1 else lambda values: tuple(map(values.__getitem__, names))
     rows = []
     for rec in records:
         values = rec.values
-        if values.keys() != expected:
-            _encode(schema, rows)
-            keys, n = values.keys(), len(rows) + 1
-            raise ValidationError(
-                f"row {n}: record attributes do not match schema "
-                f"(missing={sorted(expected - keys, key=str)}, unexpected={sorted(keys - expected, key=str)})",
-                row=n,
-            )
-        rows.append((*[values[name] for name in names], rec.label))
+        if len(values) == len(names):
+            try:
+                rows.append((*cells(values), rec.label))
+                continue
+            except KeyError:
+                pass
+        _encode(schema, rows)
+        expected, keys, n = set(names), values.keys(), len(rows) + 1
+        raise ValidationError(
+            f"row {n}: record attributes do not match schema "
+            f"(missing={sorted(expected - keys, key=str)}, unexpected={sorted(keys - expected, key=str)})",
+            row=n,
+        )
     return rows
 
 
@@ -485,26 +493,70 @@ def load_csv(path, schema: AttributeSchema, missing_token: str | None = None) ->
 
     Empty cells are rejected unless ``missing_token`` is given, in which
     case they are read as that label and still face domain validation:
-    the load only succeeds if the token is declared in the domain. Rows
-    are read and encoded a chunk at a time (``_chunks``), and the error of
-    a bad file is that of its first bad row, whatever its kind.
+    the load only succeeds if the token is declared in the domain. A plain
+    regular file is read by string splits (``_plain_codes``); any other file,
+    or one found not plain part-way, is read from its header by ``csv.reader``
+    a chunk at a time (``_chunks``). So every error comes from the csv reader,
+    and the error of a bad file is that of its first bad row, whatever its kind.
     """
     columns = schema.attribute_names + (schema.class_name,)
-    codes = [[] for _ in columns]
-    # only each chunk's codes are kept, so its rows are freed before the next chunk is read
-    for chunk in map(itemgetter(1), _chunks(path, schema, columns, missing_token)):
-        for column, part in zip(codes, chunk):
-            column += part
+    codes = _plain_codes(path, schema, columns)
+    if codes is None:
+        codes = [[] for _ in columns]
+        # only each chunk's codes are kept, so its rows are freed before the next chunk is read
+        for chunk in map(itemgetter(1), _chunks(path, schema, columns, missing_token)):
+            for column, part in zip(codes, chunk):
+                column += part
     return Dataset(schema, _Codes(map(tuple, codes)))
 
 
-_CHUNK_ROWS = 4096  # rows ``_chunks`` reads and encodes at a time
+_CHUNK_ROWS = 1024  # lines a reader reads and encodes at a time
+
+
+def _plain_codes(path, schema: AttributeSchema, columns: Sequence[str]) -> list[list[int]] | None:
+    """The code columns of the labeled CSV at ``path`` when it is plain, else None.
+
+    A plain file is a regular UTF-8 file named by a path (byte-order mark skipped) with no
+    quote, whose header names each of ``columns`` once, in any order, and whose every line, read
+    with universal newlines as ``csv.reader`` splits lines, holds one cell per column between
+    commas, each a label of its column's domain. Such a file reads as ``csv.reader`` reads it:
+    the schema has no empty label (an empty cell is a missing value), none with NUL (which
+    ``csv.reader`` refuses before Python 3.11) and none longer than ``csv.field_size_limit()``.
+    Each chunk of ``_CHUNK_ROWS`` lines is split into cells at once and encoded a column at a
+    time. None at the first doubt, so the file is read again, and any error raised, by the
+    csv reader; a descriptor or a pipe could not be read again, so it is not tried.
+    """
+    domains = [a.domain for a in schema.attributes] + [schema.class_domain]
+    texts = [*columns, *chain(*domains)]
+    if "" in texts or "\0" in "".join(texts) or max(map(len, texts)) > csv.field_size_limit():
+        return None
+    k, codes = len(columns), [[] for _ in columns]
+    try:
+        if isinstance(path, int) or not stat.S_ISREG(os.stat(path).st_mode):
+            return None
+        with open(path, encoding="utf-8-sig") as source:
+            line = next(source, "")
+            header = line.removesuffix("\n").split(",")
+            if '"' in line or len(header) != k or set(header) != set(columns):
+                return None
+            positions = list(map(header.index, columns))
+            while lines := list(islice(source, _CHUNK_ROWS)):
+                body = "".join(lines)
+                if '"' in body or {*map(str.count, lines, repeat(","))} != {k - 1}:
+                    return None
+                cells, stop = body.replace("\n", ",").split(","), len(lines) * k
+                for column, p, domain in zip(codes, positions, domains):
+                    column += _codes(cells[p:stop:k], domain)
+    except (OSError, ValueError, TypeError, KeyError):  # KeyError: a cell outside its domain
+        return None  # the csv reader raises what it meets, as it would have from the start
+    return codes
 
 
 def _chunks(path, schema: AttributeSchema, columns: Sequence[str], missing_token: str | None) -> Iterator[tuple]:
     """Yield ``(rows, codes)`` for each chunk of up to ``_CHUNK_ROWS`` rows that ``_read_rows``
     reads from the UTF-8 CSV at ``path``, byte-order mark skipped: ``columns`` are the
     attribute names, then the class name in a labeled file, and ``codes`` are ``_encode``'s.
+    This is the package's one csv reader: every error in reading a CSV is raised here.
 
     A row the reader rejects (ragged, or with an empty cell) is raised only after the rows
     before it are encoded, and ``_encode`` raises at the first bad cell or label (row 1 being

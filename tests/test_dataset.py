@@ -341,17 +341,27 @@ def raised(call, *args):
 def check_file_readers(directory, schema, records):
     """``records`` written by ``csv.writer`` as a labeled and a predictor-only CSV: ``load_csv``
     raises what the row scan raises on them, and ``load_unlabeled_csv`` what it raises on
-    them with every label valid, each message after the file's name."""
+    them with every label valid, each message after the file's name. The labeled file is also
+    written with LF line ends, and with LF line ends and its last row's first cell quoted, so
+    ``load_csv`` reads it by both of its paths, and each copy raises the same."""
     names = schema.attribute_names
     rows = [[*map(rec.values.__getitem__, names), rec.label] for rec in records]
-    labeled, unlabeled = directory / "labeled.csv", directory / "unlabeled.csv"
-    for path, lines in [(labeled, [[*names, schema.class_name], *rows]), (unlabeled, [names, *(r[:-1] for r in rows)])]:
+    labeled, unlabeled, lf, quoted = (directory / f"{kind}.csv" for kind in ("labeled", "unlabeled", "lf", "quoted"))
+    for path, lines, end in [(labeled, [[*names, schema.class_name], *rows], "\r\n"),
+                             (lf, [[*names, schema.class_name], *rows], "\n"),
+                             (unlabeled, [names, *(r[:-1] for r in rows)], "\r\n")]:
         with open(path, "w", newline="", encoding="utf-8") as fh:
-            csv.writer(fh).writerows(lines)
+            csv.writer(fh, lineterminator=end).writerows(lines)
+    head, last = lf.read_text(encoding="utf-8").rstrip("\n").rsplit("\n", 1)
+    quoted.write_text(f'{head}\n"{last.replace(",", chr(34) + ",", 1)}\n', encoding="utf-8")
     valid = [Record(rec.values, schema.class_domain[0]) for rec in records]
-    for load, path, scan in [(load_csv, labeled, raised(ref.check, schema, records)),
+    labeled_scan = raised(ref.check, schema, records)
+    for load, path, scan in [(load_csv, labeled, labeled_scan), (load_csv, lf, labeled_scan),
+                             (load_csv, quoted, labeled_scan),
                              (load_unlabeled_csv, unlabeled, raised(ref.check, schema, valid))]:
         assert raised(load, path, schema) == (scan and (f"{path}: {scan[0]}", *scan[1:]))
+    if labeled_scan is None:
+        assert load_csv(labeled, schema)._codes == load_csv(lf, schema)._codes == load_csv(quoted, schema)._codes
 
 
 @settings(max_examples=300, deadline=None)
