@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .dataset import Dataset, _FrozenDict
-from .metrics import _by_class, contingency, node_scores
+from .metrics import _by_class, lane_counter, node_scores
 from .tree import DecisionTree, TreeConfig, _class_labels, _code_rows, _growth, _root_item, _route
 
 __all__ = ["ConfusionMatrix", "LooResult", "accuracy", "confusion", "leave_one_out"]
@@ -91,13 +91,14 @@ def leave_one_out(dataset: Dataset, config: TreeConfig | None = None) -> LooResu
     other records grouped by class. The leaf it reaches is the one the
     whole fold tree would route it to.
     A fold root's rows are the full grouping less the held-out row, which
-    changes only that row's class list; the others are shared by every
-    fold, as no step changes a list. A fold root's tables are not
-    counted: ``decide`` is handed the full tables, counted once per call,
-    less the held-out row's cell. Folds repeat tables, so one call scores each
-    distinct table once, alone, by ``node_scores``, and reuses its key: a
-    table's key depends only on its contents, so it is the float it gets
-    among its node's candidates.
+    changes only that row's class list; the others are shared by every fold,
+    as no step changes a list. A fold root's tables are not counted:
+    ``decide`` is handed the full tables, counted once per call, less the
+    held-out row's cell, whose row is rebuilt as a tuple, as the counter
+    gives rows. Folds repeat tables, so one call scores each distinct table
+    once, alone, by ``node_scores``, and reuses its key: a table's key
+    depends only on its contents, so it is the float it gets among its
+    node's candidates.
     """
     if len(dataset) < 2:
         raise ValueError("leave-one-out needs at least 2 records")
@@ -110,15 +111,16 @@ def leave_one_out(dataset: Dataset, config: TreeConfig | None = None) -> LooResu
     def score_node(tables, counts, total, ratio):  # the keys node_scores gives, each table scored once
         keys = []
         for table in tables:
-            contents = tuple(map(tuple, table))
+            contents = tuple(table)
             if (key := memo.get(contents)) is None:
                 key = memo[contents] = node_scores([table], counts, total, ratio)[0]
             keys.append(key)
         return keys
 
+    # first, as it refuses a schema with no predictor by name, where the counter would raise IndexError
     decide, _ = _growth(schema, columns, labels, config, score_node)
     grouped = _by_class(labels, len(schema.class_domain))  # fold i's rows are these less row i
-    full = [contingency(column, grouped, len(a.domain)) for a, column in zip(schema.attributes, columns)]
+    full = lane_counter(columns, [len(a.domain) for a in schema.attributes], len(labels))(grouped, range(len(columns)))
     predicted = []
     for i in range(len(labels)):
         c = labels[i]
@@ -126,8 +128,9 @@ def leave_one_out(dataset: Dataset, config: TreeConfig | None = None) -> LooResu
         by_class[c] = [r for r in grouped[c] if r != i]
         tables = [[*table] for table in full]  # each table less row i's cell; only that row is copied
         for table, column in zip(tables, columns):
-            row = table[column[i]] = [*table[column[i]]]
+            row = [*table[column[i]]]
             row[c] -= 1
+            table[column[i]] = tuple(row)
         node, best = decide(item := _root_item(schema, by_class), tables)
         while best >= 0:  # build the child row i reaches, and no other
             by_class, available, depth, _ = item

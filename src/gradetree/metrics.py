@@ -8,21 +8,21 @@ with empty parts well-formed.
 Attribute scores come from counts, as in ID3 (Quinlan 1986): scoring
 reads the domain-index codes a dataset built when it was validated, its
 ``_codes``, over rows given as one list per class (``_by_class``).
-``contingency`` tallies one attribute's value x class table over such
-lists, one pass over the rows per table; ``score_all`` and leave-one-out
-count their tables over all rows with it, once each. ``lane_counter``
-packs each row into one int and tallies every asked attribute's table at
-once, one C-level sum per class; growth counts every node's tables with
-it. Both give the same integers. ``node_scores`` is the one scorer: it
-scores a node's candidate tables in one call, from the node's class
-entropy computed once, and gives each table's gain, or its gain ratio. A
-table's float depends only on its contents, so it is the same scored
-alone or among other candidates. Every entropy, split information
-included, goes through one primitive, ``count_entropy``, which sums in
-the order given: class-domain order within an entropy, attribute-domain
-order across parts. That order is fixed because builds break ties
-between attributes on exact float equality: the same terms summed in
-another order can differ in the last bit, and so choose another split.
+``lane_counter`` is the one table counter: it packs each row into one
+int and tallies every asked attribute's value x class table at once, one
+C-level sum per class, each table a list of value rows and each row a
+tuple of class counts. Growth counts every node's tables with it;
+``score_all`` and leave-one-out count their tables over all rows with
+it, once each. ``node_scores`` is the one scorer: it scores a node's
+candidate tables in one call, from the node's class entropy computed
+once, and gives each table's gain, or its gain ratio. A table's float
+depends only on its contents, so it is the same scored alone or among
+other candidates. Every entropy, split information included, goes
+through one primitive, ``count_entropy``, which sums in the order given:
+class-domain order within an entropy, attribute-domain order across
+parts. That order is fixed because builds break ties between attributes
+on exact float equality: the same terms summed in another order can
+differ in the last bit, and so choose another split.
 """
 
 from __future__ import annotations
@@ -90,8 +90,6 @@ def impurity(dist: ClassDistribution, kind: ImpurityKind) -> float:
     raise ValueError(f"unknown impurity kind: {kind!r}")
 
 
-
-
 def count_entropy(counts: Iterable[int], total: int) -> float:
     """-sum p log2 p with p = count / total over the nonzero counts, in order."""
     if total == 0:
@@ -102,15 +100,6 @@ def count_entropy(counts: Iterable[int], total: int) -> float:
             p = count / total
             h -= p * math.log2(p)
     return h
-
-
-def contingency(column: Sequence[int], by_class: Sequence[Iterable[int]], n_values: int) -> list[list[int]]:
-    """Value x class counts over rows given as one list per class, in domain and class order."""
-    table = [[0] * len(by_class) for _ in range(n_values)]
-    for c, rows in enumerate(by_class):
-        for r in rows:
-            table[column[r]][c] += 1
-    return table
 
 
 def _by_class(labels: Sequence[int], n_classes: int) -> list[list[int]]:
@@ -131,9 +120,11 @@ def lane_counter(
     attribute, set to 1 at the row's own values. A lane holds any count up to
     ``n_rows``, so a sum of rows is every lane's count at once, none carrying into the
     next. ``count(by_class, positions)`` sums the rows listed per class, and returns the
-    table of each position, as ``contingency`` counts it over those rows, rows as tuples.
-    The set-up is paid once per table of codes: growth builds one counter per build or
-    leave-one-out call, and every node it expands counts its candidates in one ``count``.
+    table of each position over those rows: a list of its values' rows in domain order,
+    each a tuple of class counts in class order. The set-up is paid once per counter:
+    growth builds one per build or leave-one-out call, and every node it expands counts
+    its candidates in one ``count``; ``score_all`` and leave-one-out's full tables build
+    one each for a single ``count``.
     """
     order = sys.byteorder  # so ``memoryview.cast`` reads each lane as a native integer
     width = next(w for w in (1, 2, 4, 8) if 256**w > n_rows)
@@ -210,17 +201,17 @@ class AttributeScore:
     gain_ratio: float
 
 
-def score_all(dataset: Dataset, available: Sequence[str] | None = None) -> list[AttributeScore]:
+def score_all(dataset: Dataset, available: Iterable[str] | None = None) -> list[AttributeScore]:
     """Score attributes (schema order): gain, split information, gain ratio.
 
-    The tables are counted over every row, grouped by class, and scored by ``node_scores``;
-    so each gain and ratio is the key a build compares at a root over these rows."""
+    One ``lane_counter`` over the asked columns counts their tables over every row, grouped by
+    class, and ``node_scores`` scores them; so each gain and ratio is the key a build compares at
+    a root over these rows. ``available`` may be any iterable of names, read once."""
     schema = dataset.schema
-    if available is None:
-        available = schema.attribute_names
-    if not available:
+    asked = set(schema.attribute_names if available is None else available)
+    if not asked:
         raise ValueError("no attributes to score")
-    unknown = set(available) - set(schema.attribute_names)
+    unknown = asked - set(schema.attribute_names)
     if unknown:
         raise KeyError(f"unknown attribute(s) {sorted(unknown, key=str)}")
     if len(dataset) == 0:
@@ -228,9 +219,9 @@ def score_all(dataset: Dataset, available: Sequence[str] | None = None) -> list[
     *columns, labels = dataset._codes
     n = len(labels)
     by_class = _by_class(labels, len(schema.class_domain))
-    names, tables = zip(*[(attribute.name, contingency(column, by_class, len(attribute.domain)))
-                          for attribute, column in zip(schema.attributes, columns) if attribute.name in available])
+    attributes, columns = zip(*[(a, column) for a, column in zip(schema.attributes, columns) if a.name in asked])
+    tables = lane_counter(columns, [len(a.domain) for a in attributes], n)(by_class, range(len(columns)))
     counts = [*map(len, by_class)]
     gains, ratios = node_scores(tables, counts, n), node_scores(tables, counts, n, ratio=True)
     splits = [count_entropy([*map(sum, table)], n) for table in tables]
-    return [*map(AttributeScore, names, gains, splits, ratios)]
+    return [*map(AttributeScore, (a.name for a in attributes), gains, splits, ratios)]

@@ -12,16 +12,17 @@ label codes. A node is the row indices that reach it, grouped by class;
 the lists' lengths are its class counts. ``id3_build`` groups the root's
 rows once (``metrics._by_class``), and each node's split hands its
 children their rows already grouped. Every node counts its candidates'
-value x class tables in one call of ``metrics.lane_counter``, one sum of
-each class's rows, and one ``metrics.node_scores`` call scores them all,
-from the node's class entropy computed once. Growth is two steps
-(``_growth``): ``decide`` applies the stop rules or names the winner, and
-``split`` fills every child's class lists in one pass over each class's
-rows; ``id3_build`` decides, then splits. A node depends only on the
-nodes along its own path, so leave-one-out grows no whole fold and never
-splits: it decides down the held-out row's path, from the same codes less
-that row, building only the child the row reaches. A fold root's tables
-are not counted: each is the full table less that row's cell, handed to
+value x class tables in one call of ``metrics.lane_counter``, the
+package's one table counter: one sum of each class's rows. One
+``metrics.node_scores`` call scores them all, from the node's class
+entropy computed once. Growth is two steps (``_growth``): ``decide``
+applies the stop rules or names the winner, and ``split`` fills every
+child's class lists in one pass over each class's rows; ``id3_build``
+decides, then splits. A node depends only on the nodes along its own
+path, so leave-one-out grows no whole fold and never splits: it decides
+down the held-out row's path, from the same codes less that row,
+building only the child the row reaches. A fold root's tables are not
+counted: each is the full table less that row's cell, handed to
 ``decide``. Folds repeat tables, so leave-one-out's ``decide`` scores
 each distinct table once per call, alone, which gives the float it gets
 among its node's candidates; a build's tables do not repeat, and

@@ -1,4 +1,5 @@
 import random
+from typing import Iterable, Sequence
 
 import pytest
 
@@ -69,7 +70,16 @@ def with_branches_dropped(node, rng):
     return Internal(node.attribute, {v: with_branches_dropped(child, rng) for v, child in kept.items()})
 
 
-# Naive scoring used as the in-test oracle; kept free of gradetree.metrics.
+# Naive counting and scoring used as the in-test oracle; kept free of gradetree.metrics.
+
+
+def contingency(column: Sequence[int], by_class: Sequence[Iterable[int]], n_values: int) -> list[list[int]]:
+    """Value x class counts over rows given as one list per class, in domain and class order."""
+    table = [[0] * len(by_class) for _ in range(n_values)]
+    for c, rows in enumerate(by_class):
+        for r in rows:
+            table[column[r]][c] += 1
+    return table
 
 
 def naive_entropy(labels) -> float:

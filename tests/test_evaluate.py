@@ -8,10 +8,10 @@ from hypothesis import given, settings, strategies as st
 
 import gradetree.evaluate
 import gradetree.tree
-from conftest import make_dataset, random_dataset, tiny_schema, with_branches_dropped
+from conftest import contingency, make_dataset, random_dataset, tiny_schema, with_branches_dropped
 from gradetree.dataset import Attribute, AttributeSchema, Dataset, Record, class_distribution
 from gradetree.evaluate import ConfusionMatrix, accuracy, confusion, leave_one_out
-from gradetree.metrics import contingency, lane_counter, node_scores
+from gradetree.metrics import lane_counter, node_scores
 from gradetree.tree import (
     Criterion,
     DecisionTree,
@@ -437,10 +437,6 @@ def test_no_fold_root_counts_a_table(students, monkeypatch):
 
         return tracked, split
 
-    def counted(*args):
-        depths.append(expanding[0])
-        return contingency(*args)
-
     def lanes_counted(*args):  # a node counts all its tables in one call
         count = lane_counter(*args)
 
@@ -454,7 +450,7 @@ def test_no_fold_root_counts_a_table(students, monkeypatch):
     growth = gradetree.evaluate._growth
     monkeypatch.setattr(gradetree.evaluate, "_growth", tracking_growth)
     monkeypatch.setattr(gradetree.tree, "lane_counter", lanes_counted)
-    monkeypatch.setattr(gradetree.evaluate, "contingency", counted)
+    monkeypatch.setattr(gradetree.evaluate, "lane_counter", lanes_counted)
     assert leave_one_out(students).accuracy == FIXTURE_LOO_ACCURACY
     assert 0 not in depths
     assert depths.count(None) == len(students.schema.attributes)  # the full tables, once per call

@@ -1,18 +1,20 @@
 """The lane counter gives ``contingency``'s tables, and growth gives the same model when it counts by either.
 
-Every node of a build or of a leave-one-out fold path counts its tables with
-``metrics.lane_counter``; ``metrics.contingency`` counts once over all rows, for ``score_all``
-and leave-one-out's full tables, and is the reference the lanes are held to here."""
+``metrics.lane_counter`` is the package's one table counter: every node of a build or of a
+leave-one-out fold path, ``score_all``, and leave-one-out's full tables count with it.
+``contingency``, the naive counter in ``conftest``, is the reference the lanes are held to here."""
 
 import random
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import gradetree.evaluate
 import gradetree.tree
+from conftest import contingency
 from gradetree.dataset import Attribute, AttributeSchema, Dataset, Record
 from gradetree.evaluate import leave_one_out
-from gradetree.metrics import contingency, lane_counter
+from gradetree.metrics import lane_counter
 from gradetree.tree import Criterion, TreeConfig, id3_build, save_model
 
 
@@ -88,8 +90,10 @@ def wide_dataset(seed, n_rows=5000, n_attributes=20):
 
 
 def contingency_counter(columns, sizes, n_rows):
-    """A counter with ``lane_counter``'s signature that counts each table by ``contingency``."""
-    return lambda by_class, positions: [contingency(columns[p], by_class, sizes[p]) for p in positions]
+    """A counter with ``lane_counter``'s signature that counts each table by ``contingency``,
+    its rows as tuples, as the lanes give them."""
+    return lambda by_class, positions: [[*map(tuple, contingency(columns[p], by_class, sizes[p]))]
+                                        for p in positions]
 
 
 def test_lanes_and_contingency_grow_the_same_model_files_and_leave_one_out(students, monkeypatch, tmp_path):
@@ -98,6 +102,7 @@ def test_lanes_and_contingency_grow_the_same_model_files_and_leave_one_out(stude
     results = []
     for name, counter in (("lanes", lane_counter), ("contingency", contingency_counter)):
         monkeypatch.setattr(gradetree.tree, "lane_counter", counter)
+        monkeypatch.setattr(gradetree.evaluate, "lane_counter", counter)  # leave-one-out's full tables
         files = []
         for k, config in enumerate(configs):
             path = tmp_path / f"{name}.{k}.json"

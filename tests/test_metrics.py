@@ -5,11 +5,12 @@ import re
 import pytest
 from hypothesis import example, given, strategies as st
 
-from conftest import make_dataset, naive_gain, naive_split_info, random_dataset, tiny_schema
+from conftest import contingency, make_dataset, naive_gain, naive_split_info, random_dataset, tiny_schema
 from gradetree.dataset import Attribute, AttributeSchema, ClassDistribution, Dataset, class_distribution
 from gradetree.metrics import (
     ImpurityKind,
     classification_error,
+    count_entropy,
     entropy,
     gain_ratio,
     gini,
@@ -195,6 +196,33 @@ def test_score_all_rejects_empty_or_unknown(students):
         score_all(students, [])
     with pytest.raises(KeyError):
         score_all(students, ["PSM", "AGE"])
+
+
+def test_score_all_reads_any_iterable_of_names_once(students):
+    names = ["LW", "PSM", "GP"]
+    expected = score_all(students, names)
+    assert [s.attribute for s in expected] == ["PSM", "GP", "LW"]  # schema order
+    assert score_all(students, iter(names)) == expected
+    assert score_all(students, (name for name in names)) == expected
+    assert score_all(students, tuple(names)) == expected
+    with pytest.raises(ValueError, match="no attributes to score"):
+        score_all(students, iter([]))
+
+
+def test_score_all_gives_the_exact_floats_of_the_reference_tables():
+    # the same integers in the same order give the same floats, to the last bit
+    rng = random.Random(41)
+    for _ in range(20):
+        ds = random_dataset(rng, max_records=120, contradiction_free=False)
+        schema = ds.schema
+        *columns, labels = ds._codes
+        by_class = [[r for r, c in enumerate(labels) if c == k] for k in range(len(schema.class_domain))]
+        tables = [contingency(column, by_class, len(a.domain)) for a, column in zip(schema.attributes, columns)]
+        counts, n = [*map(len, by_class)], len(labels)
+        scores = score_all(ds)
+        assert [s.gain for s in scores] == node_scores(tables, counts, n)
+        assert [s.gain_ratio for s in scores] == node_scores(tables, counts, n, ratio=True)
+        assert [s.split_information for s in scores] == [count_entropy([*map(sum, t)], n) for t in tables]
 
 
 def test_unknown_names_of_mixed_types_are_listed_in_the_key_error():

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 import gradetree.metrics
 import gradetree.tree
-from conftest import make_dataset, naive_gain, random_dataset, tiny_schema, with_branches_dropped
+from conftest import contingency, make_dataset, naive_gain, random_dataset, tiny_schema, with_branches_dropped
 from gradetree.dataset import (
     Attribute,
     AttributeSchema,
@@ -21,8 +21,8 @@ from gradetree.dataset import (
     class_distribution,
     load_students,
 )
-from gradetree.evaluate import accuracy
-from gradetree.metrics import contingency, lane_counter, score_all
+from gradetree.evaluate import accuracy, leave_one_out
+from gradetree.metrics import lane_counter, score_all
 from gradetree.rules import extract_rules
 from gradetree.tree import (
     Criterion,
@@ -122,8 +122,10 @@ def test_build_rejects_empty_dataset_and_predictorless_schema(students):
         id3_build(Dataset(students.schema, ()))
     bare = AttributeSchema((), Attribute("Y", ("c0", "c1")))
     ds = Dataset(bare, (Record({}, "c0"), Record({}, "c1")))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="schema declares no predictor attributes"):
         id3_build(ds)
+    with pytest.raises(ValueError, match="schema declares no predictor attributes"):
+        leave_one_out(ds)  # refused before its full tables are counted, which a counter of no columns cannot
 
 
 def test_value_changed_after_validation_names_its_cell():
@@ -180,11 +182,9 @@ def test_growth_scores_each_node_in_one_call_and_never_a_table_alone(students, m
     rng = random.Random(7)
     for dataset in [students] + [random_dataset(rng, contradiction_free=False) for _ in range(10)]:
         counted.clear()
-        tree, keys, tallied = returned(lambda: id3_build(dataset, TreeConfig(criterion)),
-                                       gradetree.metrics.node_scores, gradetree.metrics.contingency)
+        tree, keys = returned(lambda: id3_build(dataset, TreeConfig(criterion)), gradetree.metrics.node_scores)
         assert len(keys) == sum(p >= 0 for p in tree._flat.positions)
         assert counted == [*map(len, keys)]  # each node scores the tables of its one count call
-        assert tallied == []
 
 
 @pytest.mark.parametrize("criterion", list(Criterion))
