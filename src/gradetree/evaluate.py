@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .dataset import Dataset, _FrozenDict
-from .metrics import _by_class, lane_counter, node_scores
+from .metrics import _by_class, node_scores
 from .tree import DecisionTree, TreeConfig, _class_labels, _code_rows, _growth, _root_item, _route
 
 __all__ = ["ConfusionMatrix", "LooResult", "accuracy", "confusion", "leave_one_out"]
@@ -93,12 +93,12 @@ def leave_one_out(dataset: Dataset, config: TreeConfig | None = None) -> LooResu
     A fold root's rows are the full grouping less the held-out row, which
     changes only that row's class list; the others are shared by every fold,
     as no step changes a list. A fold root's tables are not counted:
-    ``decide`` is handed the full tables, counted once per call, less the
-    held-out row's cell, whose row is rebuilt as a tuple, as the counter
-    gives rows. Folds repeat tables, so one call scores each distinct table
-    once, alone, by ``node_scores``, and reuses its key: a table's key
-    depends only on its contents, so it is the float it gets among its
-    node's candidates.
+    ``decide`` is handed the full tables, counted once per call by growth's
+    own lane counter, less the held-out row's cell, whose row is rebuilt as
+    a tuple, as the counter gives rows. Folds repeat tables, so one call
+    scores each distinct table once, alone, by ``node_scores``, and reuses
+    its key: a table's key depends only on its contents, so it is the float
+    it gets among its node's candidates.
     """
     if len(dataset) < 2:
         raise ValueError("leave-one-out needs at least 2 records")
@@ -117,10 +117,10 @@ def leave_one_out(dataset: Dataset, config: TreeConfig | None = None) -> LooResu
             keys.append(key)
         return keys
 
-    # first, as it refuses a schema with no predictor by name, where the counter would raise IndexError
-    decide, _ = _growth(schema, columns, labels, config, score_node)
+    # _growth refuses a schema with no predictor by name, where its counter would raise IndexError
+    decide, _, count = _growth(schema, columns, labels, config, score_node)
     grouped = _by_class(labels, len(schema.class_domain))  # fold i's rows are these less row i
-    full = lane_counter(columns, [len(a.domain) for a in schema.attributes], len(labels))(grouped, range(len(columns)))
+    full = count(grouped, range(len(columns)))
     predicted = []
     for i in range(len(labels)):
         c = labels[i]

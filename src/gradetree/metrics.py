@@ -11,18 +11,18 @@ reads the domain-index codes a dataset built when it was validated, its
 ``lane_counter`` is the one table counter: it packs each row into one
 int and tallies every asked attribute's value x class table at once, one
 C-level sum per class, each table a list of value rows and each row a
-tuple of class counts. Growth counts every node's tables with it;
-``score_all`` and leave-one-out count their tables over all rows with
-it, once each. ``node_scores`` is the one scorer: it scores a node's
-candidate tables in one call, from the node's class entropy computed
-once, and gives each table's gain, or its gain ratio. A table's float
-depends only on its contents, so it is the same scored alone or among
-other candidates. Every entropy, split information included, goes
-through one primitive, ``count_entropy``, which sums in the order given:
-class-domain order within an entropy, attribute-domain order across
-parts. That order is fixed because builds break ties between attributes
-on exact float equality: the same terms summed in another order can
-differ in the last bit, and so choose another split.
+tuple of class counts. Growth counts every node's tables with it, and
+leave-one-out its full tables with growth's; ``score_all`` counts its
+tables over all rows with it, once. ``node_scores`` is the one scorer:
+it scores a node's candidate tables in one call, from the node's class
+entropy computed once, and gives each table's gain, or its gain ratio. A
+table's float depends only on its contents, so it is the same scored
+alone or among other candidates. Every entropy, split information
+included, goes through one primitive, ``count_entropy``, which sums in
+the order given: class-domain order within an entropy, attribute-domain
+order across parts. That order is fixed because builds break ties
+between attributes on exact float equality: the same terms summed in
+another order can differ in the last bit, and so choose another split.
 """
 
 from __future__ import annotations
@@ -123,8 +123,8 @@ def lane_counter(
     table of each position over those rows: a list of its values' rows in domain order,
     each a tuple of class counts in class order. The set-up is paid once per counter:
     growth builds one per build or leave-one-out call, and every node it expands counts
-    its candidates in one ``count``; ``score_all`` and leave-one-out's full tables build
-    one each for a single ``count``.
+    its candidates in one ``count``, as do leave-one-out's full tables; ``score_all``
+    builds one for a single ``count``.
     """
     order = sys.byteorder  # so ``memoryview.cast`` reads each lane as a native integer
     width = next(w for w in (1, 2, 4, 8) if 256**w > n_rows)

@@ -177,7 +177,7 @@ def id3_build(dataset: Dataset, config: TreeConfig | None = None) -> DecisionTre
         raise ValueError("cannot build a tree from an empty dataset")
     schema = dataset.schema
     *columns, labels = dataset._codes
-    decide, split = _growth(schema, columns, labels, config)
+    decide, split, _ = _growth(schema, columns, labels, config)
 
     def expand(item):  # decide, then split
         node, best = decide(item)
@@ -289,12 +289,13 @@ def _class_labels(dataset: Dataset) -> list[str]:
 
 def _growth(schema: AttributeSchema, columns: Sequence[Sequence[int]], labels: Sequence[int],
             config: TreeConfig, score_node=node_scores):
-    """The growth rule as two steps, given every attribute's code column in schema order and the
-    label codes. ``decide(item, tables=None)`` gives a node's ``Leaf`` and -1 where growth stops,
-    else its distribution and the winner's position; ``tables``, if given, are the node's tables
-    over its available positions, counted elsewhere. ``split(item, dist, best)`` gives every child's
-    item in domain order. ``score_node`` takes what ``node_scores`` takes and gives each candidate's
-    key as it does (leave-one-out passes one that scores each distinct table once).
+    """The growth rule as two steps and its counter, given every attribute's code column in schema
+    order and the label codes. ``decide(item, tables=None)`` gives a node's ``Leaf`` and -1 where
+    growth stops, else its distribution and the winner's position; ``tables``, if given, are the
+    node's tables over its available positions, counted elsewhere. ``split(item, dist, best)`` gives
+    every child's item in domain order. ``count`` is the lane counter ``decide`` counts by (leave-one-out
+    counts its full tables by it). ``score_node`` takes what ``node_scores`` takes and gives each
+    candidate's key as it does (leave-one-out passes one that scores each distinct table once).
     An item (see ``_root_item``) is a node's rows grouped by class, the positions still available on
     its path, its depth and its parent's distribution, so a node depends only on the nodes along its
     own path. Items never change their lists: the lane counter sums a node's, and its split fills its children's."""
@@ -331,7 +332,7 @@ def _growth(schema: AttributeSchema, columns: Sequence[Sequence[int]], labels: S
         remaining = [p for p in available if p != best]
         return [(part, remaining, depth + 1, dist) for part in parts]
 
-    return decide, split
+    return decide, split, count
 
 
 def _root_item(schema: AttributeSchema, by_class: Sequence[Sequence[int]]) -> tuple:

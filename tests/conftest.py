@@ -1,5 +1,6 @@
 import random
-from typing import Iterable, Sequence
+import sys
+from typing import Callable, Iterable, Sequence
 
 import pytest
 
@@ -68,6 +69,23 @@ def with_branches_dropped(node, rng):
     kept = {v: child for v, child in node.branches.items() if rng.random() > (0.1 if node_support(child) else 0.5)}
     kept = kept or dict([next(iter(node.branches.items()))])
     return Internal(node.attribute, {v: with_branches_dropped(child, rng) for v, child in kept.items()})
+
+
+def calls_everywhere(monkeypatch, function: Callable, record: Callable = lambda: None) -> list:
+    """Wrap ``function`` under every binding of it in a loaded ``gradetree`` module (``from .x
+    import y`` copies a binding), and return the list each call appends ``record()`` to."""
+    calls = []
+
+    def wrapper(*args, **kwargs):
+        calls.append(record())
+        return function(*args, **kwargs)
+
+    for name, module in [*sys.modules.items()]:
+        if name.split(".")[0] == "gradetree":
+            for attribute, value in [*vars(module).items()]:
+                if value is function:
+                    monkeypatch.setattr(module, attribute, wrapper)
+    return calls
 
 
 # Naive counting and scoring used as the in-test oracle; kept free of gradetree.metrics.

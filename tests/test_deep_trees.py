@@ -263,13 +263,13 @@ def test_train_grows_no_node_deeper_than_one_level_past_the_limit(tmp_path, monk
     depths = []
 
     def recording_growth(*args):
-        decide, split = growth(*args)
+        decide, split, count = growth(*args)
 
         def recorded(item, *tables):
             depths.append(item[2])
             return decide(item, *tables)
 
-        return recorded, split
+        return recorded, split, count
 
     growth = tree_module._growth
     monkeypatch.setattr(tree_module, "_growth", recording_growth)

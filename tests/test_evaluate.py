@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import gradetree.evaluate
 import gradetree.tree
-from conftest import contingency, make_dataset, random_dataset, tiny_schema, with_branches_dropped
+from conftest import calls_everywhere, contingency, make_dataset, random_dataset, tiny_schema, with_branches_dropped
 from gradetree.dataset import Attribute, AttributeSchema, Dataset, Record, class_distribution
 from gradetree.evaluate import ConfusionMatrix, accuracy, confusion, leave_one_out
 from gradetree.metrics import lane_counter, node_scores
@@ -320,7 +320,7 @@ def test_no_fold_expands_more_than_one_path(students, monkeypatch):
     folds = []
 
     def counting_growth(*args):
-        decide, split = growth(*args)
+        decide, split, count = growth(*args)
 
         def counted(item, *tables):
             if item[2] == 0:  # a root item starts the next fold
@@ -328,7 +328,7 @@ def test_no_fold_expands_more_than_one_path(students, monkeypatch):
             folds[-1] += 1
             return decide(item, *tables)
 
-        return counted, split
+        return counted, split, count
 
     growth = gradetree.evaluate._growth
     monkeypatch.setattr(gradetree.evaluate, "_growth", counting_growth)
@@ -345,7 +345,7 @@ def test_leave_one_out_builds_only_the_child_its_row_reaches(students, monkeypat
     splits, split_calls = [], []  # the split each call of leave_one_out got, and the calls of any
 
     def recording_growth(*args):
-        decide, split = growth(*args)
+        decide, split, count = growth(*args)
 
         def recorded(item, *tables):
             steps.append((item, decided := decide(item, *tables)))
@@ -356,7 +356,7 @@ def test_leave_one_out_builds_only_the_child_its_row_reaches(students, monkeypat
             return split(*args)
 
         splits.append(split)
-        return recorded, counted
+        return recorded, counted, count
 
     growth = gradetree.evaluate._growth
     monkeypatch.setattr(gradetree.evaluate, "_growth", recording_growth)
@@ -386,13 +386,13 @@ def test_a_root_forced_onto_psm_grows_and_holds_out_as_pinned(students, monkeypa
     psm = students.schema.attribute_names.index("PSM")
 
     def forcing_growth(*args):  # every root that splits splits on PSM; every other node decides as before
-        decide, split = growth(*args)
+        decide, split, count = growth(*args)
 
         def forced(item, *tables):
             node, best = decide(item, *tables)
             return (node, psm) if item[2] == 0 and best >= 0 else (node, best)
 
-        return forced, split
+        return forced, split, count
 
     growth = gradetree.tree._growth
     monkeypatch.setattr(gradetree.tree, "_growth", forcing_growth)
@@ -426,7 +426,7 @@ def test_no_fold_root_counts_a_table(students, monkeypatch):
     expanding = [None]
 
     def tracking_growth(*args):
-        decide, split = growth(*args)
+        decide, split, count = growth(*args)
 
         def tracked(item, *tables):
             expanding[0] = item[2]
@@ -435,7 +435,7 @@ def test_no_fold_root_counts_a_table(students, monkeypatch):
             finally:
                 expanding[0] = None
 
-        return tracked, split
+        return tracked, split, count
 
     def lanes_counted(*args):  # a node counts all its tables in one call
         count = lane_counter(*args)
@@ -449,12 +449,20 @@ def test_no_fold_root_counts_a_table(students, monkeypatch):
 
     growth = gradetree.evaluate._growth
     monkeypatch.setattr(gradetree.evaluate, "_growth", tracking_growth)
-    monkeypatch.setattr(gradetree.tree, "lane_counter", lanes_counted)
-    monkeypatch.setattr(gradetree.evaluate, "lane_counter", lanes_counted)
+    monkeypatch.setattr(gradetree.tree, "lane_counter", lanes_counted)  # growth's, which leave-one-out borrows
     assert leave_one_out(students).accuracy == FIXTURE_LOO_ACCURACY
     assert 0 not in depths
     assert depths.count(None) == len(students.schema.attributes)  # the full tables, once per call
     assert len(depths) == len(students.schema.attributes) + 839 - 350  # every table but the 50 roots' 350
+
+
+@pytest.mark.parametrize("criterion", list(Criterion))
+def test_one_leave_one_out_call_builds_one_lane_counter(students, monkeypatch, criterion):
+    built = calls_everywhere(monkeypatch, lane_counter)
+    result = leave_one_out(students, TreeConfig(criterion))
+    assert len(built) == 1  # growth's: the full tables are counted by it too
+    assert tuple(result) == leave_one_out_per_fold_dataset(students, TreeConfig(criterion))
+    assert criterion is not Criterion.GAIN or result.accuracy == FIXTURE_LOO_ACCURACY
 
 
 @pytest.mark.parametrize("seed", [None, 1, 2, 3])  # the bundled table, then random ones
@@ -466,14 +474,14 @@ def test_fold_roots_are_handed_the_tables_of_their_rows_sharing_every_unchanged_
     roots = []
 
     def recording_growth(*args):
-        decide, split = growth(*args)
+        decide, split, count = growth(*args)
 
         def recorded(item, tables=None):
             if item[2] == 0:
                 roots.append((item, tables))
             return decide(item, tables)
 
-        return recorded, split
+        return recorded, split, count
 
     growth = gradetree.evaluate._growth
     monkeypatch.setattr(gradetree.evaluate, "_growth", recording_growth)

@@ -1,7 +1,8 @@
 """The lane counter gives ``contingency``'s tables, and growth gives the same model when it counts by either.
 
 ``metrics.lane_counter`` is the package's one table counter: every node of a build or of a
-leave-one-out fold path, ``score_all``, and leave-one-out's full tables count with it.
+leave-one-out fold path, ``score_all``, and leave-one-out's full tables (by its growth's
+counter) count with it.
 ``contingency``, the naive counter in ``conftest``, is the reference the lanes are held to here."""
 
 import random
@@ -9,7 +10,6 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-import gradetree.evaluate
 import gradetree.tree
 from conftest import contingency
 from gradetree.dataset import Attribute, AttributeSchema, Dataset, Record
@@ -101,8 +101,7 @@ def test_lanes_and_contingency_grow_the_same_model_files_and_leave_one_out(stude
     configs = [TreeConfig(c, max_depth=d) for c in Criterion for d in (4, None)]
     results = []
     for name, counter in (("lanes", lane_counter), ("contingency", contingency_counter)):
-        monkeypatch.setattr(gradetree.tree, "lane_counter", counter)
-        monkeypatch.setattr(gradetree.evaluate, "lane_counter", counter)  # leave-one-out's full tables
+        monkeypatch.setattr(gradetree.tree, "lane_counter", counter)  # leave-one-out's full tables too
         files = []
         for k, config in enumerate(configs):
             path = tmp_path / f"{name}.{k}.json"

@@ -204,7 +204,7 @@ def test_a_node_handed_its_tables_splits_by_them_and_counts_none(students, monke
     schema = students.schema
     *columns, labels = students._codes
     by_class = gradetree.metrics._by_class(labels, len(schema.class_domain))
-    decide, _ = gradetree.tree._growth(schema, columns, labels, TreeConfig(criterion))
+    decide, _, _ = gradetree.tree._growth(schema, columns, labels, TreeConfig(criterion))
     root = gradetree.tree._root_item(schema, by_class)
     counted = decide(root)
     assert counts == [[*range(len(schema.attributes))]]

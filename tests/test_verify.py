@@ -2,13 +2,15 @@ import json
 import random
 import re
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
-from conftest import random_dataset
+import gradetree.verify
+from conftest import calls_everywhere, random_dataset
 from gradetree.cli import main
-from gradetree.dataset import DATA_DIR_ENV, Dataset
-from gradetree.metrics import information_gain, score_all
+from gradetree.dataset import DATA_DIR_ENV, Attribute, AttributeSchema, Dataset, Record, load_students
+from gradetree.metrics import gain_ratio, information_gain, lane_counter, score_all, split_information
 from gradetree.verify import PUBLISHED, PublishedResults, consistency_check, verify_published
 
 # Verdicts established by recomputing the published tables from the
@@ -122,14 +124,88 @@ def test_consistency_holds_on_100_random_datasets():
             assert r.ok, (r.name, r.implementation, r.oracle)
 
 
+def test_every_implementation_value_is_the_one_attribute_scorers_and_score_alls():
+    rng = random.Random(29)
+    scorers = {"Gain": information_gain, "SplitInfo": split_information, "GainRatio": gain_ratio}
+    fields = {"Gain": "gain", "SplitInfo": "split_information", "GainRatio": "gain_ratio"}
+    for _ in range(30):
+        ds = random_dataset(rng, max_records=60, contradiction_free=False)
+        scores = {s.attribute: s for s in score_all(ds)}
+        rows = consistency_check(ds)
+        assert [r.name for r in rows] == ["Entropy(S)"] + [
+            f"{kind}(S, {a})" for a in ds.schema.attribute_names for kind in scorers
+        ]
+        for r in rows[1:]:
+            kind, a = r.name.removesuffix(")").split("(S, ")
+            assert r.implementation == scorers[kind](ds, a) == getattr(scores[a], fields[kind]), r.name
+
+
+def test_verify_counts_and_scores_the_bundled_table_once(students, monkeypatch):
+    building = [False]  # whether the rule summary's tree build is running
+
+    def build(*args):
+        building[0] = True
+        try:
+            return id3_build(*args)
+        finally:
+            building[0] = False
+
+    id3_build = gradetree.verify.id3_build
+    monkeypatch.setattr(gradetree.verify, "id3_build", build)
+    built = calls_everywhere(monkeypatch, lane_counter, lambda: building[0])
+    scored = calls_everywhere(monkeypatch, score_all)
+    report = verify_published(students)
+    assert built == [False, True]  # the audit's one count, then the rule summary's build
+    assert len(scored) == 1
+    assert report.implementation_consistent
+
+
+def fixture_variants(students):
+    """Datasets that differ from the bundled fixture in one way each, named."""
+    schema, records = students.schema, list(students.records)
+    first, attribute = records[0], schema.attributes[0]
+    other_value = next(v for v in attribute.domain if v != first.values[attribute.name])
+    other_label = next(c for c in schema.class_domain if c != first.label)
+    j = next(j for j, r in enumerate(records) if r != first)
+    swapped = [records[j], *records[1:j], first, *records[j + 1:]]
+    reordered = AttributeSchema(
+        (Attribute(attribute.name, attribute.domain[::-1]), *schema.attributes[1:]), schema.class_attribute
+    )
+    return {
+        "one cell changed": Dataset(schema, [Record({**first.values, attribute.name: other_value}, first.label),
+                                             *records[1:]]),
+        "one label changed": Dataset(schema, [Record(first.values, other_label), *records[1:]]),
+        "two rows swapped": Dataset(schema, swapped),
+        "one row dropped": Dataset(schema, records[1:]),
+        "one domain reordered": Dataset(reordered, records),
+        "not a dataset": students.records,
+    }
+
+
+def test_the_fixture_guard_refuses_any_other_table_and_accepts_a_crlf_copy(students, tmp_path):
+    for what, dataset in fixture_variants(students).items():
+        assert dataset != students, what
+        with pytest.raises(ValueError, match=r"^dataset does not match the bundled 50-record fixture; "
+                                             r"the published tables can only be audited against it$"):
+            verify_published(dataset)
+    packaged = Path(gradetree.verify.__file__).parent / "data"
+    for name in ("students.csv", "students.schema.json"):  # every line ended by CRLF
+        lines = (packaged / name).read_bytes().splitlines(keepends=False)
+        (tmp_path / name).write_bytes(b"".join(line + b"\r\n" for line in lines))
+    copy = load_students(tmp_path)
+    assert b"\r\n" in (tmp_path / "students.csv").read_bytes()
+    assert copy == students and copy is not students
+    assert verify_published(copy).to_json_dict() == verify_published(students).to_json_dict()
+
+
 def test_an_implementation_that_drifts_from_the_oracle_is_a_hard_failure(
     students, monkeypatch, capsys
 ):
     monkeypatch.delenv(DATA_DIR_ENV, raising=False)
-    def drifting(dataset, attribute):
-        return information_gain(dataset, attribute) + 1e-6
+    def drifting(dataset):
+        return [replace(s, gain=s.gain + 1e-6) for s in score_all(dataset)]
 
-    monkeypatch.setattr("gradetree.verify.information_gain", drifting)
+    monkeypatch.setattr("gradetree.verify.score_all", drifting)
     report = verify_published(students)
     assert not report.implementation_consistent
     lines = report.render().splitlines()
@@ -147,8 +223,8 @@ def test_an_implementation_that_drifts_from_the_oracle_is_a_hard_failure(
 
 
 def test_a_broken_ratio_identity_is_a_hard_failure(students, monkeypatch):
-    def skewed_gains(dataset):
-        return [replace(s, gain=s.gain + 1e-6) for s in score_all(dataset)]
+    def skewed_gains(dataset):  # past the identity's tolerance, within the oracle's
+        return [replace(s, gain=s.gain + 1e-10) for s in score_all(dataset)]
 
     monkeypatch.setattr("gradetree.verify.score_all", skewed_gains)
     report = verify_published(students)
