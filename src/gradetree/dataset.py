@@ -333,9 +333,13 @@ def _decoded_rows(dataset: Dataset) -> Iterator[tuple[str, ...]]:
 
 def _codes(values: Sequence[str], domain: Sequence[str]) -> tuple[int, ...]:
     """Each value's index in ``domain``; KeyError at a value outside it."""
-    index = {v: i for i, v in enumerate(domain)}
-    # itemgetter reads many keys fastest, but of one key it returns the bare value
-    return itemgetter(*values)(index) if len(values) > 1 else tuple(map(index.__getitem__, values))
+    return _gather(values, {v: i for i, v in enumerate(domain)})
+
+
+def _gather(keys: Sequence, table) -> tuple:
+    """``table[key]`` for each of ``keys``, in order, as a tuple, read at C level. itemgetter
+    reads many keys fastest, but of one key it returns the bare value, so that case is mapped."""
+    return itemgetter(*keys)(table) if len(keys) > 1 else tuple(map(table.__getitem__, keys))
 
 
 def _check_rows(schema: AttributeSchema, rows: Iterable[Sequence[str]], first: int) -> None:
@@ -498,6 +502,9 @@ def load_csv(path, schema: AttributeSchema, missing_token: str | None = None) ->
     or one found not plain part-way, is read from its header by ``csv.reader``
     a chunk at a time (``_chunks``). So every error comes from the csv reader,
     and the error of a bad file is that of its first bad row, whatever its kind.
+
+    Either path grows one list of codes per column; each is then made a tuple in
+    turn and freed, so a load holds one chunk of cells and the codes, each once.
     """
     columns = schema.attribute_names + (schema.class_name,)
     codes = _plain_codes(path, schema, columns)
@@ -507,10 +514,13 @@ def load_csv(path, schema: AttributeSchema, missing_token: str | None = None) ->
         for chunk in map(itemgetter(1), _chunks(path, schema, columns, missing_token)):
             for column, part in zip(codes, chunk):
                 column += part
-    return Dataset(schema, _Codes(map(tuple, codes)))
+    for i in range(len(codes)):
+        codes[i] = tuple(codes[i])  # the list is freed here, before the next column's tuple is made
+    return Dataset(schema, _Codes(codes))
 
 
-_CHUNK_ROWS = 1024  # lines a reader reads and encodes at a time
+# lines a reader reads and encodes at a time, and rows ``metrics.lane_counter`` packs at a time
+_CHUNK_ROWS = 256
 
 
 def _plain_codes(path, schema: AttributeSchema, columns: Sequence[str]) -> list[list[int]] | None:
@@ -523,8 +533,9 @@ def _plain_codes(path, schema: AttributeSchema, columns: Sequence[str]) -> list[
     the schema has no empty label (an empty cell is a missing value), none with NUL (which
     ``csv.reader`` refuses before Python 3.11) and none longer than ``csv.field_size_limit()``.
     Each chunk of ``_CHUNK_ROWS`` lines is split into cells at once and encoded a column at a
-    time. None at the first doubt, so the file is read again, and any error raised, by the
-    csv reader; a descriptor or a pipe could not be read again, so it is not tried.
+    time onto the column's list of codes, so one chunk's lines and cells are held at a time.
+    None at the first doubt, so the file is read again, and any error raised, by the csv
+    reader; a descriptor or a pipe could not be read again, so it is not tried.
     """
     domains = [a.domain for a in schema.attributes] + [schema.class_domain]
     texts = [*columns, *chain(*domains)]
@@ -556,7 +567,9 @@ def _chunks(path, schema: AttributeSchema, columns: Sequence[str], missing_token
     """Yield ``(rows, codes)`` for each chunk of up to ``_CHUNK_ROWS`` rows that ``_read_rows``
     reads from the UTF-8 CSV at ``path``, byte-order mark skipped: ``columns`` are the
     attribute names, then the class name in a labeled file, and ``codes`` are ``_encode``'s.
-    This is the package's one csv reader: every error in reading a CSV is raised here.
+    This is the package's one csv reader: every error in reading a CSV is raised here. A
+    chunk's rows are dropped when the next is read, so a caller that keeps only the codes
+    holds one chunk of cells at a time.
 
     A row the reader rejects (ragged, or with an empty cell) is raised only after the rows
     before it are encoded, and ``_encode`` raises at the first bad cell or label (row 1 being

@@ -33,10 +33,10 @@ import sys
 from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate, repeat
-from operator import itemgetter
 from typing import Callable, Iterable, Sequence
 
-from .dataset import ClassDistribution, Dataset
+from . import dataset as _dataset
+from .dataset import ClassDistribution, Dataset, _gather
 
 __all__ = [
     "ImpurityKind",
@@ -124,18 +124,20 @@ def lane_counter(
     each a tuple of class counts in class order. The set-up is paid once per counter:
     growth builds one per build or leave-one-out call, and every node it expands counts
     its candidates in one ``count``, as do leave-one-out's full tables; ``score_all``
-    builds one for a single ``count``.
+    builds one for a single ``count``. The rows are packed ``dataset._CHUNK_ROWS`` at a time,
+    each chunk's value bytes gathered from a slice of every column, so the set-up holds one
+    chunk beyond the codes and the packed ints.
     """
     order = sys.byteorder  # so ``memoryview.cast`` reads each lane as a native integer
     width = next(w for w in (1, 2, 4, 8) if 256**w > n_rows)
     form = next(f for f in "BHILQ" if struct.calcsize(f) == width)
     one = (1).to_bytes(width, order)
     blocks = [[bytes(v * width) + one + bytes((size - v - 1) * width) for v in range(size)] for size in sizes]
-    # per row, a C-level join of each attribute's block for its value; no Python loop per cell.
-    # itemgetter reads many keys fastest, but of one key it returns the bare value
-    row_blocks = zip(*[itemgetter(*column)(block) if len(column) > 1 else tuple(map(block.__getitem__, column))
-                       for block, column in zip(blocks, columns)])
-    ints = [*map(int.from_bytes, map(b"".join, row_blocks), repeat(order))]
+    ints, step = [], _dataset._CHUNK_ROWS
+    for start in range(0, n_rows, step):
+        # per row, a C-level join of each attribute's block for its value; no Python loop per cell
+        row_blocks = zip(*[_gather(column[start:start + step], block) for block, column in zip(blocks, columns)])
+        ints += map(int.from_bytes, map(b"".join, row_blocks), repeat(order))
     lanes = sum(sizes)
     ends = [*accumulate(sizes)]
     starts = [end - size for end, size in zip(ends, sizes)]

@@ -1,5 +1,7 @@
+import gc
 import random
 import sys
+import tracemalloc
 from typing import Callable, Iterable, Sequence
 
 import pytest
@@ -129,3 +131,19 @@ def naive_split_info(dataset: Dataset, attribute: str) -> float:
     for r in dataset.records:
         groups.setdefault(r.values[attribute], []).append(1)
     return sum(-(len(g) / n) * math.log2(len(g) / n) for g in groups.values())
+
+
+def extra_peak(make: Callable[[], object]) -> int:
+    """The bytes ``make()`` held at its peak beyond what its result keeps, by ``tracemalloc``."""
+    gc.collect()
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        result = make()  # held while the counts are read, so its memory counts as kept
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    return peak - kept

@@ -10,8 +10,9 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import gradetree.dataset
 import gradetree.tree
-from conftest import contingency
+from conftest import contingency, extra_peak
 from gradetree.dataset import Attribute, AttributeSchema, Dataset, Record
 from gradetree.evaluate import leave_one_out
 from gradetree.metrics import lane_counter
@@ -46,14 +47,27 @@ def counted_tables(draw):
     return columns, sizes, labels, n_classes, rows, positions
 
 
+def seam_table(n_rows):
+    """A table of ``n_rows`` rows (a one-value domain and one over 256 values among its three),
+    every row asked for, and every position."""
+    sizes = [3, 1, 257]
+    columns = [[r % size for r in range(n_rows)] for size in sizes]
+    return columns, sizes, [r % 3 for r in range(n_rows)], 3, range(n_rows), [0, 1, 2]
+
+
 @settings(max_examples=150, deadline=None)
-@given(counted_tables())
+@given(counted_tables(), st.sampled_from([3, gradetree.dataset._CHUNK_ROWS]))
 # one and two rows: the counter reads each column through itemgetter, which of one key returns a bare value
-@example(([[2], [0], [1]], [3, 1, 2], [1], 2, [0], [0, 1, 2]))
-@example(([[2, 0], [0, 0], [1, 0]], [3, 1, 2], [1, 0], 2, [0, 1], [0, 1, 2]))
-@example(([[2, 0], [0, 0], [1, 0]], [3, 1, 2], [1, 0], 2, [1], [2]))
-def test_lane_tables_equal_contingency_tables(drawn):
-    assert_counts_as_contingency(*drawn)
+@example(([[2], [0], [1]], [3, 1, 2], [1], 2, [0], [0, 1, 2]), gradetree.dataset._CHUNK_ROWS)
+@example(([[2, 0], [0, 0], [1, 0]], [3, 1, 2], [1, 0], 2, [0, 1], [0, 1, 2]), gradetree.dataset._CHUNK_ROWS)
+@example(([[2, 0], [0, 0], [1, 0]], [3, 1, 2], [1, 0], 2, [1], [2]), gradetree.dataset._CHUNK_ROWS)
+# rows are packed a chunk at a time: one full chunk, and one more row alone in the next
+@example(seam_table(256), 256)
+@example(seam_table(257), 256)
+def test_lane_tables_equal_contingency_tables(drawn, chunk_rows):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(gradetree.dataset, "_CHUNK_ROWS", chunk_rows)  # 3: drawn tables cross chunk seams
+        assert_counts_as_contingency(*drawn)
 
 
 @pytest.mark.parametrize("n_rows", [255, 256])
@@ -70,6 +84,18 @@ def test_one_value_holding_every_row_fills_its_lane_where_the_width_grows_to_two
 def test_one_attribute_counts_every_row_where_the_width_grows_to_four_bytes(n_rows):
     columns, labels = [[0] * n_rows], [1] * n_rows
     assert_counts_as_contingency(columns, [2], labels, 2, range(n_rows), [0])
+
+
+def test_a_lane_set_up_holds_one_chunk_beyond_the_codes_and_the_packed_ints():
+    # each code is an 8-byte pointer; a set-up that gathered every column whole would
+    # hold nearly one more copy of the 6,000 added rows' codes at its peak
+    rng = random.Random(3)
+    sizes = [3 + i % 3 for i in range(20)]
+    extra = []
+    for n_rows in (2000, 8000):
+        columns = [tuple(rng.randrange(size) for _ in range(n_rows)) for size in sizes]
+        extra.append(extra_peak(lambda: lane_counter(columns, sizes, n_rows)))
+    assert extra[1] - extra[0] < 6000 * 20 * 8 / 4
 
 
 def wide_dataset(seed, n_rows=5000, n_attributes=20):

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import gradetree.dataset
+from conftest import extra_peak
 from gradetree.dataset import Attribute, AttributeSchema, ValidationError, dataset_to_csv, load_csv
 
 BOM = "\ufeff".encode()
@@ -158,13 +159,13 @@ def test_the_plain_path_and_the_csv_path_load_the_same(tmp_path_factory, case, c
 # --- which path a file takes ------------------------------------------------------
 
 
-def wide_table(tmp_path):
-    """A seeded table of 5,000 rows and 20 attributes of 3 to 5 values, as the benchmark's, and its schema."""
+def wide_table(tmp_path, n_rows=5000):
+    """A seeded table of ``n_rows`` rows and 20 attributes of 3 to 5 values, as the benchmark's, and its schema."""
     rng = random.Random(1)
     attributes = tuple(Attribute(f"A{i:02d}", tuple(f"v{j}" for j in range(3 + i % 3))) for i in range(20))
     schema = AttributeSchema(attributes, Attribute("CLASS", ("k0", "k1", "k2", "k3")))
-    rows = [[rng.choice(a.domain) for a in attributes] + [rng.choice(schema.class_domain)] for _ in range(5000)]
-    path = tmp_path / "wide.csv"
+    rows = [[rng.choice(a.domain) for a in attributes] + [rng.choice(schema.class_domain)] for _ in range(n_rows)]
+    path = tmp_path / f"wide-{n_rows}.csv"
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh, lineterminator="\n").writerows([[*schema.attribute_names, "CLASS"], *rows])
     return path, schema
@@ -183,13 +184,13 @@ def copies(path):
 
 
 @pytest.mark.parametrize("chunk_rows", [2, gradetree.dataset._CHUNK_ROWS])
-@pytest.mark.parametrize("table", ["bundled", "wide"])
+@pytest.mark.parametrize("table", ["bundled", "wide", "seam"])
 def test_plain_files_never_reach_the_csv_reader(tmp_path, monkeypatch, students, table, chunk_rows):
     if table == "bundled":
         path, schema = tmp_path / "students.csv", students.schema
         path.write_text(dataset_to_csv(students))
-    else:
-        path, schema = wide_table(tmp_path)
+    else:  # "seam": two full chunks of the default size, and one row in a third
+        path, schema = wide_table(tmp_path, 5000 if table == "wide" else 2 * gradetree.dataset._CHUNK_ROWS + 1)
     monkeypatch.setattr(gradetree.dataset, "_CHUNK_ROWS", chunk_rows)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(gradetree.dataset, "_plain_codes", lambda *args: None)
@@ -199,6 +200,21 @@ def test_plain_files_never_reach_the_csv_reader(tmp_path, monkeypatch, students,
     for kind, copy in copies(path):
         assert load_csv(copy, schema)._codes == expected, kind
     assert calls == []
+
+
+@pytest.mark.parametrize("path_kind", ["plain", "csv"])
+def test_a_load_holds_the_codes_once_beyond_one_chunk(tmp_path, monkeypatch, path_kind):
+    # each code is an 8-byte pointer; a load that also held its codes as lists would
+    # hold nearly one more copy of the 6,000 added rows' codes at its peak. Chunks of
+    # 64 rows keep a chunk's cells, which do not grow with the table, below that copy.
+    monkeypatch.setattr(gradetree.dataset, "_CHUNK_ROWS", 64)
+    if path_kind == "csv":
+        monkeypatch.setattr(gradetree.dataset, "_plain_codes", lambda *args: None)
+    extra = []
+    for n_rows in (2000, 8000):
+        path, schema = wide_table(tmp_path, n_rows)
+        extra.append(extra_peak(lambda: load_csv(path, schema)))
+    assert extra[1] - extra[0] < 6000 * 21 * 8 / 4
 
 
 @pytest.mark.parametrize("chunk_rows", [2, gradetree.dataset._CHUNK_ROWS])
