@@ -117,7 +117,7 @@ def leave_one_out(dataset: Dataset, config: TreeConfig | None = None) -> LooResu
             keys.append(key)
         return keys
 
-    # _growth refuses a schema with no predictor by name, where its counter would raise IndexError
+    # _growth refuses a schema with no predictor by name, before its counter's columns[0] raises IndexError
     decide, _, count = _growth(schema, columns, labels, config, score_node)
     grouped = _by_class(labels, len(schema.class_domain))  # fold i's rows are these less row i
     full = count(grouped, range(len(columns)))

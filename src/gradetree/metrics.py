@@ -9,27 +9,26 @@ Attribute scores come from counts, as in ID3 (Quinlan 1986): scoring
 reads the domain-index codes a dataset built when it was validated, its
 ``_codes``, over rows given as one list per class (``_by_class``).
 ``lane_counter`` is the one table counter: it packs each row into one
-int and tallies every asked attribute's value x class table at once, one
-C-level sum per class, each table a list of value rows and each row a
-tuple of class counts. Growth counts every node's tables with it, and
-leave-one-out its full tables with growth's; ``score_all`` counts its
-tables over all rows with it, once. ``node_scores`` is the one scorer:
-it scores a node's candidate tables in one call, from the node's class
-entropy computed once, and gives each table's gain, or its gain ratio. A
-table's float depends only on its contents, so it is the same scored
-alone or among other candidates. Every entropy, split information
-included, goes through one primitive, ``count_entropy``, which sums in
-the order given: class-domain order within an entropy, attribute-domain
-order across parts. That order is fixed because builds break ties
-between attributes on exact float equality: the same terms summed in
-another order can differ in the last bit, and so choose another split.
+int, a byte per value, and tallies every asked attribute's value x class
+table at once, one C-level sum per class and per 255 of its rows, each
+table a list of value rows and each row a tuple of class counts. Growth
+counts every node's tables with it, and leave-one-out its full tables
+with growth's; ``score_all`` counts its tables over all rows with it,
+once. ``node_scores`` is the one scorer: it scores a node's candidate
+tables in one call, from the node's class entropy computed once, and
+gives each table's gain, or its gain ratio. A table's float depends only
+on its contents, so it is the same scored alone or among other
+candidates. Every entropy, split information included, goes through one
+primitive, ``count_entropy``, which sums in the order given:
+class-domain order within an entropy, attribute-domain order across
+parts. That order is fixed because builds break ties between attributes
+on exact float equality: the same terms summed in another order can
+differ in the last bit, and so choose another split.
 """
 
 from __future__ import annotations
 
 import math
-import struct
-import sys
 from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate, repeat
@@ -110,42 +109,43 @@ def _by_class(labels: Sequence[int], n_classes: int) -> list[list[int]]:
     return groups
 
 
-def lane_counter(
-    columns: Sequence[Sequence[int]], sizes: Sequence[int], n_rows: int
-) -> Callable[[Sequence[Sequence[int]], Iterable[int]], list[list[tuple[int, ...]]]]:
-    """A counter of value x class tables over rows ``0 .. n_rows - 1``, each attribute's
-    codes in ``columns`` and its domain size in ``sizes``, in schema order.
+# the most rows ``lane_counter``'s ``count`` sums at once: a one-byte lane holds a count up to 255
+_LANE_ROWS = 255
 
-    Each row becomes one int: a lane of ``width`` bytes for every value of every
-    attribute, set to 1 at the row's own values. A lane holds any count up to
-    ``n_rows``, so a sum of rows is every lane's count at once, none carrying into the
-    next. ``count(by_class, positions)`` sums the rows listed per class, and returns the
-    table of each position over those rows: a list of its values' rows in domain order,
-    each a tuple of class counts in class order. The set-up is paid once per counter:
-    growth builds one per build or leave-one-out call, and every node it expands counts
-    its candidates in one ``count``, as do leave-one-out's full tables; ``score_all``
-    builds one for a single ``count``. The rows are packed ``dataset._CHUNK_ROWS`` at a time,
-    each chunk's value bytes gathered from a slice of every column, so the set-up holds one
-    chunk beyond the codes and the packed ints.
+
+def lane_counter(
+    columns: Sequence[Sequence[int]], sizes: Sequence[int]
+) -> Callable[[Sequence[Sequence[int]], Iterable[int]], list[list[tuple[int, ...]]]]:
+    """A counter of value x class tables over every row of ``columns`` (at least one), each
+    attribute's codes in ``columns`` and its domain size in ``sizes``, in schema order.
+
+    Each row becomes one int: a one-byte lane for every value of every attribute, set to 1 at
+    the row's own values. A sum of at most ``_LANE_ROWS`` rows is every lane's count at once,
+    none carrying into the next. ``count(by_class, positions)`` sums the rows listed per class
+    that many at a time, adds a class's blocks lane by lane, and returns the table of each
+    position over those rows: a list of its values' rows in domain order, each a tuple of
+    class counts in class order. The set-up is paid once per counter, and its every ``count``
+    sums the same ints: growth builds one per build or leave-one-out call. The rows are packed
+    ``dataset._CHUNK_ROWS`` at a time, each chunk's value bytes gathered from a slice of every
+    column, so the set-up holds one chunk beyond the codes and the packed ints.
     """
-    order = sys.byteorder  # so ``memoryview.cast`` reads each lane as a native integer
-    width = next(w for w in (1, 2, 4, 8) if 256**w > n_rows)
-    form = next(f for f in "BHILQ" if struct.calcsize(f) == width)
-    one = (1).to_bytes(width, order)
-    blocks = [[bytes(v * width) + one + bytes((size - v - 1) * width) for v in range(size)] for size in sizes]
+    blocks = [[bytes(v) + b"\1" + bytes(size - v - 1) for v in range(size)] for size in sizes]
     ints, step = [], _dataset._CHUNK_ROWS
-    for start in range(0, n_rows, step):
+    for start in range(0, len(columns[0]), step):
         # per row, a C-level join of each attribute's block for its value; no Python loop per cell
         row_blocks = zip(*[_gather(column[start:start + step], block) for block, column in zip(blocks, columns)])
-        ints += map(int.from_bytes, map(b"".join, row_blocks), repeat(order))
+        ints += map(int.from_bytes, map(b"".join, row_blocks), repeat("little"))
     lanes = sum(sizes)
     ends = [*accumulate(sizes)]
     starts = [end - size for end, size in zip(ends, sizes)]
 
+    def lane_counts(rows):  # as bytes, which iterate as ints: a sum of at most _LANE_ROWS rows is every count
+        if len(rows) <= _LANE_ROWS:
+            return sum(map(ints.__getitem__, rows)).to_bytes(lanes, "little")
+        return [*map(sum, zip(*[lane_counts(rows[i:i + _LANE_ROWS]) for i in range(0, len(rows), _LANE_ROWS)]))]
+
     def count(by_class, positions):
-        sums = b"".join([sum(map(ints.__getitem__, rows)).to_bytes(lanes * width, order) for rows in by_class])
-        flat = memoryview(sums).cast(form).tolist()  # class-major: a class's lanes, then the next class's
-        cells = [*zip(*[flat[i:i + lanes] for i in range(0, len(flat), lanes)])]  # a lane's count per class
+        cells = [*zip(*map(lane_counts, by_class))]  # a lane's count per class
         return [cells[starts[p]:ends[p]] for p in positions]
 
     return count
@@ -208,7 +208,9 @@ def score_all(dataset: Dataset, available: Iterable[str] | None = None) -> list[
 
     One ``lane_counter`` over the asked columns counts their tables over every row, grouped by
     class, and ``node_scores`` scores them; so each gain and ratio is the key a build compares at
-    a root over these rows. ``available`` may be any iterable of names, read once."""
+    a root over these rows. ``available`` may be any iterable of names but a string, read once."""
+    if isinstance(available, str):
+        raise TypeError(f"available must be an iterable of attribute names, not the string {available!r}")
     schema = dataset.schema
     asked = set(schema.attribute_names if available is None else available)
     if not asked:
@@ -222,7 +224,7 @@ def score_all(dataset: Dataset, available: Iterable[str] | None = None) -> list[
     n = len(labels)
     by_class = _by_class(labels, len(schema.class_domain))
     attributes, columns = zip(*[(a, column) for a, column in zip(schema.attributes, columns) if a.name in asked])
-    tables = lane_counter(columns, [len(a.domain) for a in attributes], n)(by_class, range(len(columns)))
+    tables = lane_counter(columns, [len(a.domain) for a in attributes])(by_class, range(len(columns)))
     counts = [*map(len, by_class)]
     gains, ratios = node_scores(tables, counts, n), node_scores(tables, counts, n, ratio=True)
     splits = [count_entropy([*map(sum, table)], n) for table in tables]

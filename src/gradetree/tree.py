@@ -13,7 +13,7 @@ the lists' lengths are its class counts. ``id3_build`` groups the root's
 rows once (``metrics._by_class``), and each node's split hands its
 children their rows already grouped. Every node counts its candidates'
 value x class tables in one call of ``metrics.lane_counter``, the
-package's one table counter: one sum of each class's rows. One
+package's one table counter: a sum per 255 rows of each class. One
 ``metrics.node_scores`` call scores them all, from the node's class
 entropy computed once. Growth is two steps (``_growth``): ``decide``
 applies the stop rules or names the winner, and ``split`` fills every
@@ -304,7 +304,7 @@ def _growth(schema: AttributeSchema, columns: Sequence[Sequence[int]], labels: S
     sizes = [len(a.domain) for a in schema.attributes]
     classes = schema.class_domain
     ratio = config.criterion is Criterion.GAIN_RATIO
-    count = lane_counter(columns, sizes, len(labels))
+    count = lane_counter(columns, sizes)
 
     def decide(item, tables=None):
         by_class, available, depth, parent = item

@@ -133,17 +133,24 @@ def naive_split_info(dataset: Dataset, attribute: str) -> float:
     return sum(-(len(g) / n) * math.log2(len(g) / n) for g in groups.values())
 
 
-def extra_peak(make: Callable[[], object]) -> int:
-    """The bytes ``make()`` held at its peak beyond what its result keeps, by ``tracemalloc``."""
+def traced(make: Callable[[], object]) -> tuple[int, int]:
+    """The bytes ``make()``'s result keeps, and the bytes ``make()`` held at its peak, by ``tracemalloc``."""
     gc.collect()
     tracing = tracemalloc.is_tracing()
     if not tracing:
         tracemalloc.start()
     tracemalloc.reset_peak()
+    start = tracemalloc.get_traced_memory()[0]
     try:
         result = make()  # held while the counts are read, so its memory counts as kept
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         if not tracing:
             tracemalloc.stop()
+    return kept - start, peak - start
+
+
+def extra_peak(make: Callable[[], object]) -> int:
+    """The bytes ``make()`` held at its peak beyond what its result keeps, by ``tracemalloc``."""
+    kept, peak = traced(make)
     return peak - kept

@@ -209,6 +209,17 @@ def test_score_all_reads_any_iterable_of_names_once(students):
         score_all(students, iter([]))
 
 
+def test_score_all_refuses_a_bare_string_of_names(students):
+    # a string iterates as its letters: on the bundled table those are unknown names, and on a
+    # schema of one-letter names they would be scored as attributes without a word
+    letters = make_dataset(AttributeSchema((Attribute("P", ("a", "b")), Attribute("S", ("a", "b"))),
+                                           Attribute("Y", ("c0", "c1"))), [(("a", "b"), "c0")])
+    for dataset, names in ((students, "PSM"), (letters, "PS")):
+        with pytest.raises(TypeError, match="not the string"):
+            score_all(dataset, names)
+    assert [s.attribute for s in score_all(letters, ["P", "S"])] == ["P", "S"]
+
+
 def test_score_all_gives_the_exact_floats_of_the_reference_tables():
     # the same integers in the same order give the same floats, to the last bit
     rng = random.Random(41)
