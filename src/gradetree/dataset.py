@@ -20,7 +20,6 @@ at a time. The bundled 50-student table ships with the package
 from __future__ import annotations
 
 import csv
-import hashlib
 import io
 import json
 import os
@@ -35,6 +34,14 @@ from itertools import chain, islice, repeat
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
+
+try:  # the interpreter's own SHA-256: importing hashlib loads OpenSSL, 3.5-3.7 MiB of resident memory
+    from _sha2 import sha256  # CPython 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # CPython 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256  # a build without built-in hashes
 
 __all__ = [
     "SchemaError",
@@ -161,8 +168,13 @@ class AttributeSchema:
 
     @classmethod
     def from_json_dict(cls, doc: Mapping) -> "AttributeSchema":
+        if not isinstance(doc, Mapping):
+            raise SchemaError(f"schema document must be a JSON object, not {type(doc).__name__}")
         try:
-            attrs = tuple(map(_attribute_from_json, doc["attributes"]))
+            attributes = doc["attributes"]
+            if not isinstance(attributes, list):  # map() would read a string's letters or an object's keys
+                raise SchemaError(f"schema attributes must be a JSON array, not {type(attributes).__name__}")
+            attrs = tuple(map(_attribute_from_json, attributes))
             cls_attr = _attribute_from_json(doc["class_attribute"])
         except (KeyError, TypeError) as exc:
             raise SchemaError(f"malformed schema document: {exc}") from exc
@@ -171,7 +183,7 @@ class AttributeSchema:
     def digest(self) -> str:
         """Stable content hash; models embed it to detect schema mismatch."""
         canonical = json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        return sha256(canonical.encode("utf-8")).hexdigest()
 
 
 class _FrozenDict(dict):

@@ -753,6 +753,22 @@ def test_a_schema_domain_that_is_not_an_array_is_a_data_error(tmp_path, capsys, 
     assert capsys.readouterr().err == f"error: attribute {name!r}: domain must be a JSON array, not dict\n"
 
 
+@pytest.mark.parametrize("attributes", [{}, ""], ids=["object", "string"])
+def test_schema_attributes_that_are_not_an_array_are_a_data_error_in_a_sidecar_and_a_model(
+        tmp_path, capsys, model_path, attributes):
+    doc = json.loads(fixture_paths()[1].read_text())
+    sidecar = tmp_path / "schema.json"
+    sidecar.write_text(json.dumps({**doc, "attributes": attributes}))
+    model_doc = json.loads(model_path.read_text())
+    model = tmp_path / "bad.model.json"
+    model.write_text(json.dumps({**model_doc, "schema": {**model_doc["schema"], "attributes": attributes}}))
+    message = f"error: schema attributes must be a JSON array, not {type(attributes).__name__}\n"
+    assert main(["gains", "--schema", str(sidecar)]) == 2
+    assert capsys.readouterr().err == message
+    assert main(["rules", "--model", str(model)]) == 2
+    assert capsys.readouterr().err == message
+
+
 # every option that reads a JSON file, each ending in the flag that takes it
 JSON_FILE_ARGV = [
     ["export-dot", "--model"], ["rules", "--model"], ["predict", "--data", "{inputs}", "--model"],

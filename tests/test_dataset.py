@@ -1,9 +1,16 @@
 import copy
 import csv
+import hashlib
+import json
+import os
 import pickle
 import random
 import re
+import subprocess
+import sys
+import textwrap
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,6 +21,7 @@ from gradetree.dataset import (
     Attribute,
     AttributeSchema,
     ClassDistribution,
+    DATA_DIR_ENV,
     DEFAULT_GRADE_BANDS,
     Dataset,
     GradeBand,
@@ -35,6 +43,7 @@ from gradetree.dataset import (
 )
 
 FIXTURE_COUNTS = {"First": 14, "Second": 15, "Third": 13, "Fail": 8}
+TESTS = Path(__file__).resolve().parent
 
 
 # --- schema -----------------------------------------------------------------
@@ -75,6 +84,21 @@ def test_a_schema_domain_that_is_not_an_array_is_rejected(name, domain):
         AttributeSchema.from_json_dict(doc)
 
 
+SCHEMA_DOC = {"attributes": [{"name": "A", "domain": ["x"]}], "class_attribute": {"name": "Y", "domain": ["c"]}}
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({**SCHEMA_DOC, "attributes": {}}, "schema attributes must be a JSON array, not dict"),
+    ({**SCHEMA_DOC, "attributes": ""}, "schema attributes must be a JSON array, not str"),
+    ({**SCHEMA_DOC, "attributes": "AB"}, "schema attributes must be a JSON array, not str"),
+    ({**SCHEMA_DOC, "attributes": SCHEMA_DOC["attributes"][0]}, "schema attributes must be a JSON array, not dict"),
+    ([], "schema document must be a JSON object, not list"),
+], ids=["empty-object", "empty-string", "string", "object", "top-level-array"])
+def test_a_schema_whose_attributes_are_not_an_array_is_rejected(doc, message):
+    with pytest.raises(SchemaError, match=f"^{message}$"):
+        AttributeSchema.from_json_dict(doc)
+
+
 def test_schema_sidecar_round_trip(tmp_path, students):
     from gradetree.dataset import dump_schema
 
@@ -82,6 +106,8 @@ def test_schema_sidecar_round_trip(tmp_path, students):
     dump_schema(students.schema, path)
     assert load_schema(path) == students.schema
     assert load_schema(path).digest() == students.schema.digest()
+    canonical = json.dumps(students.schema.to_json_dict(), sort_keys=True, separators=(",", ":"))
+    assert students.schema.digest() == hashlib.sha256(canonical.encode("utf-8")).hexdigest()
     assert load_schema(path).domain("PSM") == students.schema.domain("PSM")
     with pytest.raises(KeyError, match="^\"unknown attribute 'X'\"$"):
         students.schema.domain("X")
@@ -90,6 +116,37 @@ def test_schema_sidecar_round_trip(tmp_path, students):
 def test_schema_digest_changes_with_shape(students):
     other = AttributeSchema(students.schema.attributes[:-1], students.schema.class_attribute)
     assert other.digest() != students.schema.digest()
+
+
+def run_fresh(code: str, directory) -> str:
+    """The standard output of ``code`` run by a fresh interpreter in ``directory``, importing the package from ``src``."""
+    env = {**os.environ, "PYTHONPATH": str(TESTS.parent / "src")}
+    env.pop(DATA_DIR_ENV, None)
+    return subprocess.run([sys.executable, "-c", textwrap.dedent(code)], cwd=directory, env=env,
+                           capture_output=True, text=True, check=True).stdout
+
+
+def test_train_and_rules_never_load_hashlib(tmp_path):
+    out = run_fresh("""
+        import sys
+        from gradetree.cli import main
+        assert main(["train", "--out", "model.json"]) == 0
+        assert main(["rules", "--model", "model.json"]) == 0
+        print("loaded:", sorted({"hashlib", "_hashlib"} & set(sys.modules)))
+    """, tmp_path)
+    assert (tmp_path / "model.json").exists()
+    assert out.splitlines()[-1] == "loaded: []"
+
+
+def test_the_hashlib_fallback_gives_the_golden_digest(tmp_path):
+    out = run_fresh("""
+        import sys
+        sys.modules["_sha2"] = sys.modules["_sha256"] = None
+        from gradetree.dataset import load_students
+        print("hashlib" in sys.modules, load_students().schema.digest())
+    """, tmp_path)
+    golden = json.loads((TESTS / "golden" / "fixture_model.json").read_text(encoding="utf-8"))
+    assert out.split() == ["True", golden["schema_digest"]]
 
 
 # --- fixture loading --------------------------------------------------------
