@@ -8,20 +8,29 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .dataset import Dataset, _FrozenDict
 from .metrics import _by_class, node_scores
-from .tree import DecisionTree, TreeConfig, _class_labels, _code_rows, _growth, _root_item, _route
+from .tree import (Criterion, DecisionTree, TreeConfig, _choose, _class_labels, _code_rows, _growth, _is_count,
+                   _root_item, _route)
 
 __all__ = ["ConfusionMatrix", "LooResult", "accuracy", "confusion", "leave_one_out"]
 
 
 @dataclass(frozen=True)
 class ConfusionMatrix:
-    """Counts keyed by (actual, predicted); class order follows the schema. ``counts`` is a read-only copy."""
+    """Counts keyed by (actual, predicted); class order follows the schema. ``counts`` is a read-only copy,
+    with a count, an integer >= 0, for every pair of the classes, which are distinct and at least one."""
 
     classes: tuple[str, ...]
     counts: Mapping[tuple[str, str], int]
 
     def __post_init__(self):
-        object.__setattr__(self, "counts", _FrozenDict(self.counts))
+        classes, counts = self.classes, _FrozenDict(self.counts)
+        if not classes or len(set(classes)) != len(classes):
+            raise ValueError(f"a confusion matrix needs distinct classes, at least one, not {classes!r}")
+        if counts.keys() != {(a, p) for a in classes for p in classes}:
+            raise ValueError("a confusion matrix needs a count for every (actual, predicted) pair of its classes")
+        if not all(map(_is_count, counts.values())):
+            raise ValueError(f"confusion counts must be integers >= 0: {dict(counts)}")
+        object.__setattr__(self, "counts", counts)
 
     @property
     def total(self) -> int:
@@ -85,20 +94,22 @@ def leave_one_out(dataset: Dataset, config: TreeConfig | None = None) -> LooResu
 
     A desk-scale substitute for a held-out test set; the aggregate
     accuracy is this repo's documented baseline for the bundled fixture.
-    No fold grows a whole tree, and no node is split: the held-out row
-    descends by its codes through only the children it reaches, each
-    decided by the step ``id3_build`` uses, over the row indices of the
-    other records grouped by class. The leaf it reaches is the one the
-    whole fold tree would route it to.
-    A fold root's rows are the full grouping less the held-out row, which
-    changes only that row's class list; the others are shared by every fold,
-    as no step changes a list. A fold root's tables are not counted:
-    ``decide`` is handed the full tables, counted once per call by growth's
-    own lane counter, less the held-out row's cell, whose row is rebuilt as
-    a tuple, as the counter gives rows. Folds repeat tables, so one call
-    scores each distinct table once, alone, by ``node_scores``, and reuses
-    its key: a table's key depends only on its contents, so it is the float
-    it gets among its node's candidates.
+    No fold grows a tree: the held-out row descends through only the nodes
+    it reaches, each decided by the rules ``id3_build`` uses (``_growth``'s
+    ``stop`` and the tie rule ``_choose``). The leaf it reaches is the one
+    the whole fold tree would route it to. Folds go down in batches: a
+    batch is a node of the full data's rows, grouped by class, and the folds
+    whose held-out row is among them. Each has followed the same splits, so
+    each fold's node is the batch's rows less its own row, and its class
+    counts the batch's less one of its class. So ``stop`` is applied once
+    per class a batch's folds hold, and a batch's tables are counted once,
+    by growth's own lane counter. A fold that goes on scores each table less
+    its row's cell. Such a table depends only on its position, its row's
+    value and its class, and a table's key only on its contents, so one
+    call scores each distinct table once, alone, by ``node_scores``: the
+    float it gets among its node's candidates. The folds are grouped by
+    their winner; each group's node is split once, by growth's ``split``,
+    and each fold goes on with the child its row reaches.
     """
     if len(dataset) < 2:
         raise ValueError("leave-one-out needs at least 2 records")
@@ -106,38 +117,57 @@ def leave_one_out(dataset: Dataset, config: TreeConfig | None = None) -> LooResu
         config = TreeConfig()
     schema = dataset.schema
     *columns, labels = dataset._codes
-    memo = {}  # a table's contents -> its key: equal tables score the same float
-
-    def score_node(tables, counts, total, ratio):  # the keys node_scores gives, each table scored once
-        keys = []
-        for table in tables:
-            contents = tuple(table)
-            if (key := memo.get(contents)) is None:
-                key = memo[contents] = node_scores([table], counts, total, ratio)[0]
-            keys.append(key)
-        return keys
-
+    ratio = config.criterion is Criterion.GAIN_RATIO
     # _growth refuses a schema with no predictor by name, before its counter's columns[0] raises IndexError
-    decide, _, count = _growth(schema, columns, labels, config, score_node)
-    grouped = _by_class(labels, len(schema.class_domain))  # fold i's rows are these less row i
-    full = count(grouped, range(len(columns)))
-    predicted = []
-    for i in range(len(labels)):
-        c = labels[i]
-        by_class = [*grouped]
-        by_class[c] = [r for r in grouped[c] if r != i]
-        tables = [[*table] for table in full]  # each table less row i's cell; only that row is copied
-        for table, column in zip(tables, columns):
-            row = [*table[column[i]]]
-            row[c] -= 1
-            table[column[i]] = tuple(row)
-        node, best = decide(item := _root_item(schema, by_class), tables)
-        while best >= 0:  # build the child row i reaches, and no other
-            by_class, available, depth, _ = item
+    _, split, count, stop = _growth(schema, columns, labels, config)
+    memo = {}  # a table's contents -> its key: equal tables score the same float
+    predicted = [None] * len(labels)
+    grouped, available, _, _ = _root_item(schema, _by_class(labels, len(schema.class_domain)))
+    # a node of the full data and its folds; an item's parent is its folds' parent per class, none at the root
+    batches = [((grouped, available, 0, {}), range(len(labels)))]
+    while batches:
+        item, folds = batches.pop()
+        by_class, available, depth, parents = item
+        counts = [*map(len, by_class)]
+        n = sum(counts) - 1  # every fold's node size
+        of_class = {}  # a class -> the folds whose held-out row is of it
+        for i in folds:
+            of_class.setdefault(labels[i], []).append(i)
+        dists = {}  # a class -> its folds' node distribution, their children's parent
+        tables = None  # counted once the first fold goes on
+        cols = [columns[p] for p in available]
+        winners = {}  # a winner's position -> the folds it splits
+        for c, class_folds in of_class.items():
+            fold_counts = [*counts]
+            fold_counts[c] -= 1
+            dists[c], leaf = stop(fold_counts, available, depth, parents.get(c))
+            if leaf is not None:
+                for i in class_folds:
+                    predicted[i] = leaf.label
+                continue
+            if tables is None:
+                tables = count(by_class, available)
+            key_rows = []  # per table, the key of it less one cell of this class, by the cell's value
+            for full, column in zip(tables, cols):
+                row_keys = [None] * len(full)
+                for v in {column[i] for i in class_folds}:
+                    table = [*full]  # less the cell; only that row is copied
+                    row = [*table[v]]
+                    row[c] -= 1
+                    table[v] = tuple(row)
+                    if (key := memo.get(contents := tuple(table))) is None:
+                        key = memo[contents] = node_scores([table], fold_counts, n, ratio)[0]
+                    row_keys[v] = key
+                key_rows.append(row_keys)
+            for i in class_folds:
+                best = _choose([row_keys[column[i]] for row_keys, column in zip(key_rows, cols)], available)
+                winners.setdefault(best, []).append(i)
+        for best, group in winners.items():
+            children = split(item, dists, best)
             column = columns[best]
-            item = ([[r for r in rows if column[r] == column[i]] for rows in by_class],
-                    [p for p in available if p != best], depth + 1, node)
-            node, best = decide(item)
-        predicted.append(node.label)
+            reached = {}  # a value -> the folds whose row has it
+            for i in group:
+                reached.setdefault(column[i], []).append(i)
+            batches += [(children[v], reached_folds) for v, reached_folds in reached.items()]
     matrix = _confusion(schema.class_domain, _class_labels(dataset), predicted)
     return LooResult(matrix.accuracy, matrix)

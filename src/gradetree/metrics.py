@@ -12,9 +12,9 @@ reads the domain-index codes a dataset built when it was validated, its
 int, a byte per value, and tallies every asked attribute's value x class
 table at once, one C-level sum per class and per 255 of its rows, each
 table a list of value rows and each row a tuple of class counts. Growth
-counts every node's tables with it, and leave-one-out its full tables
-with growth's; ``score_all`` counts its tables over all rows with it,
-once. ``node_scores`` is the one scorer: it scores a node's candidate
+counts every node's tables with it, and leave-one-out, with growth's,
+those of each node of the full data its folds reach; ``score_all``
+counts its tables over all rows with it, once. ``node_scores`` is the one scorer: it scores a node's candidate
 tables in one call, from the node's class entropy computed once, and
 gives each table's gain, or its gain ratio. A table's float depends only
 on its contents, so it is the same scored alone or among other

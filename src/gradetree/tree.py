@@ -16,14 +16,16 @@ value x class tables in one call of ``metrics.lane_counter``, the
 package's one table counter: a sum per 255 rows of each class. One
 ``metrics.node_scores`` call scores them all, from the node's class
 entropy computed once. Growth is two steps (``_growth``): ``decide``
-applies the stop rules or names the winner, and ``split`` fills every
-child's class lists in one pass over each class's rows; ``id3_build``
-decides, then splits. A node depends only on the nodes along its own
-path, so leave-one-out grows no whole fold and never splits: it decides
-down the held-out row's path, from the same codes less that row,
-building only the child the row reaches. A fold root's tables are not
-counted: each is the full table less that row's cell, handed to
-``decide``. Folds repeat tables, so leave-one-out's ``decide`` scores
+applies the stop rules (``stop``) or names the winner by the tie rule
+(``_choose``), and ``split`` fills every child's class lists in one
+pass over each class's rows; ``id3_build`` decides, then splits. A node
+depends only on the nodes along its own path, so leave-one-out grows no
+whole fold: it follows each held-out row's path only. Folds that share
+a node of the full data go down it together, each fold's node being
+that node less its own row; leave-one-out counts the node's tables once,
+applies ``stop`` once per class of its folds, scores each fold's tables
+less its row's cell, picks each fold's winner by ``_choose``, and splits
+the node once per winner. Folds repeat tables, so leave-one-out scores
 each distinct table once per call, alone, which gives the float it gets
 among its node's candidates; a build's tables do not repeat, and
 ``id3_build`` scores each as counted.
@@ -177,7 +179,7 @@ def id3_build(dataset: Dataset, config: TreeConfig | None = None) -> DecisionTre
         raise ValueError("cannot build a tree from an empty dataset")
     schema = dataset.schema
     *columns, labels = dataset._codes
-    decide, split, _ = _growth(schema, columns, labels, config)
+    decide, split, _, _ = _growth(schema, columns, labels, config)
 
     def expand(item):  # decide, then split
         node, best = decide(item)
@@ -287,18 +289,18 @@ def _class_labels(dataset: Dataset) -> list[str]:
     return [classes[c] for c in dataset._codes[-1]]
 
 
-def _growth(schema: AttributeSchema, columns: Sequence[Sequence[int]], labels: Sequence[int],
-            config: TreeConfig, score_node=node_scores):
-    """The growth rule as two steps and its counter, given every attribute's code column in schema
-    order and the label codes. ``decide(item, tables=None)`` gives a node's ``Leaf`` and -1 where
-    growth stops, else its distribution and the winner's position; ``tables``, if given, are the
-    node's tables over its available positions, counted elsewhere. ``split(item, dist, best)`` gives
-    every child's item in domain order. ``count`` is the lane counter ``decide`` counts by (leave-one-out
-    counts its full tables by it). ``score_node`` takes what ``node_scores`` takes and gives each
-    candidate's key as it does (leave-one-out passes one that scores each distinct table once).
-    An item (see ``_root_item``) is a node's rows grouped by class, the positions still available on
-    its path, its depth and its parent's distribution, so a node depends only on the nodes along its
-    own path. Items never change their lists: the lane counter sums a node's, and its split fills its children's."""
+def _growth(schema: AttributeSchema, columns: Sequence[Sequence[int]], labels: Sequence[int], config: TreeConfig):
+    """The growth rule as its steps and its counter, ``decide, split, count, stop``, given every attribute's
+    code column in schema order and the label codes. ``stop(counts, available, depth, parent)`` applies the stop
+    rules to a node's class counts: it gives the node's distribution (its parent's where it is empty) and its
+    ``Leaf`` where growth stops there, else None. ``decide(item)`` gives a node's ``Leaf`` and -1 where ``stop``
+    gives one, else its distribution and the winner's position: one ``count`` of its tables over its available
+    positions, one ``node_scores`` call and the tie rule, ``_choose``. ``split(item, dist, best)`` gives every
+    child's item in domain order, ``dist`` as their parent's (leave-one-out's, per class). ``count`` is the lane
+    counter ``decide`` counts by. Leave-one-out counts by it too, and calls ``stop`` and ``_choose`` itself. An
+    item (see ``_root_item``) is a node's rows grouped by class, the positions still available on its path, its
+    depth and its parent's distribution, so a node depends only on the nodes along its own path. Items never
+    change their lists: the lane counter sums a node's, and its split fills its children's."""
     if not schema.attributes:
         raise ValueError("schema declares no predictor attributes")
     sizes = [len(a.domain) for a in schema.attributes]
@@ -306,9 +308,7 @@ def _growth(schema: AttributeSchema, columns: Sequence[Sequence[int]], labels: S
     ratio = config.criterion is Criterion.GAIN_RATIO
     count = lane_counter(columns, sizes)
 
-    def decide(item, tables=None):
-        by_class, available, depth, parent = item
-        counts = [*map(len, by_class)]
+    def stop(counts, available, depth, parent):
         n = sum(counts)
         # an empty branch becomes a leaf of its parent's majority and distribution
         dist = ClassDistribution(dict(zip(classes, counts)), n) if n else parent
@@ -318,9 +318,16 @@ def _growth(schema: AttributeSchema, columns: Sequence[Sequence[int]], labels: S
             or not available
             or (config.max_depth is not None and depth >= config.max_depth)
         ):
-            return Leaf(dist.majority(), n, dist), -1
-        keys = score_node(tables or count(by_class, available), counts, n, ratio)
-        return dist, available[keys.index(max(keys))]  # the first maximum in schema order wins ties
+            return dist, Leaf(dist.majority(), n, dist)
+        return dist, None
+
+    def decide(item):
+        by_class, available, depth, parent = item
+        counts = [*map(len, by_class)]
+        dist, leaf = stop(counts, available, depth, parent)
+        if leaf is not None:
+            return leaf, -1
+        return dist, _choose(node_scores(count(by_class, available), counts, sum(counts), ratio), available)
 
     def split(item, dist, best):
         by_class, available, depth, _ = item
@@ -332,7 +339,13 @@ def _growth(schema: AttributeSchema, columns: Sequence[Sequence[int]], labels: S
         remaining = [p for p in available if p != best]
         return [(part, remaining, depth + 1, dist) for part in parts]
 
-    return decide, split, count
+    return decide, split, count, stop
+
+
+def _choose(keys: Sequence[float], available: Sequence[int]) -> int:
+    """The tie rule: the winner among a node's available positions, given each one's key in that order.
+    The first maximum in schema order wins ties."""
+    return available[keys.index(max(keys))]
 
 
 def _root_item(schema: AttributeSchema, by_class: Sequence[Sequence[int]]) -> tuple:

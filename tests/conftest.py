@@ -64,6 +64,23 @@ def random_dataset(rng: random.Random, max_attributes=6, max_records=200,
     return Dataset(schema, tuple(records))
 
 
+def wide_dataset(seed, n_rows=5000, n_attributes=20):
+    """A seeded table whose label is a noisy function of three attributes, domains of 3 to 5 values."""
+    rng = random.Random(seed)
+    attributes = tuple(Attribute(f"A{i:02d}", tuple(f"v{j}" for j in range(3 + i % 3))) for i in range(n_attributes))
+    classes = ("k0", "k1", "k2", "k3")
+    relevant = rng.sample(range(n_attributes), 3)
+    label_of = {}
+    records = []
+    for _ in range(n_rows):
+        values = [rng.choice(a.domain) for a in attributes]
+        label = label_of.setdefault(tuple(values[i] for i in relevant), rng.choice(classes))
+        if rng.random() < 0.2:
+            label = rng.choice(classes)
+        records.append(Record(dict(zip((a.name for a in attributes), values)), label))
+    return Dataset(AttributeSchema(attributes, Attribute("CLASS", classes)), tuple(records))
+
+
 def with_branches_dropped(node, rng):
     """A copy of a subtree that leaves out some branches, more often empty ones; a node keeps one at least."""
     if isinstance(node, Leaf):

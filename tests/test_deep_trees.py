@@ -263,13 +263,13 @@ def test_train_grows_no_node_deeper_than_one_level_past_the_limit(tmp_path, monk
     depths = []
 
     def recording_growth(*args):
-        decide, split, count = growth(*args)
+        decide, *steps = growth(*args)
 
-        def recorded(item, *tables):
+        def recorded(item):
             depths.append(item[2])
-            return decide(item, *tables)
+            return decide(item)
 
-        return recorded, split, count
+        return recorded, *steps
 
     growth = tree_module._growth
     monkeypatch.setattr(tree_module, "_growth", recording_growth)

@@ -2,22 +2,26 @@ import copy
 import itertools
 import pickle
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import gradetree.evaluate
 import gradetree.tree
-from conftest import calls_everywhere, contingency, make_dataset, random_dataset, tiny_schema, with_branches_dropped
+from conftest import (
+    calls_everywhere, contingency, make_dataset, random_dataset, tiny_schema, wide_dataset, with_branches_dropped
+)
 from gradetree.dataset import Attribute, AttributeSchema, Dataset, Record, class_distribution
 from gradetree.evaluate import ConfusionMatrix, accuracy, confusion, leave_one_out
-from gradetree.metrics import lane_counter, node_scores
+from gradetree.metrics import _by_class, lane_counter, node_scores
 from gradetree.tree import (
     Criterion,
     DecisionTree,
     Internal,
     Leaf,
     TreeConfig,
+    _root_item,
     id3_build,
     model_to_json_dict,
     predict,
@@ -114,6 +118,21 @@ def test_confusion_counts_are_read_only_and_a_matrix_pickles_and_copies_equal(st
     result = leave_one_out(students)
     for value in (matrix, result):
         assert pickle.loads(pickle.dumps(value)) == value and copy.deepcopy(value) == value
+
+
+@pytest.mark.parametrize("classes, counts", [
+    ((), {}),  # no class: render had no width to take
+    (("a", "a"), {("a", "a"): 1}),  # a repeated class
+    (("a", "b"), {("a", "a"): 1, ("x", "y"): -3}),  # pairs of other classes: total -2, KeyError in accuracy
+    (("a", "b"), {("a", "a"): 1, ("a", "b"): 0, ("b", "a"): 0}),  # a missing pair
+    (("a", "b"), {("a", "a"): 1, ("a", "b"): 0, ("b", "a"): 0, ("b", "b"): 0, ("b", "c"): 0}),  # an extra pair
+    (("a",), {("a", "a"): -1}),
+    (("a",), {("a", "a"): 1.0}),
+    (("a",), {("a", "a"): True}),  # no bool is a count, as in a model file
+])
+def test_a_confusion_matrix_refuses_counts_its_methods_cannot_read(classes, counts):
+    with pytest.raises(ValueError):
+        ConfusionMatrix(classes, counts)
 
 
 def test_leave_one_out_on_identical_records_is_perfect():
@@ -316,68 +335,94 @@ def test_a_held_out_row_that_reaches_an_empty_branch_gets_the_fold_roots_majorit
     assert result.confusion.counts == {("p", "p"): 2, ("p", "q"): 0, ("q", "p"): 1, ("q", "q"): 2}
 
 
-def test_no_fold_expands_more_than_one_path(students, monkeypatch):
-    folds = []
+def recording_descent(monkeypatch):
+    """Wrap the growth steps leave-one-out borrows: the lists of its count calls, as (rows grouped by class,
+    positions, tables), of its split calls, as (item, winner, children), and of its stop calls' counts."""
+    counted, splits, stops = [], [], []
 
-    def counting_growth(*args):
-        decide, split, count = growth(*args)
+    def lanes_counted(*args):
+        count = lane_counter(*args)
 
-        def counted(item, *tables):
-            if item[2] == 0:  # a root item starts the next fold
-                folds.append(0)
-            folds[-1] += 1
-            return decide(item, *tables)
+        def tracked(by_class, positions):
+            counted.append((by_class, [*positions], tables := count(by_class, positions)))
+            return tables
 
-        return counted, split, count
+        return tracked
+
+    def recording_growth(*args):
+        decide, split, count, stop = growth(*args)
+
+        def recorded_split(item, dist, best):
+            splits.append((item, best, children := split(item, dist, best)))
+            return children
+
+        def recorded_stop(counts, *rest):
+            stops.append([*counts])
+            return stop(counts, *rest)
+
+        return decide, recorded_split, count, recorded_stop
 
     growth = gradetree.evaluate._growth
-    monkeypatch.setattr(gradetree.evaluate, "_growth", counting_growth)
-    assert leave_one_out(students).accuracy == FIXTURE_LOO_ACCURACY
-    assert len(folds) == len(students)
-    assert max(folds) <= len(students.schema.attributes) + 1
-    assert sum(folds) == 189  # the 50 whole fold trees hold 2,574 nodes
+    monkeypatch.setattr(gradetree.tree, "lane_counter", lanes_counted)  # growth's, which leave-one-out borrows
+    monkeypatch.setattr(gradetree.evaluate, "_growth", recording_growth)
+    return counted, splits, stops
+
+
+def is_full_data_node(columns, by_class):
+    """Whether rows grouped by class are every row that has the values its rows all share: a node of the
+    full data's rows, and not such a node less a held-out row."""
+    rows = {r for group in by_class for r in group}
+    shared = [(column, column[min(rows)]) for column in columns if len({column[r] for r in rows}) == 1]
+    return rows == {r for r in range(len(columns[0])) if all(column[r] == v for column, v in shared)}
+
+
+@pytest.mark.parametrize("criterion, counts, tables, splits, stops",
+                         [(Criterion.GAIN, 23, 120, 29, 75), (Criterion.GAIN_RATIO, 29, 135, 45, 89)])
+def test_leave_one_out_counts_splits_and_stops_the_bundled_table_as_pinned(
+    students, monkeypatch, criterion, counts, tables, splits, stops
+):
+    config = TreeConfig(criterion)
+    expected = leave_one_out_per_fold_dataset(students, config)
+    counted, split_calls, stop_calls = recording_descent(monkeypatch)
+    assert tuple(leave_one_out(students, config)) == expected
+    *columns, _ = students._codes
+    assert all(is_full_data_node(columns, by_class) for by_class, _, _ in counted)
+    # the 50 fold paths hold 189 nodes under gain, each once decided, and 839 tables
+    assert (len(counted), sum(len(t) for _, _, t in counted), len(split_calls), len(stop_calls)) == (
+        counts, tables, splits, stops)
 
 
 @pytest.mark.parametrize("criterion", list(Criterion))
 @pytest.mark.parametrize("support, depth", [(0, None), (3, None), (0, 2), (3, 2)])
-def test_leave_one_out_builds_only_the_child_its_row_reaches(students, monkeypatch, criterion, support, depth):
-    steps = []  # each decision: the item decided and what decide gave
-    splits, split_calls = [], []  # the split each call of leave_one_out got, and the calls of any
-
-    def recording_growth(*args):
-        decide, split, count = growth(*args)
-
-        def recorded(item, *tables):
-            steps.append((item, decided := decide(item, *tables)))
-            return decided
-
-        def counted(*args):
-            split_calls.append(args)
-            return split(*args)
-
-        splits.append(split)
-        return recorded, counted, count
-
-    growth = gradetree.evaluate._growth
-    monkeypatch.setattr(gradetree.evaluate, "_growth", recording_growth)
+def test_leave_one_out_counts_each_full_data_node_its_folds_reach_once(
+    students, monkeypatch, criterion, support, depth
+):
+    counted, split_calls, _ = recording_descent(monkeypatch)
     config = TreeConfig(criterion, support, depth)
     rng = random.Random(5)
     for dataset in [students] + [random_dataset(rng, contradiction_free=False) for _ in range(6)]:
         if len(dataset) < 2:
             continue
-        steps.clear()
-        splits.clear()
-        leave_one_out(dataset, config)
-        (split,) = splits
-        assert split_calls == []
-        *columns, _ = dataset._codes
-        starts = [k for k, (item, _) in enumerate(steps) if item[2] == 0]
-        assert len(starts) == len(dataset)
-        for i, (start, end) in enumerate(zip(starts, starts[1:] + [len(steps)])):
-            path = steps[start:end]
-            assert [best < 0 for _, (_, best) in path] == [False] * (len(path) - 1) + [True]
-            for (item, (dist, best)), (child, _) in zip(path, path[1:]):
-                assert child == split(item, dist, best)[columns[best][i]]
+        expected = leave_one_out_per_fold_dataset(dataset, config)  # its builds count by growth's counter too
+        counted.clear()
+        split_calls.clear()
+        assert tuple(leave_one_out(dataset, config)) == expected
+        *columns, labels = dataset._codes
+        if not counted:  # every fold stopped at the root
+            continue
+        (root, positions, _), *below = counted
+        assert sorted(r for group in root for r in group) == [*range(len(labels))]
+        assert positions == [*range(len(columns))]
+        children = {id(child[0]): child for _, _, items in split_calls for child in items}
+        for by_class, positions, _ in below:  # a node counted below the root is a child split from a counted node
+            child = children.get(id(by_class))
+            assert child is not None and child[0] is by_class and positions == child[1]
+        counted_ids = [id(by_class) for by_class, _, _ in counted]
+        assert len(set(counted_ids)) == len(counted_ids)  # no node is counted twice
+        assert all(id(item[0]) in counted_ids for item, _, _ in split_calls)  # and none is split uncounted
+        assert all(is_full_data_node(columns, by_class) for by_class, _, _ in counted)
+        split_once = [(id(item[0]), best) for item, best, _ in split_calls]
+        assert len(set(split_once)) == len(split_once)  # a node is split once per winner
 
 
 @pytest.mark.parametrize("criterion, stats, loo", [(Criterion.GAIN, (35, 53, 5), 0.54),
@@ -385,18 +430,12 @@ def test_leave_one_out_builds_only_the_child_its_row_reaches(students, monkeypat
 def test_a_root_forced_onto_psm_grows_and_holds_out_as_pinned(students, monkeypatch, criterion, stats, loo):
     psm = students.schema.attribute_names.index("PSM")
 
-    def forcing_growth(*args):  # every root that splits splits on PSM; every other node decides as before
-        decide, split, count = growth(*args)
+    def forced(keys, available):  # every root that splits splits on PSM; every other node chooses as before
+        return psm if len(available) == len(students.schema.attributes) else choose(keys, available)
 
-        def forced(item, *tables):
-            node, best = decide(item, *tables)
-            return (node, psm) if item[2] == 0 and best >= 0 else (node, best)
-
-        return forced, split, count
-
-    growth = gradetree.tree._growth
-    monkeypatch.setattr(gradetree.tree, "_growth", forcing_growth)
-    monkeypatch.setattr(gradetree.evaluate, "_growth", forcing_growth)
+    choose = gradetree.tree._choose
+    monkeypatch.setattr(gradetree.tree, "_choose", forced)  # the tie rule id3_build decides by
+    monkeypatch.setattr(gradetree.evaluate, "_choose", forced)  # and leave-one-out
     config = TreeConfig(criterion)
     tree = id3_build(students, config)
     assert tree.root.attribute == "PSM"
@@ -421,41 +460,6 @@ def test_leave_one_out_scores_each_distinct_table_once(students, monkeypatch, cr
     assert len(scored) == len(set(scored)) == distinct
 
 
-def test_no_fold_root_counts_a_table(students, monkeypatch):
-    depths = []  # the depth of the node being expanded at each count; None outside every node
-    expanding = [None]
-
-    def tracking_growth(*args):
-        decide, split, count = growth(*args)
-
-        def tracked(item, *tables):
-            expanding[0] = item[2]
-            try:
-                return decide(item, *tables)
-            finally:
-                expanding[0] = None
-
-        return tracked, split, count
-
-    def lanes_counted(*args):  # a node counts all its tables in one call
-        count = lane_counter(*args)
-
-        def tracked(by_class, positions):
-            tables = count(by_class, positions)
-            depths.extend([expanding[0]] * len(tables))
-            return tables
-
-        return tracked
-
-    growth = gradetree.evaluate._growth
-    monkeypatch.setattr(gradetree.evaluate, "_growth", tracking_growth)
-    monkeypatch.setattr(gradetree.tree, "lane_counter", lanes_counted)  # growth's, which leave-one-out borrows
-    assert leave_one_out(students).accuracy == FIXTURE_LOO_ACCURACY
-    assert 0 not in depths
-    assert depths.count(None) == len(students.schema.attributes)  # the full tables, once per call
-    assert len(depths) == len(students.schema.attributes) + 839 - 350  # every table but the 50 roots' 350
-
-
 @pytest.mark.parametrize("criterion", list(Criterion))
 def test_one_leave_one_out_call_builds_one_lane_counter(students, monkeypatch, criterion):
     built = calls_everywhere(monkeypatch, lane_counter)
@@ -465,33 +469,55 @@ def test_one_leave_one_out_call_builds_one_lane_counter(students, monkeypatch, c
     assert criterion is not Criterion.GAIN or result.accuracy == FIXTURE_LOO_ACCURACY
 
 
+
 @pytest.mark.parametrize("seed", [None, 1, 2, 3])  # the bundled table, then random ones
-def test_fold_roots_are_handed_the_tables_of_their_rows_sharing_every_unchanged_row(students, monkeypatch, seed):
+def test_each_fold_scores_its_batch_s_tables_less_its_row_sharing_every_other_row(students, monkeypatch, seed):
     dataset = students if seed is None else random_dataset(random.Random(seed), contradiction_free=False)
     assert len(dataset) >= 2
     *columns, _ = dataset._codes
     sizes = [len(a.domain) for a in dataset.schema.attributes]
-    roots = []
+    counted, _, _ = recording_descent(monkeypatch)
+    scored = []  # each scoring call's tables, class counts and size, and the count call before it
 
-    def recording_growth(*args):
-        decide, split, count = growth(*args)
+    def scoring(tables, counts, total, ratio):
+        scored.append((tables := [*tables], [*counts], total, counted[-1]))
+        return node_scores(tables, counts, total, ratio)
 
-        def recorded(item, tables=None):
-            if item[2] == 0:
-                roots.append((item, tables))
-            return decide(item, tables)
-
-        return recorded, split, count
-
-    growth = gradetree.evaluate._growth
-    monkeypatch.setattr(gradetree.evaluate, "_growth", recording_growth)
+    monkeypatch.setattr(gradetree.evaluate, "node_scores", scoring)
     assert tuple(leave_one_out(dataset)) == leave_one_out_per_fold_dataset(dataset, TreeConfig())
-    assert len(roots) == len(dataset)
-    rows = {}  # (attribute, value) -> the ids of that table row in the folds whose held-out row lacks the value
-    for i, ((by_class, _, _, _), tables) in enumerate(roots):
-        assert [[*map(list, t)] for t in tables] == [contingency(c, by_class, n) for c, n in zip(columns, sizes)]
-        for a, table in enumerate(tables):
-            for v, row in enumerate(table):
-                if v != columns[a][i]:
-                    rows.setdefault((a, v), set()).add(id(row))
-    assert all(len(ids) == 1 for ids in rows.values())  # one row object, shared by every fold that keeps it
+    assert scored
+    for (table,), counts, total, (by_class, positions, full) in scored:  # each table scored alone
+        changed = {k: [v for v, (row, kept) in enumerate(zip(table, f)) if row is not kept]
+                   for k, f in enumerate(full) if len(f) == len(table)}
+        ((k, (v,)),) = [(k, rows) for k, rows in changed.items() if len(rows) == 1]  # one row copied, the rest shared
+        less = [*map(len, by_class)]
+        (c,) = [c for c, (node, fold) in enumerate(zip(less, counts)) if node != fold]
+        column = columns[positions[k]]
+        held_out = next(i for i in by_class[c] if column[i] == v)  # any such row leaves the same fold node
+        fold = [[r for r in group if r != held_out] for group in by_class]
+        assert counts == [*map(len, fold)] and total == sum(counts)
+        assert [*map(list, table)] == contingency(column, fold, sizes[positions[k]])
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("criterion", list(Criterion))
+def test_leave_one_out_matches_the_per_fold_dataset_path_where_folds_diverge_in_bulk(monkeypatch, criterion):
+    dataset = wide_dataset(3, n_rows=300)
+    config = TreeConfig(criterion, max_depth=4)
+    schema = dataset.schema
+    *columns, labels = dataset._codes
+    full_winners = {}  # each internal node of the full data's tree, as its rows by class -> its winner
+    decide, split, _, _ = gradetree.tree._growth(schema, columns, labels, config)
+    items = [_root_item(schema, _by_class(labels, len(schema.class_domain)))]
+    while items:
+        node, best = decide(item := items.pop())
+        if best >= 0:
+            full_winners[tuple(map(tuple, item[0]))] = best
+            items += split(item, node, best)
+    _, split_calls, _ = recording_descent(monkeypatch)
+    assert tuple(leave_one_out(dataset, config)) == leave_one_out_per_fold_dataset(dataset, config)
+    # not vacuous: some batch sends its folds to two winners or more ...
+    assert max(Counter(id(item[0]) for item, _, _ in split_calls).values()) >= 2
+    # ... and some folds leave the full data's path below its root, where it splits on another attribute
+    assert any(item[2] >= 1 and full_winners.get(tuple(map(tuple, item[0])), best) != best
+               for item, best, _ in split_calls)

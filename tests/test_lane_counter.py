@@ -1,8 +1,8 @@
 """The lane counter gives ``contingency``'s tables, and growth gives the same model when it counts by either.
 
-``metrics.lane_counter`` is the package's one table counter: every node of a build or of a
-leave-one-out fold path, ``score_all``, and leave-one-out's full tables (by its growth's
-counter) count with it. It counts every row of its columns, packs each into one byte per
+``metrics.lane_counter`` is the package's one table counter: every node of a build, every
+node of the full data that leave-one-out's folds reach (by its growth's counter), and
+``score_all`` count with it. It counts every row of its columns, packs each into one byte per
 value, and sums a class's rows at most ``metrics._LANE_ROWS`` (255) at a time, so that no
 one-byte lane overflows; its blocks' counts are added lane by lane.
 ``contingency``, the naive counter in ``conftest``, is the reference the lanes are held to here."""
@@ -15,8 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 import gradetree.dataset
 import gradetree.metrics
 import gradetree.tree
-from conftest import contingency, extra_peak, traced
-from gradetree.dataset import Attribute, AttributeSchema, Dataset, Record
+from conftest import contingency, extra_peak, traced, wide_dataset
 from gradetree.evaluate import leave_one_out
 from gradetree.metrics import lane_counter
 from gradetree.tree import Criterion, TreeConfig, id3_build, save_model
@@ -128,23 +127,6 @@ def test_a_lane_set_up_holds_one_chunk_beyond_the_codes_and_the_packed_ints():
         columns = [tuple(rng.randrange(size) for _ in range(n_rows)) for size in sizes]
         extra.append(extra_peak(lambda: lane_counter(columns, sizes)))
     assert extra[1] - extra[0] < 6000 * 20 * 8 / 4
-
-
-def wide_dataset(seed, n_rows=5000, n_attributes=20):
-    """A seeded table whose label is a noisy function of three attributes, domains of 3 to 5 values."""
-    rng = random.Random(seed)
-    attributes = tuple(Attribute(f"A{i:02d}", tuple(f"v{j}" for j in range(3 + i % 3))) for i in range(n_attributes))
-    classes = ("k0", "k1", "k2", "k3")
-    relevant = rng.sample(range(n_attributes), 3)
-    label_of = {}
-    records = []
-    for _ in range(n_rows):
-        values = [rng.choice(a.domain) for a in attributes]
-        label = label_of.setdefault(tuple(values[i] for i in relevant), rng.choice(classes))
-        if rng.random() < 0.2:
-            label = rng.choice(classes)
-        records.append(Record(dict(zip((a.name for a in attributes), values)), label))
-    return Dataset(AttributeSchema(attributes, Attribute("CLASS", classes)), tuple(records))
 
 
 def contingency_counter(columns, sizes):

@@ -188,7 +188,7 @@ def test_growth_scores_each_node_in_one_call_and_never_a_table_alone(students, m
 
 
 @pytest.mark.parametrize("criterion", list(Criterion))
-def test_a_node_handed_its_tables_splits_by_them_and_counts_none(students, monkeypatch, criterion):
+def test_decide_is_stop_then_one_count_one_scoring_and_the_tie_rule(students, monkeypatch, criterion):
     counts = []  # the positions of each count call
 
     def lanes_counted(*args):
@@ -204,17 +204,16 @@ def test_a_node_handed_its_tables_splits_by_them_and_counts_none(students, monke
     schema = students.schema
     *columns, labels = students._codes
     by_class = gradetree.metrics._by_class(labels, len(schema.class_domain))
-    decide, _, _ = gradetree.tree._growth(schema, columns, labels, TreeConfig(criterion))
+    decide, _, _, stop = gradetree.tree._growth(schema, columns, labels, TreeConfig(criterion))
     root = gradetree.tree._root_item(schema, by_class)
-    counted = decide(root)
+    dist, best = decide(root)
     assert counts == [[*range(len(schema.attributes))]]
+    class_counts = [*map(len, by_class)]
+    assert stop(class_counts, root[1], 0, None) == (dist, None)
     tables = [contingency(column, by_class, len(a.domain)) for a, column in zip(schema.attributes, columns)]
-    assert decide(root, tables) == counted
-    best = counted[1]
-    tables[best] = [[*map(len, by_class)]] + [[0] * len(by_class)] * (len(tables[best]) - 1)  # one value: no gain
-    _, other = decide(root, tables)
-    assert other != best
-    assert counts == [[*range(len(schema.attributes))]]  # a node handed its tables counts none
+    keys = gradetree.metrics.node_scores(tables, class_counts, len(students), criterion is Criterion.GAIN_RATIO)
+    assert best == gradetree.tree._choose(keys, root[1]) == keys.index(max(keys))
+    assert gradetree.tree._choose([0.5, 1.0, 0.25, 1.0], [1, 3, 4, 6]) == 3  # the first maximum wins a tie
 
 
 def test_decide_stops_growth_for_each_reason_and_otherwise_names_the_winner():
